@@ -24,13 +24,14 @@ Two evaluation routes share that contract:
   while the per-twist work is pure counting;
 * a complex with differentials gets the assembled total complex, with the
   Cech coboundary and polynomial multiplication as the two differentials
-  and honest ranks of the resulting matrices.
+  and honest ranks of the resulting matrices.  Those matrices hold a few
+  nonzeros per column, so they are built as sparse rows and never stored
+  densely; linalg.rank_sparse eliminates them over F_p or Q alike.
 """
 
 import itertools
 import math
-
-import numpy as np
+from operator import add
 
 from . import linalg
 from .coxring import validate_complex
@@ -140,6 +141,19 @@ def _prefix_sign(idx, j):
     return -1 if sum(len(S) - 1 for S in idx[:j]) % 2 else 1
 
 
+def _coboundary(space, idx):
+    """The Cech coboundary out of a cover index: (target index, sign) for
+    each vertex v added to one factor's set S_j."""
+    out = []
+    for j, Sj in enumerate(idx):
+        pref = _prefix_sign(idx, j)
+        for v in range(space.factor_dims[j] + 1):
+            if v not in Sj:
+                newS = tuple(sorted(Sj + (v,)))
+                out.append((idx[:j] + (newS,) + idx[j + 1 :], pref * _insert_sign(v, newS)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Blockwise route for plain direct sums.
 
@@ -181,15 +195,8 @@ def _pattern_profile(space, sizes, field):
             continue
         rows = [[0] * len(src) for _ in tgt]
         for col, idx in enumerate(src):
-            for j, Sj in enumerate(idx):
-                pref = _prefix_sign(idx, j)
-                for v in range(space.factor_dims[j] + 1):
-                    if v in Sj:
-                        continue
-                    newS = tuple(sorted(Sj + (v,)))
-                    new_idx = idx[:j] + (newS,) + idx[j + 1 :]
-                    row = place[new_idx][1]
-                    rows[row][col] += pref * _insert_sign(v, newS)
+            for new_idx, sign in _coboundary(space, idx):
+                rows[place[new_idx][1]][col] = sign
         ranks[q] = linalg.rank(rows, len(src), field)
     profile = tuple(
         len(by_deg.get(q, [])) - ranks.get(q, 0) - ranks.get(q - 1, 0)
@@ -307,69 +314,52 @@ def _total_matrices(C, a, depths):
     The differential out of bidegree (p, q) is the polynomial map of the
     complex plus (-1)^p times the Cech coboundary; both preserve the
     per-variable exponent bounds, so the truncated spaces form an honest
-    subcomplex.
+    subcomplex.  Each matrix is a list of sparse rows, one per target basis
+    element, each a {column: nonzero field value} dict.
     """
-    space, field = C.space, C.field
+    field = C.field
     idxs, bases, place = _total_bases(C, a, depths)
     idx_pos = {idx: ii for ii, idx in enumerate(idxs)}
-    rational = isinstance(field, linalg.RationalField)
+    # Cech targets of each cover index, with the field value of the sign
+    # for even and for odd p.
+    cob = [
+        [(idx_pos[t], (field.coerce(sign), field.coerce(-sign)))
+         for t, sign in _coboundary(C.space, idx)]
+        for idx in idxs
+    ]
+    # Polynomial targets of each summand: (target summand, [(exponent, coefficient)]).
+    poly = {
+        (p, s): [
+            (r, [(ev, field.coerce(c)) for ev, c in C.entry(p, r, s).terms.items()])
+            for r in range(len(C.summands(p + 1)))
+            if C.entry(p, r, s) is not None
+        ]
+        for p in C.degrees
+        for s in range(len(C.summands(p)))
+    }
     mats = {}
     for k in sorted(bases):
-        src = bases[k]
-        tgt = bases.get(k + 1, [])
-        entries = {}
-        for col, (p, ii, s, mono) in enumerate(src):
-            idx = idxs[ii]
-            psign = -1 if p % 2 else 1
-            for j, Sj in enumerate(idx):
-                pref = _prefix_sign(idx, j)
-                for v in range(space.factor_dims[j] + 1):
-                    if v in Sj:
-                        continue
-                    newS = tuple(sorted(Sj + (v,)))
-                    new_idx = idx[:j] + (newS,) + idx[j + 1 :]
-                    row = place[(p, idx_pos[new_idx], s, mono)]
-                    val = psign * pref * _insert_sign(v, newS)
-                    entries[(row, col)] = entries.get((row, col), 0) + val
-            mat = C.diffs.get(p)
-            if mat is not None:
-                for r in range(len(C.summands(p + 1))):
-                    e = C.entry(p, r, s)
-                    if e is None:
-                        continue
-                    for ev, coeff in e.terms.items():
-                        prod = tuple(
-                            tuple(x + y for x, y in zip(b1, b2))
-                            for b1, b2 in zip(mono, ev)
-                        )
-                        row = place[(p + 1, ii, r, prod)]
-                        entries[(row, col)] = entries.get((row, col), 0) + coeff
-        if rational:
-            rows = [[linalg.RATIONALS.coerce(0)] * len(src) for _ in tgt]
-            for (r, c), val in entries.items():
-                rows[r][c] = linalg.RATIONALS.coerce(val)
-            mats[k] = rows
-        else:
-            arr = np.zeros((len(tgt), len(src)), dtype=np.int64)
-            for (r, c), val in entries.items():
-                arr[r, c] = val % field.p
-            mats[k] = arr
+        # No (row, column) pair gets two contributions: Cech targets keep p,
+        # polynomial targets move to p + 1, and distinct terms give distinct
+        # monomials.
+        rows = [{} for _ in bases.get(k + 1, [])]
+        for col, (p, ii, s, mono) in enumerate(bases[k]):
+            for ii2, signs in cob[ii]:
+                rows[place[(p, ii2, s, mono)]][col] = signs[p % 2]
+            for r, terms in poly[(p, s)]:
+                for ev, coeff in terms:
+                    prod = tuple(tuple(map(add, b1, b2)) for b1, b2 in zip(mono, ev))
+                    rows[place[(p + 1, ii, r, prod)]][col] = coeff
+        mats[k] = rows
     return bases, mats
 
 
 def _assembled_h(C, a, depths):
-    space, field = C.space, C.field
     bases, mats = _total_matrices(C, a, depths)
-    rational = isinstance(field, linalg.RationalField)
-    ranks = {}
-    for k, mat in mats.items():
-        if rational:
-            ranks[k] = linalg.rank(mat, len(bases[k]), field) if mat else 0
-        else:
-            ranks[k] = linalg.rank_mod_p_array(mat, field.p)
+    ranks = {k: linalg.rank_sparse(rows, C.field) for k, rows in mats.items()}
     return tuple(
         len(bases.get(i, [])) - ranks.get(i, 0) - ranks.get(i - 1, 0)
-        for i in range(space.m + 1)
+        for i in range(C.space.m + 1)
     )
 
 

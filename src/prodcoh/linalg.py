@@ -1,18 +1,25 @@
 """Exact rank and kernel computations over prime fields and the rationals.
 
-Prime-field elimination runs on numpy int64 arrays (the default modulus
-65521 keeps every intermediate product far below 2**63).  Rational ranks go
-through fraction-free (Bareiss) elimination on integer matrices after
-clearing denominators; rational kernels use Fraction back-substitution.
-Pivoting is deterministic everywhere: first nonzero entry in row-major
-order.
+One sparse Gaussian elimination serves both fields.  A matrix is a list of
+rows, each a {column: value} dict holding only nonzero entries: Python ints
+in [0, p) over F_p, so no modulus the field accepts can overflow, and
+Fractions over Q.  Pivoting is deterministic.  Ranks pivot Markowitz-style
+(after Bouillaguet et al., SpaSM) to keep fill low on the very sparse Cech
+matrices.  Kernels take pivot columns in ascending order and end at the
+reduced row echelon form, which is unique, so the kernel basis does not
+depend on which rows serve as pivots.
 """
 
+import heapq
+from collections import defaultdict
 from fractions import Fraction
 
-import numpy as np
-
 DEFAULT_PRIME = 65521
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 class FieldError(ValueError):
@@ -20,13 +27,26 @@ class FieldError(ValueError):
 
 
 def _is_prime(p):
+    """Deterministic Miller-Rabin; exact for p < _MR_LIMIT."""
     if p < 2:
         return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -35,6 +55,11 @@ class PrimeField:
 
     def __init__(self, p):
         p = int(p)
+        if p >= _MR_LIMIT:
+            raise FieldError(
+                "modulus %d is too large: primality is certified below %d"
+                % (p, _MR_LIMIT)
+            )
         if p <= 2 or not _is_prime(p):
             raise FieldError("modulus must be an odd prime, got %d" % p)
         self.p = p
@@ -129,13 +154,14 @@ def parse_field(spec):
 
 
 def rank(rows, ncols, field):
-    """Rank of a matrix given as a list of rows over the field."""
-    if isinstance(field, PrimeField):
-        if not rows or ncols == 0:
-            return 0
-        a = np.array([[int(x) for x in r] for r in rows], dtype=np.int64) % field.p
-        return _rank_mod_p(a, field.p)
-    return _rank_bareiss([[Fraction(x) for x in r] for r in rows], ncols)
+    """Rank of a matrix given as a list of dense rows over the field."""
+    return rank_sparse(_sparse(rows, field), field)
+
+
+def rank_sparse(rows, field):
+    """Rank of a matrix given as sparse rows ({column: nonzero value} dicts
+    with values already in the field).  The rows are consumed."""
+    return len(_eliminate(rows, field))
 
 
 def nullspace(rows, ncols, field):
@@ -144,153 +170,99 @@ def nullspace(rows, ncols, field):
     Vectors correspond to the free columns of the reduced row echelon form,
     in ascending column order, so the result is deterministic.
     """
-    if ncols == 0:
-        return []
-    if not rows:
-        rows = [[0] * ncols]
-    if isinstance(field, PrimeField):
-        a = np.array([[int(x) for x in r] for r in rows], dtype=np.int64) % field.p
-        return _nullspace_mod_p(a, field.p)
-    return _nullspace_rational([[Fraction(x) for x in r] for r in rows], ncols)
-
-
-def rank_mod_p_array(a, p):
-    """Rank of a numpy int64 matrix with entries already reduced mod p."""
-    if a.size == 0:
-        return 0
-    return _rank_mod_p(a.copy(), p)
-
-
-def _rank_mod_p(a, p):
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = a[r + 1 :, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            a[r + 1 + hit] = (a[r + 1 + hit] - np.outer(below[hit], a[r])) % p
-        r += 1
-    return r
-
-
-def _rref_mod_p(a, p):
-    """Reduced row echelon form in place; returns the pivot column list."""
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        other = a[:, c].copy()
-        other[r] = 0
-        hit = np.nonzero(other)[0]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(other[hit], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _nullspace_mod_p(a, p):
-    nrows, ncols = a.shape
-    a = a.copy()
-    pivots = _rref_mod_p(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    rows = _sparse(rows, field)
+    pivots = _eliminate(rows, field, ncols)
+    pivot_cols = {c for _, c in pivots}
+    zero, one = field.coerce(0), field.coerce(1)
     basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-int(a[r, f])) % p
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for r, c in pivots:
+            v[c] = field.neg(rows[r].get(f, zero))
         basis.append(v)
     return basis
 
 
-def _rank_bareiss(rows, ncols):
-    # Clear denominators row by row; rank is unchanged.
-    m = []
+def _sparse(rows, field):
+    out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        m.append([int(x * den) for x in row])
-    nrows = len(m)
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            mrc = m[r][c]
-            for j in range(c + 1, ncols):
-                m[i][j] = (mrc * m[i][j] - mic * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-    return r
+        entries = {}
+        for j, x in enumerate(row):
+            x = field.coerce(x)
+            if x:
+                entries[j] = x
+        out.append(entries)
+    return out
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _eliminate(rows, field, ncols=None):
+    """Gaussian elimination on sparse rows, in place; returns the pivots as
+    (row, column) pairs in the order taken.
 
+    Without ncols the pivots follow a Markowitz rule: the live row with the
+    fewest entries (a heap keyed (nnz, row)), then its column with the
+    fewest live rows, lowest index on ties.  A pivot row retires once it
+    has cleared its column from the live rows.
 
-def _nullspace_rational(rows, ncols):
-    m = [list(r) for r in rows]
-    nrows = len(m)
+    With ncols the columns are taken in ascending order, each pivot row is
+    scaled to 1 and clears its column from every other row, so the pivot
+    rows end as the reduced row echelon form.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
+    reduced = ncols is not None
+    where = defaultdict(set)  # column -> rows holding it
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    heap = [] if reduced else [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    cols = iter(range(ncols or 0))
+    done = set()
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return basis
+    while True:
+        if reduced:
+            c = next((j for j in cols if where[j] - done), None)
+            if c is None:
+                break
+            r = min(where[c] - done, key=lambda i: (len(rows[i]), i))
+            inv = field.inv(rows[r][c])
+            rows[r] = {j: field.mul(v, inv) for j, v in rows[r].items()}
+        else:
+            while heap:
+                nnz, r = heapq.heappop(heap)
+                if r not in done and nnz == len(rows[r]):
+                    break
+            else:
+                break
+            c = min(rows[r], key=lambda j: (len(where[j]), j))
+        prow = rows[r]
+        inv = field.inv(prow[c])
+        for i in where[c] - {r}:
+            row = rows[i]
+            f = row.pop(c) * inv
+            if p:
+                f %= p
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                x = row.get(j, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    row[j] = x
+                    where[j].add(i)
+                else:
+                    del row[j]
+                    where[j].discard(i)
+            if not reduced and row:
+                heapq.heappush(heap, (len(row), i))
+        where[c] = {r}
+        if not reduced:
+            for j in prow:
+                where[j].discard(r)
+        done.add(r)
+        pivots.append((r, c))
+    return pivots

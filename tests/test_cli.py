@@ -137,6 +137,24 @@ def test_cohomology_field_flag(capsys, tmp_path):
     assert json.loads(out)["h"] == [1, 0, 0]
 
 
+def test_cohomology_large_prime(capsys, tmp_path):
+    # Products of field elements exceed 2**63 at this prime.
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, _ = run(
+        capsys,
+        ["cohomology", "--input", path, "--twist", "0,0", "--field",
+         "p:4294967291", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["h"] == [1, 0, 0]
+    code, _, err = run(
+        capsys,
+        ["cohomology", "--input", path, "--twist", "0,0", "--field",
+         "p:%d" % (2**89 - 1)],
+    )
+    assert code == 2 and "too large" in err
+
+
 def test_cohomology_truncation_exit(capsys, tmp_path):
     path = write_complex(tmp_path, free_complex(ProductSpace((1, 1)), [(0, 0)]))
     code, _, err = run(

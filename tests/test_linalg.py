@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from prodcoh import linalg
 from prodcoh.linalg import PrimeField, RATIONALS, parse_field
+
+BIG_PRIME = 4294967291  # the largest prime below 2**32
 
 
 def test_parse_field():
@@ -14,6 +19,18 @@ def test_parse_field():
         parse_field("p:65520")  # not prime
     with pytest.raises(linalg.FieldError):
         parse_field("float")
+
+
+def test_primality_is_miller_rabin():
+    # 2**61 - 1 is prime; trial division would take minutes.
+    assert parse_field("p:2305843009213693951").p == 2305843009213693951
+    assert parse_field("p:%d" % BIG_PRIME).p == BIG_PRIME
+    for composite in (561, 1105, 3215031751, 4294967297, 3825123056546413051):
+        with pytest.raises(linalg.FieldError):
+            PrimeField(composite)
+    # Above the bound where 13 Miller-Rabin bases certify primality.
+    with pytest.raises(linalg.FieldError, match="too large"):
+        parse_field("p:%d" % (2**89 - 1))
 
 
 def test_prime_field_ops():
@@ -68,3 +85,72 @@ def test_rational_kernel_with_fractions():
     rows = [[Fraction(1, 2), Fraction(1, 3)]]
     (v,) = linalg.nullspace(rows, 2, RATIONALS)
     assert Fraction(1, 2) * v[0] + Fraction(1, 3) * v[1] == 0
+
+
+def test_rank_exact_for_large_prime():
+    # Six combinations of three independent rows, entries near p, so that
+    # products of entries exceed 2**63: the rank is 3.
+    p = BIG_PRIME
+    basis = [
+        [p - 1, p - 2, p - 3, p - 5, p - 7],
+        [p - 11, p - 13, p - 17, p - 19, p - 23],
+        [p - 29, p - 31, p - 37, p - 41, p - 43],
+    ]
+    coeffs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (p - 1, p - 2, 1), (3, p - 5, 7), (p - 2, 1, p - 3)]
+    rows = [[sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(5)] for cs in coeffs]
+    F = PrimeField(p)
+    assert linalg.rank(rows, 5, F) == 3
+    kernel = linalg.nullspace(rows, 5, F)
+    assert len(kernel) == 2
+    for v in kernel:
+        for row in rows:
+            assert sum(x * y for x, y in zip(row, v)) % p == 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Random sparse integer matrices up to 30x30: a product B C of sparse
+    factors, so the rank is often below both dimensions, plus a few rows
+    that combine others."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    inner = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+
+    def sparse(m, n):
+        return [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+
+    B, C = sparse(nrows, inner), sparse(inner, ncols)
+    rows = [[sum(b * C[k][j] for k, b in enumerate(brow)) for j in range(ncols)] for brow in B]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([s * x + t * y for x, y in zip(rows[a], rows[b])])
+    return rows, ncols
+
+
+def _apply(field, rows, v):
+    out = []
+    for row in rows:
+        acc = field.coerce(0)
+        for x, y in zip(row, v):
+            acc = field.add(acc, field.mul(field.coerce(x), y))
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), st.sampled_from([3, 5, 65521, BIG_PRIME]))
+def test_kernel_against_sympy(matrix, p):
+    rows, ncols = matrix
+    ranks = {}
+    for field, domain in ((PrimeField(p), GF(p)), (RATIONALS, QQ)):
+        r = linalg.rank(rows, ncols, field)
+        assert r == DomainMatrix.from_list(rows, ZZ).convert_to(domain).rank()
+        kernel = linalg.nullspace(rows, ncols, field)
+        assert len(kernel) == ncols - r
+        for v in kernel:
+            assert not any(_apply(field, rows, v))
+        ranks[field.name] = r
+    assert ranks["q"] >= ranks["p:%d" % p]
