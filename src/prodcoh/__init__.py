@@ -20,11 +20,8 @@ from .coxring import (
     LineBundleComplex,
     MultiHomogPoly,
     free_complex,
-    graded_basis,
     monomials,
-    mult_matrix,
     poly_mult,
-    syzygies_in_window,
     validate_complex,
 )
 from .cech import (

@@ -112,27 +112,6 @@ def default_depths(space, deltas):
     return tuple(depths)
 
 
-def _resolve_depths(space, deltas, depth):
-    """Validate an explicit depth override against the certified bound.
-
-    A depth far below the bound can look stable (no bounded monomial of the
-    right total degree exists at either probe) while missing the whole top
-    group, so shallow overrides are an error, not a probe.
-    """
-    need = default_depths(space, deltas)
-    if depth is None:
-        return need
-    depth = tuple(int(x) for x in depth)
-    if len(depth) != space.t or any(x < 1 for x in depth):
-        raise CechError("depth must give a positive bound per factor")
-    if any(d < n for d, n in zip(depth, need)):
-        raise TruncationInstability(
-            "requested truncation depth %r is below the certified bound %r"
-            % (depth, need)
-        )
-    return depth
-
-
 def _insert_sign(v, new_set):
     return -1 if new_set.index(v) % 2 else 1
 
@@ -268,7 +247,7 @@ def _blockwise_h(space, delta, depths, field):
     return tuple(h)
 
 
-def cech_line_bundle_h(space, b, a, field=None, depth=None):
+def cech_line_bundle_h(space, b, a, field=None):
     """Cohomology vector of O(b)(a) = O(a+b) from the truncated complex.
 
     Computed at the working depth and again one deeper; disagreement raises
@@ -276,7 +255,7 @@ def cech_line_bundle_h(space, b, a, field=None, depth=None):
     """
     field = field or linalg.default_field()
     delta = vadd(space.degree(a), space.degree(b))
-    depths = _resolve_depths(space, [delta], depth)
+    depths = default_depths(space, [delta])
     h1 = _blockwise_h(space, delta, depths, field)
     h2 = _blockwise_h(space, delta, tuple(d + 1 for d in depths), field)
     if h1 != h2:
@@ -363,18 +342,16 @@ def _assembled_h(C, a, depths):
     )
 
 
-def _complex_depths(C, a, depth):
+def _complex_depths(C, a):
     deltas = [vadd(a, b) for p in C.degrees for b in C.summands(p)]
-    if not deltas:
-        deltas = [a]
-    return _resolve_depths(C.space, deltas, depth)
+    return default_depths(C.space, deltas or [a])
 
 
-def assembled_hypercohomology(C, a, depth=None):
+def assembled_hypercohomology(C, a):
     """General-route hypercohomology, with the depth stability re-check.
     Exposed separately so tests can cross it against the blockwise route."""
     a = C.space.degree(a)
-    depths = _complex_depths(C, a, depth)
+    depths = _complex_depths(C, a)
     h1 = _assembled_h(C, a, depths)
     h2 = _assembled_h(C, a, tuple(d + 1 for d in depths))
     if h1 != h2:
@@ -385,7 +362,7 @@ def assembled_hypercohomology(C, a, depth=None):
     return h1
 
 
-def hypercohomology(C, a, depth=None):
+def hypercohomology(C, a):
     """Dimensions of H^i(F(a)), i = 0..m, for the degree-0 cohomology sheaf
     F of a validated line-bundle complex."""
     violations = validate_complex(C)
@@ -395,20 +372,20 @@ def hypercohomology(C, a, depth=None):
     if C.is_free_term():
         total = [0] * (C.space.m + 1)
         for b in C.summands(0):
-            h = cech_line_bundle_h(C.space, b, a, field=C.field, depth=depth)
+            h = cech_line_bundle_h(C.space, b, a, field=C.field)
             total = [x + y for x, y in zip(total, h)]
         return tuple(total)
-    return assembled_hypercohomology(C, a, depth=depth)
+    return assembled_hypercohomology(C, a)
 
 
-def cohomology_table(C, window, depth=None):
+def cohomology_table(C, window):
     """h^i(F(a)) for every twist a in the window, every cell computed."""
     violations = validate_complex(C)
     if violations:
         raise CechError("invalid complex: %r" % (violations[:3],))
     table = CohomologyTable(C.space, window)
     for a in window.twists():
-        h = hypercohomology(C, a, depth=depth)
+        h = hypercohomology(C, a)
         for i, dim in enumerate(h):
             table.set_cell(a, i, dim, STATUS_COMPUTED)
     return table

@@ -4,9 +4,9 @@ Subcommands: regions (cohomology-region grids), cohomology (tables of a
 line-bundle complex), split-check (splitting verdict), tate-profile
 (Tate term dimensions and exactness checksums).
 
-Exit codes: 0 success / Split, 2 usage or input schema error,
-3 truncation instability, 4 insufficient table coverage,
-10 NonSplit, 11 Inconclusive.
+Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
+3 truncation instability, 4 insufficient table coverage, 5 --check-prime
+disagreement, 10 NonSplit, 11 Inconclusive.
 """
 
 import argparse
@@ -29,12 +29,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TRUNCATION = 3
 EXIT_COVERAGE = 4
+EXIT_PRIME = 5
 EXIT_NONSPLIT = 10
 EXIT_INCONCLUSIVE = 11
 
 
 class UsageError(ValueError):
     pass
+
+
+class PrimeDisagreement(RuntimeError):
+    """--check-prime found different dimensions at the second prime."""
 
 
 def parse_ints(text, what):
@@ -114,7 +119,7 @@ def cmd_regions(args):
             sig = bott.signature(space, a)
             if sig is None:
                 continue
-            if args.mode == "full" or 0 < sig[0] < space.m:
+            if args.mode == "full" or bott.is_intermediate(space, sig):
                 cells.add(a)
 
     if fixed:
@@ -157,15 +162,14 @@ def _table_ascii(table):
 
 def cmd_cohomology(args):
     C = load_complex(args.input, args.field)
-    depth = parse_ints(args.depth, "depth") if args.depth else None
     if args.twist:
         a = C.space.degree(parse_ints(args.twist, "twist"))
-        h = cech.hypercohomology(C, a, depth=depth)
+        h = cech.hypercohomology(C, a)
         if args.check_prime and not isinstance(C.field, linalg.RationalField):
             other = load_complex(args.input, "p:%d" % args.check_prime)
-            h2 = cech.hypercohomology(other, a, depth=depth)
+            h2 = cech.hypercohomology(other, a)
             if h2 != h:
-                raise cech.TruncationInstability(
+                raise PrimeDisagreement(
                     "dimensions differ between primes: %r vs %r" % (h, h2)
                 )
         if args.format == "json":
@@ -176,12 +180,12 @@ def cmd_cohomology(args):
     if not args.window:
         raise UsageError("cohomology needs --twist or --window")
     window = parse_window(args.window)
-    table = cech.cohomology_table(C, window, depth=depth)
+    table = cech.cohomology_table(C, window)
     if args.check_prime and not isinstance(C.field, linalg.RationalField):
         other = load_complex(args.input, "p:%d" % args.check_prime)
-        table2 = cech.cohomology_table(other, window, depth=depth)
+        table2 = cech.cohomology_table(other, window)
         if table2.cells != table.cells:
-            raise cech.TruncationInstability("tables differ between primes")
+            raise PrimeDisagreement("tables differ between primes")
     if args.format == "json":
         dump_json(table.to_json())
     elif args.format == "csv":
@@ -229,7 +233,7 @@ def cmd_tate_profile(args):
         try:
             with open(args.table) as fh:
                 table = tate.CohomologyTable.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError("table %s: %s" % (args.table, exc)) from exc
         space = table.space
         b = space.degree(parse_ints(args.b, "internal degree"))
@@ -306,7 +310,6 @@ def build_parser():
     p.add_argument("--twist", help="single twist a1,...,at")
     p.add_argument("--window", help="per-factor lo:hi")
     p.add_argument("--field", help="q or p:<prime> (overrides the file)")
-    p.add_argument("--depth", help="explicit truncation depths per factor")
     p.add_argument(
         "--check-prime", type=int, default=None,
         help="recompute at this prime and compare (guards unlucky primes)",
@@ -345,7 +348,7 @@ def build_parser():
 # with '=' so argparse does not mistake the value for an option.
 _VALUE_FLAGS = {
     "--space", "--window", "--twist", "--b", "--c", "--d", "--slice",
-    "--depth", "--I", "--J", "--K",
+    "--I", "--J", "--K",
 }
 
 
@@ -374,7 +377,9 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, SchemaError, LatticeError, linalg.FieldError) as exc:
+    except (
+        UsageError, SchemaError, LatticeError, linalg.FieldError, cech.CechError
+    ) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except cech.TruncationInstability as exc:
@@ -383,6 +388,9 @@ def main(argv=None):
     except tate.TateCoverageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_COVERAGE
+    except PrimeDisagreement as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_PRIME
 
 
 def console_main():

@@ -409,106 +409,3 @@ def validate_complex(C):
     C._validated = out
     return out
 
-
-def graded_basis(space, S, a):
-    """Ordered monomial basis of a free sum in twist a.
-
-    Summand O(b) contributes the monomials of multidegree a + b (none when
-    a + b has a negative coordinate).  Tokens are (summand index, exponent
-    vector), summand-major then lexicographic, so every assembled matrix is
-    reproducible bit for bit.
-    """
-    a = space.degree(a)
-    S = S if isinstance(S, FreeSum) else FreeSum(tuple(S))
-    basis = []
-    for s, b in enumerate(S.twists):
-        for e in monomials(space, vadd(a, b)):
-            basis.append((s, e))
-    return tuple(basis)
-
-
-def mult_matrix(entry, source_twist, target_twist, a):
-    """Matrix of multiplication by a polynomial entry, in twist a.
-
-    Maps the monomial basis of O(source_twist) in twist a to the basis of
-    O(target_twist); the entry must have degree target - source unless it
-    is zero.  Rows are indexed by target monomials, columns by source
-    monomials.
-    """
-    space = entry.space
-    src = space.degree(source_twist)
-    tgt = space.degree(target_twist)
-    want = vsub(tgt, src)
-    if not entry.is_zero() and entry.degree != want:
-        raise CoxError(
-            "entry degree %r does not match twist step %r" % (entry.degree, want)
-        )
-    src_basis = monomials(space, vadd(a, src))
-    tgt_basis = monomials(space, vadd(a, tgt))
-    tgt_index = {e: i for i, e in enumerate(tgt_basis)}
-    zero = entry.field.coerce(0)
-    rows = [[zero] * len(src_basis) for _ in tgt_basis]
-    for c, e in enumerate(src_basis):
-        for ev, coeff in entry.terms.items():
-            prod = tuple(
-                tuple(x + y for x, y in zip(b1, b2)) for b1, b2 in zip(e, ev)
-            )
-            r = tgt_index[prod]
-            rows[r][c] = entry.field.add(rows[r][c], coeff)
-    return rows
-
-
-def syzygies_in_window(space, field, source_twists, target_twists, entries, window):
-    """Degree-by-degree kernels of a homogeneous polynomial matrix.
-
-    entries is a matrix (rows over target summands) of MultiHomogPoly or
-    None describing a map (+) O(b_s) -> (+) O(c_r).  For every twist a in
-    the window the assembled multiplication matrix is solved exactly; the
-    kernel basis is reported as tuples of polynomials, one of degree
-    a + b_s per source summand.  Completeness holds only inside the window.
-    """
-    source_twists = [space.degree(b) for b in source_twists]
-    target_twists = [space.degree(c) for c in target_twists]
-    results = {}
-    for a in window.twists():
-        src_bases = [monomials(space, vadd(a, b)) for b in source_twists]
-        tgt_bases = [monomials(space, vadd(a, c)) for c in target_twists]
-        ncols = sum(len(bb) for bb in src_bases)
-        nrows = sum(len(bb) for bb in tgt_bases)
-        if ncols == 0:
-            continue
-        rows = [[field.coerce(0)] * ncols for _ in range(nrows)]
-        col0 = 0
-        for s, b in enumerate(source_twists):
-            row0 = 0
-            for r, c_tw in enumerate(target_twists):
-                e = entries[r][s]
-                if e is not None and not e.is_zero():
-                    block = mult_matrix(e, b, c_tw, a)
-                    for i, brow in enumerate(block):
-                        for j, val in enumerate(brow):
-                            rows[row0 + i][col0 + j] = val
-                row0 += len(tgt_bases[r])
-            col0 += len(src_bases[s])
-        kernel = linalg.nullspace(rows, ncols, field)
-        if not kernel:
-            continue
-        vectors = []
-        for v in kernel:
-            comps = []
-            col0 = 0
-            for s, b in enumerate(source_twists):
-                terms = {}
-                for j, e in enumerate(src_bases[s]):
-                    c = v[col0 + j]
-                    if c:
-                        terms[e] = c
-                col0 += len(src_bases[s])
-                deg = vadd(a, b)
-                if terms:
-                    comps.append(MultiHomogPoly(space, field, deg, terms))
-                else:
-                    comps.append(MultiHomogPoly.zero(space, field, deg))
-            vectors.append(tuple(comps))
-        results[a] = vectors
-    return results

@@ -24,10 +24,6 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a):
-    return tuple(-x for x in a)
-
-
 def vscale(k, a):
     return tuple(k * x for x in a)
 
@@ -167,8 +163,7 @@ def intermediate_k_range(space, d, a):
     hi = max((-aj - nj - 1) // dj for aj, nj, dj in zip(a, space.factor_dims, dd))
     ks = []
     for k in range(lo, hi + 1):
-        sig = bott.signature(space, vadd(vscale(k, dd), a))
-        if sig is not None and 0 < sig[0] < space.m:
+        if bott.is_intermediate(space, bott.signature(space, vadd(vscale(k, dd), a))):
             ks.append(k)
     return tuple(ks)
 

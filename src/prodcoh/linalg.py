@@ -1,13 +1,11 @@
-"""Exact rank and kernel computations over prime fields and the rationals.
+"""Exact ranks over prime fields and the rationals.
 
 One sparse Gaussian elimination serves both fields.  A matrix is a list of
 rows, each a {column: value} dict holding only nonzero entries: Python ints
 in [0, p) over F_p, so no modulus the field accepts can overflow, and
-Fractions over Q.  Pivoting is deterministic.  Ranks pivot Markowitz-style
-(after Bouillaguet et al., SpaSM) to keep fill low on the very sparse Cech
-matrices.  Kernels take pivot columns in ascending order and end at the
-reduced row echelon form, which is unique, so the kernel basis does not
-depend on which rows serve as pivots.
+Fractions over Q.  Pivots are chosen deterministically, Markowitz-style
+(after Bouillaguet et al., SpaSM), to keep fill low on the very sparse Cech
+matrices.
 """
 
 import heapq
@@ -158,34 +156,6 @@ def rank(rows, ncols, field):
     return rank_sparse(_sparse(rows, field), field)
 
 
-def rank_sparse(rows, field):
-    """Rank of a matrix given as sparse rows ({column: nonzero value} dicts
-    with values already in the field).  The rows are consumed."""
-    return len(_eliminate(rows, field))
-
-
-def nullspace(rows, ncols, field):
-    """Basis of the right kernel, as a list of length-ncols vectors.
-
-    Vectors correspond to the free columns of the reduced row echelon form,
-    in ascending column order, so the result is deterministic.
-    """
-    rows = _sparse(rows, field)
-    pivots = _eliminate(rows, field, ncols)
-    pivot_cols = {c for _, c in pivots}
-    zero, one = field.coerce(0), field.coerce(1)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in pivots:
-            v[c] = field.neg(rows[r].get(f, zero))
-        basis.append(v)
-    return basis
-
-
 def _sparse(rows, field):
     out = []
     for row in rows:
@@ -198,47 +168,29 @@ def _sparse(rows, field):
     return out
 
 
-def _eliminate(rows, field, ncols=None):
-    """Gaussian elimination on sparse rows, in place; returns the pivots as
-    (row, column) pairs in the order taken.
+def rank_sparse(rows, field):
+    """Rank of a matrix given as sparse rows ({column: nonzero value} dicts
+    with values already in the field), by Gaussian elimination in place.
 
-    Without ncols the pivots follow a Markowitz rule: the live row with the
-    fewest entries (a heap keyed (nnz, row)), then its column with the
-    fewest live rows, lowest index on ties.  A pivot row retires once it
-    has cleared its column from the live rows.
-
-    With ncols the columns are taken in ascending order, each pivot row is
-    scaled to 1 and clears its column from every other row, so the pivot
-    rows end as the reduced row echelon form.
+    The pivot row is the live row with the fewest entries (a heap keyed
+    (nnz, row)), the pivot column that row's column with the fewest live
+    rows, lowest index on ties.  A pivot row retires once it has cleared
+    its column from the live rows.  The rows are consumed.
     """
     p = field.p if isinstance(field, PrimeField) else 0
-    reduced = ncols is not None
     where = defaultdict(set)  # column -> rows holding it
     for i, row in enumerate(rows):
         for j in row:
             where[j].add(i)
-    heap = [] if reduced else [(len(row), i) for i, row in enumerate(rows) if row]
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    cols = iter(range(ncols or 0))
     done = set()
-    pivots = []
-    while True:
-        if reduced:
-            c = next((j for j in cols if where[j] - done), None)
-            if c is None:
-                break
-            r = min(where[c] - done, key=lambda i: (len(rows[i]), i))
-            inv = field.inv(rows[r][c])
-            rows[r] = {j: field.mul(v, inv) for j, v in rows[r].items()}
-        else:
-            while heap:
-                nnz, r = heapq.heappop(heap)
-                if r not in done and nnz == len(rows[r]):
-                    break
-            else:
-                break
-            c = min(rows[r], key=lambda j: (len(where[j]), j))
+    while heap:
+        nnz, r = heapq.heappop(heap)
+        if r in done or nnz != len(rows[r]):
+            continue
         prow = rows[r]
+        c = min(prow, key=lambda j: (len(where[j]), j))
         inv = field.inv(prow[c])
         for i in where[c] - {r}:
             row = rows[i]
@@ -257,12 +209,10 @@ def _eliminate(rows, field, ncols=None):
                 else:
                     del row[j]
                     where[j].discard(i)
-            if not reduced and row:
+            if row:
                 heapq.heappush(heap, (len(row), i))
-        where[c] = {r}
-        if not reduced:
-            for j in prow:
-                where[j].discard(r)
+        where[c].clear()
+        for j in prow:
+            where[j].discard(r)
         done.add(r)
-        pivots.append((r, c))
-    return pivots
+    return len(done)

@@ -289,7 +289,7 @@ def verify_split(T, ms, d):
     return None
 
 
-def split_check(C, d, window, torsion_free_asserted=False, depth=None):
+def split_check(C, d, window, torsion_free_asserted=False):
     """Run the full splitting pipeline on a line-bundle complex.
 
     cohomology table -> strand propagation -> monotonicity -> hypothesis
@@ -312,7 +312,7 @@ def split_check(C, d, window, torsion_free_asserted=False, depth=None):
         )
 
     try:
-        table = cech.cohomology_table(C, window, depth=depth)
+        table = cech.cohomology_table(C, window)
     except (cech.CechError, cech.TruncationInstability) as exc:
         return inconclusive("cohomology computation failed: %s" % exc)
 

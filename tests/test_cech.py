@@ -1,10 +1,19 @@
+import functools
 import itertools
+import operator
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ideal_sheaf_complex, koszul_point_complex
 from prodcoh import bott, cech, linalg
-from prodcoh.coxring import free_complex, monomials
+from prodcoh.coxring import (
+    LineBundleComplex,
+    MultiHomogPoly,
+    free_complex,
+    monomials,
+    validate_complex,
+)
 from prodcoh.lattice import ProductSpace, Window, vadd
 from prodcoh.linalg import RATIONALS, default_field
 
@@ -55,21 +64,27 @@ def test_line_bundle_spots(p23):
 
 
 def test_truncation_stability_deeper_depths(p11):
+    # Past the certified depth both routes give the same answer.
     for a in [(-3, -3), (-4, 1), (0, 0)]:
         base = cech.cech_line_bundle_h(p11, (0, 0), a)
         depths = cech.default_depths(p11, [a])
+        for bump in (1, 2, 3):
+            deeper = tuple(d + bump for d in depths)
+            assert cech._blockwise_h(p11, a, deeper, default_field()) == base
+    K = koszul_point_complex()
+    for a in [(-2, -1), (1, -3)]:
+        depths = cech._complex_depths(K, a)
         for bump in (1, 2):
             deeper = tuple(d + bump for d in depths)
-            assert cech.cech_line_bundle_h(p11, (0, 0), a, depth=deeper) == base
+            assert cech._assembled_h(K, a, deeper) == (1, 0, 0)
 
 
-def test_truncation_instability_detected(p11):
+def test_truncation_instability_detected(p11, monkeypatch):
+    # Below the certified depth the re-check one deeper must catch the
+    # missing top cohomology instead of reporting a number.
+    monkeypatch.setattr(cech, "default_depths", lambda space, deltas: (1, 1))
     with pytest.raises(cech.TruncationInstability):
-        cech.cech_line_bundle_h(p11, (0, 0), (-4, 0), depth=(1, 1))
-    # A depth so shallow that both probes see nothing must still error,
-    # never silently report zero cohomology.
-    with pytest.raises(cech.TruncationInstability):
-        cech.cech_line_bundle_h(p11, (0, 0), (-5, 0), depth=(1, 1))
+        cech.cech_line_bundle_h(p11, (0, 0), (-4, 0))
 
 
 def test_hypercohomology_point_sheaf():
@@ -131,7 +146,7 @@ def test_assembled_differential_squares_to_zero():
     a = (-1, -2)
     for field in (default_field(), RATIONALS):
         K = koszul_point_complex(field)
-        depths = cech._complex_depths(K, a, None)
+        depths = cech._complex_depths(K, a)
         bases, mats = cech._total_matrices(K, a, depths)
         products = 0
         for k in sorted(mats):
@@ -237,3 +252,86 @@ def test_invalid_complex_rejected(p11):
     )
     with pytest.raises(cech.CechError):
         cech.hypercohomology(bad, (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Property tests.
+
+SPACES = [ProductSpace((1, 1)), ProductSpace((1, 2)), ProductSpace((1, 1, 1))]
+
+
+@st.composite
+def space_and_twist(draw):
+    sp = draw(st.sampled_from(SPACES))
+    return sp, tuple(draw(st.integers(-4, 3)) for _ in range(sp.t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_and_twist(), st.sampled_from([default_field(), RATIONALS]))
+def test_engine_matches_bott_and_serre_duality(case, field):
+    sp, a = case
+    h = cech.cech_line_bundle_h(sp, (0,) * sp.t, a, field=field)
+    assert h == bott.line_bundle_h(sp, a)
+    dual = cech.cech_line_bundle_h(sp, (0,) * sp.t, bott.serre_dual_twist(sp, a), field=field)
+    assert h == tuple(reversed(dual))
+
+
+def koszul_complex(sp, field, forms):
+    """Koszul complex of the given forms: the summand for a subset S of the
+    forms sits in degree -|S| with twist minus the sum of their degrees, and
+    d maps S to S minus its i-th form with sign (-1)^i."""
+    m = len(forms)
+    subsets = {-k: list(itertools.combinations(range(m), k)) for k in range(m + 1)}
+    terms = {
+        p: [tuple(-sum(forms[i].degree[j] for i in S) for j in range(sp.t)) for S in Ss]
+        for p, Ss in subsets.items()
+    }
+    diffs = {}
+    for p in range(-m, 0):
+        diffs[p] = rows = []
+        for T in subsets[p + 1]:
+            rows.append([])
+            for S in subsets[p]:
+                extra = set(S) - set(T)
+                if len(extra) == 1:
+                    i = extra.pop()
+                    rows[-1].append(forms[i].scale(-1 if S.index(i) % 2 else 1))
+                else:
+                    rows[-1].append(None)
+    return LineBundleComplex(sp, field, terms, diffs)
+
+
+@st.composite
+def koszul_points(draw):
+    """n_j random linear forms in the variables of each factor P^{n_j},
+    linearly independent, so together they cut out one reduced point."""
+    sp = draw(st.sampled_from(SPACES))
+    field = draw(st.sampled_from([default_field(), RATIONALS]))
+    forms = []
+    for j, n in enumerate(sp.factor_dims):
+        coeffs = [[draw(st.integers(-3, 3)) for _ in range(n + 1)] for _ in range(n)]
+        assume(linalg.rank(coeffs, n + 1, field) == n)
+        for row in coeffs:
+            forms.append(functools.reduce(
+                operator.add,
+                (MultiHomogPoly.variable(sp, field, j, i, c) for i, c in enumerate(row)),
+            ))
+    a = tuple(draw(st.integers(-2, 1)) for _ in range(sp.t))
+    return koszul_complex(sp, field, forms), a
+
+
+@settings(max_examples=15, deadline=None)
+@given(koszul_points())
+def test_koszul_point_euler_characteristic(case):
+    K, a = case
+    sp = K.space
+    assert validate_complex(K) == []
+    h = cech.hypercohomology(K, a)
+    alternating_bott = sum(
+        (-1) ** (p + i) * x
+        for p in K.degrees
+        for b in K.summands(p)
+        for i, x in enumerate(bott.line_bundle_h(sp, vadd(a, b)))
+    )
+    assert sum((-1) ** i * x for i, x in enumerate(h)) == alternating_bott
+    assert h == (1,) + (0,) * sp.m

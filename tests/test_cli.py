@@ -1,9 +1,10 @@
 import json
 
 from conftest import ideal_sheaf_complex, koszul_point_complex
-from prodcoh import cli
-from prodcoh.coxring import free_complex
+from prodcoh import cech, cli
+from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
+from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
 
 
@@ -155,13 +156,26 @@ def test_cohomology_large_prime(capsys, tmp_path):
     assert code == 2 and "too large" in err
 
 
-def test_cohomology_truncation_exit(capsys, tmp_path):
+def test_cohomology_truncation_exit(capsys, tmp_path, monkeypatch):
     path = write_complex(tmp_path, free_complex(ProductSpace((1, 1)), [(0, 0)]))
-    code, _, err = run(
-        capsys,
-        ["cohomology", "--input", path, "--twist", "-4,0", "--depth", "1,1"],
-    )
+    monkeypatch.setattr(cech, "default_depths", lambda space, deltas: (1, 1))
+    code, _, err = run(capsys, ["cohomology", "--input", path, "--twist", "-4,0"])
     assert code == 3 and "truncation" in err
+
+
+def test_cohomology_invalid_complex(capsys, tmp_path):
+    sp = ProductSpace((1, 1))
+    F = default_field()
+    x1 = MultiHomogPoly.variable(sp, F, 0, 1)
+    y1 = MultiHomogPoly.variable(sp, F, 1, 1)
+    bad = LineBundleComplex(  # the Koszul point with a sign flipped: d o d != 0
+        sp, F, {-2: [(-1, -1)], -1: [(-1, 0), (0, -1)], 0: [(0, 0)]},
+        {-2: [[y1], [x1]], -1: [[x1, y1]]},
+    )
+    path = write_complex(tmp_path, bad)
+    for args in (["--twist", "0,0"], ["--window", "0:1,0:1"]):
+        code, out, err = run(capsys, ["cohomology", "--input", path] + args)
+        assert code == 2 and "invalid complex" in err and out == ""
 
 
 def test_cohomology_check_prime(capsys, tmp_path):
@@ -172,6 +186,21 @@ def test_cohomology_check_prime(capsys, tmp_path):
          "--check-prime", "32749"],
     )
     assert code == 0 and json.loads(out)["h"] == [1, 0, 0]
+
+
+def test_cohomology_check_prime_disagreement(capsys, tmp_path):
+    # O(-1,0) --3 x_{0,1}--> O is the divisor x_{0,1} = 0 at p = 65521; at
+    # p = 3 the map vanishes and h^0(F(1,0)) is 2, not 1.
+    sp = ProductSpace((1, 1))
+    F = default_field()
+    three_x1 = MultiHomogPoly.variable(sp, F, 0, 1, 3)
+    C = LineBundleComplex(sp, F, {-1: [(-1, 0)], 0: [(0, 0)]}, {-1: [[three_x1]]})
+    path = write_complex(tmp_path, C)
+    for args in (["--twist", "1,0"], ["--window", "0:1,0:1"]):
+        code, out, err = run(
+            capsys, ["cohomology", "--input", path, "--check-prime", "3"] + args
+        )
+        assert code == 5 and "differ between primes" in err and out == ""
 
 
 def test_malformed_json(capsys, tmp_path):
@@ -287,6 +316,23 @@ def test_tate_profile_from_table(capsys, tmp_path):
     assert json.loads(out)["checksum"] == 0
 
 
+def test_tate_profile_bad_table(capsys, tmp_path):
+    from conftest import bott_table
+    from prodcoh.lattice import Window
+
+    T = bott_table(ProductSpace((1, 1)), [((0, 0), 1)], Window((-3, -3), (1, 1)))
+    negative = T.to_json()
+    negative["cells"][0]["dim"] = -1
+    inferred = T.to_json()
+    cell = next(c for c in inferred["cells"] if c["dim"])
+    cell["status"] = "inferred_zero"
+    for obj, message in ((negative, "negative dimension"), (inferred, "inferred")):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, ["tate-profile", "--table", str(path), "--b", "0,0"])
+        assert code == 2 and message in err
+
+
 def test_bad_flags(capsys):
     code, _, _ = run(capsys, ["regions", "--space", "1,1"])
     assert code == 2
@@ -294,3 +340,8 @@ def test_bad_flags(capsys):
         capsys, ["regions", "--space", "1,x", "--window", "0:1,0:1"]
     )
     assert code == 2
+    # The truncation depth is derived from the input, not a flag.
+    code, _, err = run(
+        capsys, ["cohomology", "--input", "x.json", "--twist", "0,0", "--depth", "1,1"]
+    )
+    assert code == 2 and "--depth" in err

@@ -1,22 +1,16 @@
-import random
-
 import pytest
 
 from conftest import koszul_point_complex
 from prodcoh.coxring import (
     CoxError,
-    FreeSum,
     LineBundleComplex,
     MultiHomogPoly,
     free_complex,
-    graded_basis,
     monomials,
-    mult_matrix,
     poly_mult,
-    syzygies_in_window,
     validate_complex,
 )
-from prodcoh.lattice import ProductSpace, Window
+from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import RATIONALS, default_field
 
 
@@ -53,77 +47,16 @@ def test_poly_mult():
     assert poly_mult(x0, zero).is_zero()
 
 
-def test_graded_basis(p11):
-    # Summand O(b) holds the monomials of degree a + b.
-    basis = graded_basis(p11, FreeSum(((0, 0),)), (1, 1))
-    assert len(basis) == 4
-    assert graded_basis(p11, FreeSum(((-1, 0), (0, -1))), (0, 0)) == ()
-    two = graded_basis(p11, FreeSum(((0, 0), (1, 1))), (0, 0))
-    assert [s for s, _ in two] == [0, 1, 1, 1, 1]  # summand-major order
-
-
 def test_graded_basis_dimension_formula(p11, p23):
+    # The monomials of degree a + b are a basis of H^0(O(b)(a)).
     from prodcoh import bott
     from prodcoh.lattice import vadd
 
     for sp in (p11, p23):
         for b in [(0, 0), (1, -2), (-3, 2)]:
             for a in [(0, 0), (2, 3), (-1, 4), (3, 0)]:
-                n = len(graded_basis(sp, FreeSum((b,)), a))
+                n = len(monomials(sp, vadd(a, b)))
                 assert n == bott.line_bundle_h(sp, vadd(a, b))[0], (sp, b, a)
-
-
-def test_mult_matrix_shapes(p11):
-    F = default_field()
-    x1 = var(p11, F, 0, 1)
-    # No sections of O(-1,0) in twist (0,0): a 1x0 matrix.
-    rows = mult_matrix(x1, (-1, 0), (0, 0), (0, 0))
-    assert len(rows) == 1 and rows[0] == []
-    # In twist (1,0) the source is one-dimensional.
-    rows = mult_matrix(x1, (-1, 0), (0, 0), (1, 0))
-    assert len(rows) == 2 and sorted(r[0] for r in rows) == [0, 1]
-    zero = MultiHomogPoly.zero(p11, F, (1, 0))
-    rows = mult_matrix(zero, (-1, 0), (0, 0), (2, 0))
-    assert len(rows) == 3 and all(all(x == 0 for x in r) for r in rows)
-
-
-def test_mult_matrix_degree_mismatch(p11):
-    F = default_field()
-    x0x1 = poly_mult(var(p11, F, 0, 0), var(p11, F, 0, 1))  # degree (2,0)
-    with pytest.raises(CoxError):
-        mult_matrix(x0x1, (0, 0), (1, 0), (0, 0))
-
-
-def test_mult_matrix_functorial(p11):
-    # mult by f*g equals mult by f composed with mult by g.
-    F = default_field()
-    rng = random.Random(3)
-
-    def random_poly(deg):
-        terms = {}
-        for e in monomials(p11, deg):
-            c = rng.randint(-2, 2)
-            if c:
-                terms[e] = c
-        return MultiHomogPoly(p11, F, deg, terms)
-
-    for _ in range(10):
-        f = random_poly((1, 0))
-        g = random_poly((0, 1))
-        b = (0, 0)
-        a = (1, 1)
-        fg = poly_mult(f, g)
-        M = mult_matrix(fg, b, (1, 1), a)
-        Mg = mult_matrix(g, b, (0, 1), a)
-        Mf = mult_matrix(f, (0, 1), (1, 1), a)
-        composed = [
-            [
-                sum(F.mul(Mf[r][k], Mg[k][c]) for k in range(len(Mg))) % F.p
-                for c in range(len(Mg[0]) if Mg else 0)
-            ]
-            for r in range(len(Mf))
-        ]
-        assert M == composed
 
 
 def test_validate_koszul_ok():
@@ -159,41 +92,6 @@ def test_validate_degree_violation():
 def test_validate_single_term():
     sp = ProductSpace((1, 1))
     assert validate_complex(free_complex(sp, [(2, 2)])) == []
-
-
-def test_syzygies_recover_koszul(p11):
-    F = default_field()
-    x1 = var(p11, F, 0, 1)
-    y1 = var(p11, F, 1, 1)
-    syz = syzygies_in_window(
-        p11, F, [(-1, 0), (0, -1)], [(0, 0)], [[x1, y1]],
-        Window((0, 0), (2, 2)),
-    )
-    assert (1, 1) in syz
-    (vec,) = syz[(1, 1)]
-    # The kernel at (1,1) is spanned by (y1, -x1) up to a scalar.
-    f, g = vec
-    assert set(f.terms) == set(y1.terms)
-    assert set(g.terms) == set(x1.terms)
-    c = f.terms[((0, 0), (0, 1))]
-    assert g.terms[((0, 1), (0, 0))] == F.neg(c)
-    # Homogeneity of the reported components.
-    assert f.degree == (0, 1) and g.degree == (1, 0)
-
-
-def test_syzygies_identity_and_zero(p11):
-    F = default_field()
-    one = MultiHomogPoly.monomial(p11, F, 1, ((0, 0), (0, 0)))
-    assert (
-        syzygies_in_window(p11, F, [(0, 0)], [(0, 0)], [[one]], Window((0, 0), (1, 1)))
-        == {}
-    )
-    zero = MultiHomogPoly.zero(p11, F, (0, 0))
-    syz = syzygies_in_window(
-        p11, F, [(0, 0)], [(0, 0)], [[zero]], Window((0, 0), (1, 1))
-    )
-    for a, vectors in syz.items():
-        assert len(vectors) == len(monomials(p11, a))
 
 
 def test_complex_json_roundtrip():

@@ -50,26 +50,6 @@ def test_rank_both_fields():
     assert linalg.rank([[0, 0]], 2, RATIONALS) == 0
 
 
-def test_nullspace_solves():
-    rng = random.Random(7)
-    for field in (PrimeField(65521), RATIONALS):
-        for _ in range(25):
-            nrows = rng.randint(1, 5)
-            ncols = rng.randint(1, 6)
-            rows = [
-                [rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)
-            ]
-            r = linalg.rank(rows, ncols, field)
-            kernel = linalg.nullspace(rows, ncols, field)
-            assert len(kernel) == ncols - r
-            for v in kernel:
-                for row in rows:
-                    acc = field.coerce(0)
-                    for x, y in zip(row, v):
-                        acc = field.add(acc, field.mul(field.coerce(x), field.coerce(y)))
-                    assert acc == field.coerce(0)
-
-
 def test_rank_agrees_across_fields():
     rng = random.Random(11)
     for _ in range(40):
@@ -82,9 +62,10 @@ def test_rank_agrees_across_fields():
 
 
 def test_rational_kernel_with_fractions():
-    rows = [[Fraction(1, 2), Fraction(1, 3)]]
-    (v,) = linalg.nullspace(rows, 2, RATIONALS)
-    assert Fraction(1, 2) * v[0] + Fraction(1, 3) * v[1] == 0
+    # Fraction entries are eliminated exactly: 3 * row 0 = row 1.
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    assert linalg.rank(rows, 2, RATIONALS) == 1
+    assert linalg.rank(rows + [[Fraction(1, 3), Fraction(1, 2)]], 2, RATIONALS) == 2
 
 
 def test_rank_exact_for_large_prime():
@@ -100,11 +81,6 @@ def test_rank_exact_for_large_prime():
     rows = [[sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(5)] for cs in coeffs]
     F = PrimeField(p)
     assert linalg.rank(rows, 5, F) == 3
-    kernel = linalg.nullspace(rows, 5, F)
-    assert len(kernel) == 2
-    for v in kernel:
-        for row in rows:
-            assert sum(x * y for x, y in zip(row, v)) % p == 0
 
 
 @st.composite
@@ -130,16 +106,6 @@ def sparse_matrices(draw):
     return rows, ncols
 
 
-def _apply(field, rows, v):
-    out = []
-    for row in rows:
-        acc = field.coerce(0)
-        for x, y in zip(row, v):
-            acc = field.add(acc, field.mul(field.coerce(x), y))
-        out.append(acc)
-    return out
-
-
 @settings(max_examples=80, deadline=None)
 @given(sparse_matrices(), st.sampled_from([3, 5, 65521, BIG_PRIME]))
 def test_kernel_against_sympy(matrix, p):
@@ -148,9 +114,5 @@ def test_kernel_against_sympy(matrix, p):
     for field, domain in ((PrimeField(p), GF(p)), (RATIONALS, QQ)):
         r = linalg.rank(rows, ncols, field)
         assert r == DomainMatrix.from_list(rows, ZZ).convert_to(domain).rank()
-        kernel = linalg.nullspace(rows, ncols, field)
-        assert len(kernel) == ncols - r
-        for v in kernel:
-            assert not any(_apply(field, rows, v))
         ranks[field.name] = r
     assert ranks["q"] >= ranks["p:%d" % p]
