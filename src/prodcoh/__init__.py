@@ -27,7 +27,6 @@ from .coxring import (
 from .cech import (
     TruncationInstability,
     cech_basis,
-    cech_line_bundle_h,
     cohomology_table,
     hypercohomology,
 )

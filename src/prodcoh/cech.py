@@ -8,32 +8,25 @@ prod C(n_j+1, p_j+1) -- much smaller than the flat cover on the same
 product.  Sections over an intersection are Laurent monomials whose
 exponent may be negative only on inverted variables.
 
-In a fixed multidegree those section spaces are infinite-dimensional, the
-sole source being unbounded negative exponents.  All cohomology classes
-live in bounded exponents, so the engine cuts exponents below a per-factor
-depth chosen to keep every top-cohomology monomial of every summand, then
-recomputes at depth+1.  If the two answers disagree the computation aborts
-with TruncationInstability rather than reporting a wrong number.
+hypercohomology, the engine of every command, works on the minimal model of
+Tot(Cech (x) C) (module minmodel): each term's Cech complex contracts onto
+its Bott classes and the differential of the complex is moved onto them by
+homological perturbation, with no truncation.
 
-Two evaluation routes share that contract:
-
-* a plain direct sum in homological degree 0 splits into monomial blocks
-  (the Cech differential never changes a monomial), so the complex is a
-  direct sum over Laurent monomials of tiny cover subcomplexes, one per
-  sign pattern; block ranks are computed once per pattern shape and reused
-  while the per-twist work is pure counting;
-* a complex with differentials gets the assembled total complex, with the
-  Cech coboundary and polynomial multiplication as the two differentials
-  and honest ranks of the resulting matrices.  Those matrices hold a few
-  nonzeros per column, so they are built as sparse rows and never stored
-  densely; linalg.rank_sparse eliminates them over F_p or Q alike.
+assembled_hypercohomology is the independent reference the tests cross it
+against.  In a fixed multidegree the section spaces are infinite-dimensional,
+so it cuts exponents below a per-factor depth chosen to keep every
+top-cohomology monomial of every summand, builds the total complex with the
+Cech coboundary and polynomial multiplication as its two differentials as
+sparse rows, eliminates it with linalg.rank_sparse over F_p or Q, and
+recomputes one depth deeper.  If the two answers disagree it raises
+TruncationInstability rather than reporting a wrong number.
 """
 
 import itertools
-import math
 from operator import add
 
-from . import linalg
+from . import linalg, minmodel
 from .coxring import validate_complex
 from .lattice import vadd
 from .tate import STATUS_COMPUTED, CohomologyTable
@@ -43,7 +36,10 @@ class CechError(ValueError):
     pass
 
 
-class TruncationInstability(RuntimeError):
+EngineCheckFailed = minmodel.EngineCheckFailed
+
+
+class TruncationInstability(EngineCheckFailed):
     """The truncated answer changed when the depth was raised by one."""
 
 
@@ -134,139 +130,6 @@ def _coboundary(space, idx):
 
 
 # ---------------------------------------------------------------------------
-# Blockwise route for plain direct sums.
-
-_PATTERN_CACHE = {}
-
-
-def _pattern_profile(space, sizes, field):
-    """Cohomology dimensions of the cover subcomplex of monomials whose
-    negative support has the given size in each factor.
-
-    The subcomplex keeps the cover indices with S_j containing a fixed set
-    N_j of q_j variables; its differential is the Cech coboundary with the
-    monomial left untouched.  Computed once per size vector by straight
-    rank computations over the field and cached.
-    """
-    key = (space.factor_dims, tuple(sizes), field.name)
-    hit = _PATTERN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    anchors = [tuple(range(q)) for q in sizes]
-    positions = [
-        idx
-        for idx in cover_indices(space)
-        if all(set(N) <= set(S) for N, S in zip(anchors, idx))
-    ]
-    by_deg = {}
-    place = {}
-    for idx in positions:
-        q = cech_degree(idx)
-        place[idx] = (q, len(by_deg.setdefault(q, [])))
-        by_deg[q].append(idx)
-    m = space.m
-    ranks = {}
-    for q in range(m):
-        src = by_deg.get(q, [])
-        tgt = by_deg.get(q + 1, [])
-        if not src or not tgt:
-            ranks[q] = 0
-            continue
-        rows = [[0] * len(src) for _ in tgt]
-        for col, idx in enumerate(src):
-            for new_idx, sign in _coboundary(space, idx):
-                rows[place[new_idx][1]][col] = sign
-        ranks[q] = linalg.rank(rows, len(src), field)
-    profile = tuple(
-        len(by_deg.get(q, [])) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        for q in range(m + 1)
-    )
-    _PATTERN_CACHE[key] = profile
-    return profile
-
-
-def _nonneg_count(total, parts):
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < 0:
-        return 0
-    return math.comb(total + parts - 1, parts - 1)
-
-
-def _bounded_count(total, parts, bound):
-    """Number of ways to write total as an ordered sum of ints in [0, bound]."""
-    if total < 0 or total > parts * bound:
-        return 0
-    if parts == 0:
-        return 1 if total == 0 else 0
-    row = [0] * (total + 1)
-    row[0] = 1
-    for _ in range(parts):
-        new = [0] * (total + 1)
-        run = 0
-        for s in range(total + 1):
-            run += row[s]
-            if s - bound - 1 >= 0:
-                run -= row[s - bound - 1]
-            new[s] = run
-        row = new
-    return row[total]
-
-
-def _support_count(n, delta, q, depth):
-    """Monomials on one factor with exactly q variables negative: those q
-    exponents in [-depth, -1], the rest >= 0, summing to delta."""
-    r = n + 1 - q
-    if q == 0:
-        return _nonneg_count(delta, r)
-    total = 0
-    for s in range(q, q * depth + 1):
-        ways = _bounded_count(s - q, q, depth - 1)
-        if not ways:
-            continue
-        total += ways * _nonneg_count(delta + s, r)
-    return total
-
-
-def _blockwise_h(space, delta, depths, field):
-    m = space.m
-    h = [0] * (m + 1)
-    size_ranges = [range(n + 2) for n in space.factor_dims]
-    for sizes in itertools.product(*size_ranges):
-        count = 1
-        for nj, dj, q, depth in zip(space.factor_dims, delta, sizes, depths):
-            count *= math.comb(nj + 1, q) * _support_count(nj, dj, q, depth)
-            if count == 0:
-                break
-        if count == 0:
-            continue
-        profile = _pattern_profile(space, sizes, field)
-        for i, dim in enumerate(profile):
-            if dim:
-                h[i] += count * dim
-    return tuple(h)
-
-
-def cech_line_bundle_h(space, b, a, field=None):
-    """Cohomology vector of O(b)(a) = O(a+b) from the truncated complex.
-
-    Computed at the working depth and again one deeper; disagreement raises
-    TruncationInstability.
-    """
-    field = field or linalg.default_field()
-    delta = vadd(space.degree(a), space.degree(b))
-    depths = default_depths(space, [delta])
-    h1 = _blockwise_h(space, delta, depths, field)
-    h2 = _blockwise_h(space, delta, tuple(d + 1 for d in depths), field)
-    if h1 != h2:
-        raise TruncationInstability(
-            "truncation depth %r too shallow for O(%r): %r vs %r"
-            % (depths, delta, h1, h2)
-        )
-    return h1
-
-
-# ---------------------------------------------------------------------------
 # Assembled route for complexes with differentials.
 
 
@@ -306,16 +169,7 @@ def _total_matrices(C, a, depths):
          for t, sign in _coboundary(C.space, idx)]
         for idx in idxs
     ]
-    # Polynomial targets of each summand: (target summand, [(exponent, coefficient)]).
-    poly = {
-        (p, s): [
-            (r, [(ev, field.coerce(c)) for ev, c in C.entry(p, r, s).terms.items()])
-            for r in range(len(C.summands(p + 1)))
-            if C.entry(p, r, s) is not None
-        ]
-        for p in C.degrees
-        for s in range(len(C.summands(p)))
-    }
+    poly = minmodel.polynomial_maps(C)
     mats = {}
     for k in sorted(bases):
         # No (row, column) pair gets two contributions: Cech targets keep p,
@@ -348,8 +202,8 @@ def _complex_depths(C, a):
 
 
 def assembled_hypercohomology(C, a):
-    """General-route hypercohomology, with the depth stability re-check.
-    Exposed separately so tests can cross it against the blockwise route."""
+    """Hypercohomology from the truncated total complex, with the depth
+    stability re-check: the reference the tests cross the engine against."""
     a = C.space.degree(a)
     depths = _complex_depths(C, a)
     h1 = _assembled_h(C, a, depths)
@@ -368,14 +222,7 @@ def hypercohomology(C, a):
     violations = validate_complex(C)
     if violations:
         raise CechError("invalid complex: %r" % (violations[:3],))
-    a = C.space.degree(a)
-    if C.is_free_term():
-        total = [0] * (C.space.m + 1)
-        for b in C.summands(0):
-            h = cech_line_bundle_h(C.space, b, a, field=C.field)
-            total = [x + y for x, y in zip(total, h)]
-        return tuple(total)
-    return assembled_hypercohomology(C, a)
+    return minmodel.hypercohomology(C, C.space.degree(a))
 
 
 def cohomology_table(C, window):

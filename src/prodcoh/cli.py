@@ -5,7 +5,7 @@ line-bundle complex), split-check (splitting verdict), tate-profile
 (Tate term dimensions and exactness checksums).
 
 Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
-3 truncation instability, 4 insufficient table coverage, 5 --check-prime
+3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
 disagreement, 10 NonSplit, 11 Inconclusive.
 """
 
@@ -27,7 +27,7 @@ from .lattice import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_TRUNCATION = 3
+EXIT_ENGINE = 3
 EXIT_COVERAGE = 4
 EXIT_PRIME = 5
 EXIT_NONSPLIT = 10
@@ -382,9 +382,9 @@ def main(argv=None):
     ) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except cech.TruncationInstability as exc:
+    except cech.EngineCheckFailed as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return EXIT_TRUNCATION
+        return EXIT_ENGINE
     except tate.TateCoverageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_COVERAGE

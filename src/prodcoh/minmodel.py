@@ -1,0 +1,178 @@
+"""Hypercohomology from the minimal model of Tot(Cech (x) C).
+
+The Cech differential never changes a Laurent monomial e, so each term's
+Cech complex splits into blocks: per factor j, the cover sets containing
+the negative support N_j of e.  That factor complex is one-dimensional in
+degree 0 when N_j is empty, in degree n_j when N_j is every vertex, and
+contractible otherwise, by the cone on the smallest vertex v0 outside N_j.
+Tensored, these give a contraction (i, p, h) of each term onto its Bott
+classes, and the basic perturbation lemma (Crainic, arXiv:math/0403266)
+moves the differential delta of C onto them as
+
+    D_H = sum_r (-1)^r p (delta h)^r delta i,
+
+finite because delta raises the term degree and h keeps it.  Multiplication
+only raises exponents, so no truncation is needed.  Terms no differential
+touches, as in every free sum, are counted without enumeration.
+"""
+
+import itertools
+import math
+from collections import defaultdict
+from operator import add
+
+from . import linalg
+from .coxring import compositions
+from .lattice import vadd
+
+
+class EngineCheckFailed(RuntimeError):
+    """A self-check of the cohomology engine failed; no answer is given."""
+
+
+def _bott(space, c):
+    """None when O(c) has no cohomology, else the Cech degree of its Bott
+    classes and per factor the k whose compositions into n_j+1 parts are
+    the exponents: the parts themselves when c_j >= 0, in degree 0, or minus
+    one minus them when c_j <= -n_j-1, in degree n_j."""
+    if any(-n - 1 < cj < 0 for n, cj in zip(space.factor_dims, c)):
+        return None
+    pairs = list(zip(space.factor_dims, c))
+    return sum(n for n, cj in pairs if cj < 0), [cj if cj >= 0 else -cj - n - 1 for n, cj in pairs]
+
+
+def bott_classes(space, c):
+    """Cech degree and exponent vectors of the Bott classes of O(c)."""
+    found = _bott(space, c)
+    if found is None:
+        return 0, ()
+    blocks = [
+        [e if cj >= 0 else tuple(-1 - x for x in e) for e in compositions(k, n + 1)]
+        for n, cj, k in zip(space.factor_dims, c, found[1])
+    ]
+    return found[0], tuple(itertools.product(*blocks))
+
+
+def _negative_support(e):
+    return tuple(frozenset(v for v, x in enumerate(ej) if x < 0) for ej in e)
+
+
+def _factor_ip(n, N, S):
+    """i p on one factor: the cover sets of i(p(S))."""
+    if len(N) == n + 1:
+        return [S]
+    return [(v,) for v in range(n + 1)] if not N and S == (0,) else []
+
+
+def include(space, neg):
+    """i(1): the cover indices of the class of the block, coefficient 1."""
+    return list(itertools.product(*[
+        [tuple(range(n + 1))] if len(N) == n + 1 else [(v,) for v in range(n + 1)]
+        for n, N in zip(space.factor_dims, neg)
+    ]))
+
+
+def projects(space, neg, idx):
+    """p(idx) = 1: idx is {0} in every factor with empty negative support and
+    the full set in every other factor.  Otherwise p(idx) = 0."""
+    return all(len(N) == n + 1 or (not N and S == (0,))
+               for n, N, S in zip(space.factor_dims, neg, idx))
+
+
+def contraction(space, neg, idx):
+    """h(idx), before the (-1)^p of the term, as (cover index, sign) pairs:
+    sum_j (-1)^{sum_{j'<j}(|S_j'|-1)} (ip)_{<j} (x) h_j (x) 1, where the cone
+    h_j sends S to (-1)^{pos(v0,S)} (S minus v0) if v0 is in S and |S| >= 2."""
+    out = []
+    prefixes = [()]
+    shift = 0
+    for j, (n, N, S) in enumerate(zip(space.factor_dims, neg, idx)):
+        v0 = next((v for v in range(n + 1) if v not in N), None)
+        if v0 in S and len(S) > 1:
+            sign = -1 if (shift + S.index(v0)) % 2 else 1
+            rest = (tuple(v for v in S if v != v0),) + idx[j + 1:]
+            out.extend((pre + rest, sign) for pre in prefixes)
+        ip = _factor_ip(n, N, S)
+        if not ip:
+            break
+        prefixes = [pre + (T,) for pre in prefixes for T in ip]
+        shift += len(S) - 1
+    return out
+
+
+def polynomial_maps(C):
+    """(p, s) -> [(target summand, [(exponent, field coefficient)])]."""
+    poly = defaultdict(list)
+    for p in C.degrees:
+        for s in range(len(C.summands(p))):
+            for r in range(len(C.summands(p + 1))):
+                f = C.entry(p, r, s)
+                if f is not None:
+                    poly[(p, s)].append((r, [(ev, C.field.coerce(c)) for ev, c in f.terms.items()]))
+    return poly
+
+
+def _reduced(vec, prime):
+    if prime:
+        return {k: x % prime for k, x in vec.items() if x % prime}
+    return {k: x for k, x in vec.items() if x}
+
+
+def _transfer(space, poly, p, s, e, prime):
+    """The column D_H(x) of the class x = (p, s, e), as {(p', r, e'): value}."""
+    v = {(s, e, idx): 1 for idx in include(space, _negative_support(e))}
+    out = defaultdict(int)
+    while v:
+        w = defaultdict(int)
+        for (s, e, idx), x in v.items():
+            for r, terms in poly.get((p, s), ()):
+                for ev, c in terms:
+                    w[(r, tuple(tuple(map(add, b1, b2)) for b1, b2 in zip(e, ev)), idx)] += x * c
+        p += 1
+        sign_h = 1 if p % 2 else -1  # the (-1)^r of the series times the (-1)^p of h
+        v = defaultdict(int)
+        for (r, e, idx), x in _reduced(w, prime).items():
+            N = _negative_support(e)
+            if projects(space, N, idx):
+                out[(p, r, e)] += x
+            for idx2, sign in contraction(space, N, idx):
+                v[(r, e, idx2)] += sign_h * sign * x
+        v = _reduced(v, prime)
+    return _reduced(out, prime)
+
+
+def hypercohomology(C, a):
+    """(h^0, ..., h^m) of the validated complex C in twist a."""
+    space = C.space
+    prime = C.field.p if isinstance(C.field, linalg.PrimeField) else 0
+    poly = polynomial_maps(C)
+    touched = {p for p, _ in poly} | {p + 1 for p, _ in poly}
+    counts = defaultdict(int)
+    where = {}  # touched class (p, s, e) -> (total degree, position)
+    for p in C.degrees:
+        for s, b in enumerate(C.summands(p)):
+            c = vadd(a, b)
+            if p not in touched:
+                found = _bott(space, c)
+                if found:
+                    counts[p + found[0]] += math.prod(
+                        math.comb(k + n, n) for n, k in zip(space.factor_dims, found[1]))
+                continue
+            q, classes = bott_classes(space, c)
+            for e in classes:
+                where[(p, s, e)] = (p + q, counts[p + q])
+                counts[p + q] += 1
+    cols = {where[x]: {where[y][1]: v for y, v in _transfer(space, poly, *x, prime).items()}
+            for x in where}
+    rows = defaultdict(list)
+    for (k, _), col in cols.items():
+        square = defaultdict(int)
+        for y, v in col.items():
+            for z, u in cols[(k + 1, y)].items():
+                square[z] += v * u
+        if _reduced(square, prime):
+            raise EngineCheckFailed(
+                "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
+        rows[k].append(col)
+    ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in rows.items()})
+    return tuple(counts[i] - ranks[i] - ranks[i - 1] for i in range(space.m + 1))

@@ -313,7 +313,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
 
     try:
         table = cech.cohomology_table(C, window)
-    except (cech.CechError, cech.TruncationInstability) as exc:
+    except (cech.CechError, cech.EngineCheckFailed) as exc:
         return inconclusive("cohomology computation failed: %s" % exc)
 
     try:

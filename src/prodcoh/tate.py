@@ -69,11 +69,17 @@ class CohomologyTable:
 
     def set_cell(self, a, i, dim, status=STATUS_COMPUTED):
         a = self.space.degree(a)
+        if not (isinstance(i, int) and 0 <= i <= self.space.m):
+            raise ValueError("cohomological index %r is not one of 0..%d" % (i, self.space.m))
+        if status not in (STATUS_COMPUTED, STATUS_INFERRED):
+            raise ValueError("unknown cell status %r" % (status,))
+        if not isinstance(dim, int):
+            raise ValueError("dimension %r at %r is not an integer" % (dim, (a, i)))
         if dim < 0:
             raise ValueError("negative dimension at %r" % ((a, i),))
         if status == STATUS_INFERRED and dim != 0:
             raise ValueError("inferred cells must be zero")
-        self.cells[(a, int(i))] = (int(dim), status)
+        self.cells[(a, i)] = (dim, status)
 
     def get(self, a, i):
         """(dim, status) or None if the cell is unknown."""

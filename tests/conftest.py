@@ -1,7 +1,7 @@
 import pytest
 
-from prodcoh import bott
-from prodcoh.coxring import LineBundleComplex, MultiHomogPoly
+from prodcoh import bott, cech
+from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, vadd, vscale
 from prodcoh.linalg import default_field
 from prodcoh.tate import STATUS_COMPUTED, CohomologyTable
@@ -50,6 +50,12 @@ def ideal_sheaf_complex(field=None):
         {-1: [(-1, -1)], 0: [(-1, 0), (0, -1)]},
         {-1: [[y1], [x1.scale(-1)]]},
     )
+
+
+def truncated_line_bundle_h(space, b, a, field=None):
+    """h(O(b)(a)) from the truncated Cech complex of a one-summand free
+    complex: the reference route, which never reads Bott classes."""
+    return cech.assembled_hypercohomology(free_complex(space, [b], field), a)
 
 
 def bott_table(space, summands, window):

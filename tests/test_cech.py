@@ -5,7 +5,7 @@ import operator
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ideal_sheaf_complex, koszul_point_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, truncated_line_bundle_h
 from prodcoh import bott, cech, linalg
 from prodcoh.coxring import (
     LineBundleComplex,
@@ -31,7 +31,7 @@ def test_cech_basis_single_point(p11):
     basis = cech.cech_basis(p11, (0, 0), ((0,), (0,)), (0, 0), (1, 1))
     assert ((0, 0), (0, 0)) in basis
     assert len(basis) == 4
-    assert cech.cech_line_bundle_h(p11, (0, 0), (0, 0)) == (1, 0, 0)
+    assert truncated_line_bundle_h(p11, (0, 0), (0, 0)) == (1, 0, 0)
 
 
 def test_cech_basis_p1_truncation():
@@ -42,35 +42,29 @@ def test_cech_basis_p1_truncation():
     # Single inverted variable at depth 1: the sum cannot reach -2.
     assert cech.cech_basis(sp, (0,), ((0,),), (-2,), (1,)) == ()
     assert cech.cech_basis(sp, (0,), ((0,),), (-2,), (2,)) == (((-2, 0),),)
-    assert cech.cech_line_bundle_h(sp, (0,), (-2,)) == (0, 1)
+    assert truncated_line_bundle_h(sp, (0,), (-2,)) == (0, 1)
 
 
 def test_line_bundle_oracle_small_window(p11):
     for a in itertools.product(range(-4, 5), repeat=2):
-        assert cech.cech_line_bundle_h(p11, (0, 0), a) == bott.line_bundle_h(p11, a)
+        assert truncated_line_bundle_h(p11, (0, 0), a) == bott.line_bundle_h(p11, a)
 
 
 def test_line_bundle_nonzero_base_twist(p11):
     for b in [(1, -1), (-2, 0), (2, 3)]:
         for a in itertools.product(range(-3, 3), repeat=2):
-            assert cech.cech_line_bundle_h(p11, b, a) == bott.line_bundle_h(
+            assert truncated_line_bundle_h(p11, b, a) == bott.line_bundle_h(
                 p11, vadd(a, b)
             )
 
 
 def test_line_bundle_spots(p23):
-    assert cech.cech_line_bundle_h(p23, (0, 0), (-3, -4)) == (0, 0, 0, 0, 0, 1)
-    assert cech.cech_line_bundle_h(p23, (2, -1), (-2, 1))[0] == 1  # a + b = 0
+    assert truncated_line_bundle_h(p23, (0, 0), (-3, -4)) == (0, 0, 0, 0, 0, 1)
+    assert truncated_line_bundle_h(p23, (2, -1), (-2, 1))[0] == 1  # a + b = 0
 
 
 def test_truncation_stability_deeper_depths(p11):
-    # Past the certified depth both routes give the same answer.
-    for a in [(-3, -3), (-4, 1), (0, 0)]:
-        base = cech.cech_line_bundle_h(p11, (0, 0), a)
-        depths = cech.default_depths(p11, [a])
-        for bump in (1, 2, 3):
-            deeper = tuple(d + bump for d in depths)
-            assert cech._blockwise_h(p11, a, deeper, default_field()) == base
+    # Past the certified depth the truncated complex gives the same answer.
     K = koszul_point_complex()
     for a in [(-2, -1), (1, -3)]:
         depths = cech._complex_depths(K, a)
@@ -84,7 +78,7 @@ def test_truncation_instability_detected(p11, monkeypatch):
     # missing top cohomology instead of reporting a number.
     monkeypatch.setattr(cech, "default_depths", lambda space, deltas: (1, 1))
     with pytest.raises(cech.TruncationInstability):
-        cech.cech_line_bundle_h(p11, (0, 0), (-4, 0))
+        cech.assembled_hypercohomology(free_complex(p11, [(0, 0)]), (-4, 0))
 
 
 def test_hypercohomology_point_sheaf():
@@ -231,14 +225,14 @@ def test_rational_field_agrees():
         assert cech.hypercohomology(Kq, a) == cech.hypercohomology(Kp, a)
     sp = ProductSpace((1, 2))
     for a in [(-3, -4), (2, 1), (-2, 0)]:
-        assert cech.cech_line_bundle_h(sp, (0, 0), a, field=RATIONALS) == \
-            cech.cech_line_bundle_h(sp, (0, 0), a)
+        assert truncated_line_bundle_h(sp, (0, 0), a, RATIONALS) == \
+            truncated_line_bundle_h(sp, (0, 0), a)
 
 
 def test_serre_duality_spot_checks(p11):
     for a in [(-3, -1), (0, 0), (-2, -2), (1, -4)]:
-        h = cech.cech_line_bundle_h(p11, (0, 0), a)
-        hd = cech.cech_line_bundle_h(p11, (0, 0), bott.serre_dual_twist(p11, a))
+        h = truncated_line_bundle_h(p11, (0, 0), a)
+        hd = truncated_line_bundle_h(p11, (0, 0), bott.serre_dual_twist(p11, a))
         assert h == tuple(reversed(hd))
 
 
@@ -270,9 +264,10 @@ def space_and_twist(draw):
 @given(space_and_twist(), st.sampled_from([default_field(), RATIONALS]))
 def test_engine_matches_bott_and_serre_duality(case, field):
     sp, a = case
-    h = cech.cech_line_bundle_h(sp, (0,) * sp.t, a, field=field)
+    h = truncated_line_bundle_h(sp, (0,) * sp.t, a, field)
     assert h == bott.line_bundle_h(sp, a)
-    dual = cech.cech_line_bundle_h(sp, (0,) * sp.t, bott.serre_dual_twist(sp, a), field=field)
+    assert cech.hypercohomology(free_complex(sp, [(0,) * sp.t], field), a) == h
+    dual = truncated_line_bundle_h(sp, (0,) * sp.t, bott.serre_dual_twist(sp, a), field)
     assert h == tuple(reversed(dual))
 
 

@@ -1,11 +1,12 @@
 import json
 
 from conftest import ideal_sheaf_complex, koszul_point_complex
-from prodcoh import cech, cli
+from prodcoh import cli
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
+from test_minmodel import break_transfer
 
 
 def run(capsys, argv):
@@ -157,10 +158,12 @@ def test_cohomology_large_prime(capsys, tmp_path):
 
 
 def test_cohomology_truncation_exit(capsys, tmp_path, monkeypatch):
-    path = write_complex(tmp_path, free_complex(ProductSpace((1, 1)), [(0, 0)]))
-    monkeypatch.setattr(cech, "default_depths", lambda space, deltas: (1, 1))
-    code, _, err = run(capsys, ["cohomology", "--input", path, "--twist", "-4,0"])
-    assert code == 3 and "truncation" in err
+    # A transferred differential with D_H o D_H != 0 fails the engine's
+    # self-check: exit 3, nothing on stdout.
+    path = write_complex(tmp_path, koszul_point_complex())
+    break_transfer(monkeypatch)
+    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "1,1"])
+    assert code == 3 and "self-check" in err and out == ""
 
 
 def test_cohomology_invalid_complex(capsys, tmp_path):
@@ -326,7 +329,24 @@ def test_tate_profile_bad_table(capsys, tmp_path):
     inferred = T.to_json()
     cell = next(c for c in inferred["cells"] if c["dim"])
     cell["status"] = "inferred_zero"
-    for obj, message in ((negative, "negative dimension"), (inferred, "inferred")):
+    moved = T.to_json()
+    cell = next(c for c in moved["cells"] if c["dim"])
+    cell["i"] = 7
+    bogus = T.to_json()
+    bogus["cells"][0]["status"] = "bogus"
+    fractional = T.to_json()
+    cell = next(c for c in fractional["cells"] if c["dim"])
+    cell["dim"] = 1.5
+    between = T.to_json()
+    between["cells"][0]["i"] = 0.5
+    for obj, message in (
+        (negative, "negative dimension"),
+        (inferred, "inferred"),
+        (moved, "index 7"),
+        (bogus, "status 'bogus'"),
+        (fractional, "1.5 at"),
+        (between, "index 0.5"),
+    ):
         path = tmp_path / "table.json"
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, ["tate-profile", "--table", str(path), "--b", "0,0"])

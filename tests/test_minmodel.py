@@ -1,0 +1,168 @@
+import functools
+import itertools
+import operator
+from collections import defaultdict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import koszul_point_complex
+from prodcoh import bott, cech, minmodel, splitter
+from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex, monomials
+from prodcoh.lattice import ProductSpace, Window, vadd
+from prodcoh.linalg import RATIONALS, default_field
+from test_cech import koszul_complex
+
+FIELDS = [default_field(), RATIONALS]
+
+
+def _vertex_subsets(n):
+    return [frozenset(S) for k in range(n + 2) for S in itertools.combinations(range(n + 1), k)]
+
+
+def _combine(terms):
+    """Sum (cover index, coefficient) pairs, dropping zeros."""
+    acc = defaultdict(int)
+    for idx, x in terms:
+        acc[idx] += x
+    return {idx: x for idx, x in acc.items() if x}
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1)])
+def test_contraction_identity(dims):
+    # d h + h d = 1 - i p on every basis element of every monomial block,
+    # with d the Cech coboundary.
+    sp = ProductSpace(dims)
+    d = functools.partial(cech._coboundary, sp)
+    for neg in itertools.product(*[_vertex_subsets(n) for n in dims]):
+        h = functools.partial(minmodel.contraction, sp, neg)
+        for idx in cech.cover_indices(sp):
+            if not all(N <= set(S) for N, S in zip(neg, idx)):
+                continue
+            lhs = [(u, x * y) for t, x in d(idx) for u, y in h(t)]
+            lhs += [(u, x * y) for t, x in h(idx) for u, y in d(t)]
+            rhs = [(idx, 1)]
+            if minmodel.projects(sp, neg, idx):
+                rhs += [(t, -1) for t in minmodel.include(sp, neg)]
+            assert _combine(lhs) == _combine(rhs), (neg, idx)
+
+
+def test_bott_classes_count_and_degree():
+    sp = ProductSpace((1, 2))
+    for c in itertools.product(range(-5, 4), repeat=2):
+        q, classes = minmodel.bott_classes(sp, c)
+        h = bott.line_bundle_h(sp, c)
+        assert len(classes) == sum(h)
+        if classes:
+            assert h[q] == len(classes)
+            assert all(tuple(map(sum, e)) == c for e in classes)
+
+
+# ---------------------------------------------------------------------------
+# The engine against the truncated Cech reference.
+
+# Per space: the form degrees, and the most forms the truncated reference
+# handles quickly there.
+FORMS = {
+    (1, 1): ([(1, 0), (0, 1), (1, 1), (2, 1), (0, 2)], 3),
+    (1, 2): ([(1, 0), (0, 1), (1, 1), (2, 1), (0, 2)], 2),
+    (1, 1, 1): ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (2, 0, 1), (0, 0, 2)], 2),
+}
+
+
+def ideal_of(K):
+    """The Koszul complex K without its degree-0 term, shifted up by one: a
+    presentation of the ideal sheaf of what K resolves."""
+    terms = {p + 1: K.summands(p) for p in K.degrees if p < 0}
+    diffs = {p + 1: mat for p, mat in K.diffs.items() if p < -1}
+    return LineBundleComplex(K.space, K.field, terms, diffs)
+
+
+@st.composite
+def mixed_koszul(draw):
+    """Koszul complexes, or their truncations, of 2-3 random dense forms of
+    mixed multidegree, with a small twist.  Three generic forms on a surface
+    have no common zero, so their Koszul complex is exact and its Bott
+    classes cancel only through the higher terms of the perturbation series."""
+    dims = draw(st.sampled_from(sorted(FORMS)))
+    sp = ProductSpace(dims)
+    field = draw(st.sampled_from(FIELDS))
+    degrees, most = FORMS[dims]
+    forms = []
+    for _ in range(draw(st.sampled_from(range(most, 1, -1)))):
+        deg = draw(st.sampled_from(degrees))
+        forms.append(functools.reduce(operator.add, [
+            MultiHomogPoly.monomial(sp, field, draw(st.sampled_from([1, -1, 2, -3])), e)
+            for e in monomials(sp, deg)
+        ]))
+    K = koszul_complex(sp, field, forms)
+    if draw(st.booleans()):
+        K = ideal_of(K)
+    a = tuple(draw(st.integers(-2, 1)) for _ in range(sp.t))
+    return K, a
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_koszul())
+def test_engine_matches_truncated_reference(case):
+    K, a = case
+    assert cech.hypercohomology(K, a) == cech.assembled_hypercohomology(K, a)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_koszul_complex_without_common_zero_is_acyclic(field):
+    # Three forms with no common zero on P1xP1 give an exact Koszul complex,
+    # so every hypercohomology group vanishes.  Its Bott classes spread over
+    # several Cech degrees and cancel only through the higher terms of the
+    # perturbation series and their signs.
+    sp = ProductSpace((1, 1))
+    x0, x1, y0, y1 = (MultiHomogPoly.variable(sp, field, j, i) for j in (0, 1) for i in (0, 1))
+    for forms in (
+        [x0, y0, x1 * y1],
+        [x0 + x1, y0 - y1, x1 * y1 - x0 * y0],
+        [x0 * y0, x1 * y1, x0 * y1 + x1 * y0],
+    ):
+        K = koszul_complex(sp, field, forms)
+        for a in itertools.product(range(-3, 3), repeat=2):
+            assert cech.hypercohomology(K, a) == (0, 0, 0), (forms, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 4), st.integers(-6, 4)), min_size=1, max_size=4),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.sampled_from(FIELDS),
+)
+def test_free_sums_on_p2xp3_match_bott(twists, a, field):
+    sp = ProductSpace((2, 3))
+    h = cech.hypercohomology(free_complex(sp, twists, field), a)
+    expected = [0] * (sp.m + 1)
+    for b in twists:
+        expected = [x + y for x, y in zip(expected, bott.line_bundle_h(sp, vadd(a, b)))]
+    assert h == tuple(expected)
+
+
+def break_transfer(monkeypatch):
+    """Double one entry of D_H out of the degree -2 term.  For the Koszul
+    point at twist (1, 1) that breaks D_H o D_H = 0."""
+    transfer = minmodel._transfer
+
+    def corrupted(space, poly, p, s, e, prime):
+        col = transfer(space, poly, p, s, e, prime)
+        if p == -2:
+            key = min(col)
+            col[key] = 2 * col[key] % prime
+        return col
+
+    monkeypatch.setattr(minmodel, "_transfer", corrupted)
+
+
+def test_failed_self_check_makes_split_check_inconclusive(monkeypatch):
+    K = koszul_point_complex()
+    window = Window((0, 0), (1, 1))
+    assert cech.hypercohomology(K, (1, 1)) == (1, 0, 0)
+    break_transfer(monkeypatch)
+    with pytest.raises(cech.EngineCheckFailed):
+        cech.hypercohomology(K, (1, 1))
+    verdict = splitter.split_check(K, (1, 1), window)
+    assert verdict.kind == "inconclusive" and "self-check" in verdict.reason

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bott_table, ideal_sheaf_complex, koszul_point_complex
 from prodcoh import bott, cech, tate
+from prodcoh.coxring import free_complex
 from prodcoh.lattice import ProductSpace, Window
 from prodcoh.tate import (
     STATUS_COMPUTED,
@@ -20,6 +22,8 @@ from prodcoh.tate import (
     tate_checksum,
     tate_term_dims,
 )
+from test_cech import koszul_points
+from test_minmodel import ideal_of
 
 
 def all_covered_degrees(space, window, margin=0):
@@ -223,3 +227,39 @@ def test_table_json_csv_roundtrip(p11):
     csv_text = T.to_csv()
     assert csv_text.splitlines()[0] == "a1,a2,i,dim,status"
     assert len(csv_text.splitlines()) == 1 + 25 * 3
+
+
+# ---------------------------------------------------------------------------
+# Property tests: tables from the engine.
+
+
+@st.composite
+def sheaf_tables(draw):
+    """The engine's table of a Koszul point, its ideal sheaf or a free sum,
+    over a random window at least one support box wide in every factor."""
+    K, _ = draw(koszul_points())
+    sp, field = K.space, K.field
+    kind = draw(st.sampled_from(["point", "ideal", "free"]))
+    if kind == "ideal":
+        K = ideal_of(K)
+    elif kind == "free":
+        twist = st.tuples(*[st.integers(-3, 2)] * sp.t)
+        K = free_complex(sp, draw(st.lists(twist, min_size=1, max_size=3)), field)
+    lo = tuple(draw(st.integers(-5, -1)) for _ in range(sp.t))
+    hi = tuple(l + n + 1 + draw(st.integers(0, 1)) for l, n in zip(lo, sp.factor_dims))
+    return cech.cohomology_table(K, Window(lo, hi))
+
+
+@settings(max_examples=20, deadline=None)
+@given(sheaf_tables(), st.data())
+def test_checksums_vanish_on_engine_tables(T, data):
+    sp = T.space
+    c = tuple(data.draw(st.integers(l, h)) for l, h in zip(T.window.lo, T.window.hi))
+    # Each factor goes to I, J, K or none of them.
+    parts = [data.draw(st.sampled_from("IJK-")) for _ in range(sp.t)]
+    I, J, K = ({j for j, x in enumerate(parts) if x == name} for name in "IJK")
+    for b in all_covered_degrees(sp, T.window):
+        assert tate_checksum(T, b) == 0, b
+        assert corner_checksum(T, c, b) == 0, (c, b)
+        if strand_is_guaranteed(sp, I, J, K):
+            assert strand_checksum(T, c, I, J, K, b) == 0, (c, I, J, K, b)
