@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import bott, cech, tate
 from .lattice import (
+    LatticeError,
     Polarization,
     Window,
     canonical_twist,
@@ -115,16 +116,15 @@ def hypothesis_violations(T, d):
     Returned in lexicographic twist order, lowest index first, so the first
     entry is the canonical witness.
     """
-    space = T.space
     d = d if isinstance(d, Polarization) else Polarization(d)
-    out = []
-    safe = safe_region(space, d, T.window)
-    for a in sorted(safe):
-        for i in range(1, space.m):
-            dim = T.known_dim(a, i)
-            if dim:
-                out.append((a, i))
-    return out
+    return _violations(T, safe_region(T.space, d, T.window))
+
+
+def _violations(T, safe):
+    """hypothesis_violations over an already computed safe region."""
+    return [
+        (a, i) for a in sorted(safe) for i in range(1, T.space.m) if T.known_dim(a, i)
+    ]
 
 
 def hm_monotonicity_check(T):
@@ -213,9 +213,13 @@ def multiplicities(T, d):
     further down when the window allows.  Negative residuals, missing
     window coverage or a missing aligned position raise SplitterError.
     """
-    space = T.space
     d = d if isinstance(d, Polarization) else Polarization(d)
-    report = extremal_hm(T, d)
+    return _descend(T, d, extremal_hm(T, d))
+
+
+def _descend(T, d, report):
+    """multiplicities with the extremal report of T already computed."""
+    space = T.space
     if not report.certified:
         raise SplitterError(
             "extremality uncertifiable: h^m locus touches the window at %r"
@@ -299,6 +303,8 @@ def split_check(C, d, window, torsion_free_asserted=False):
     """
     space = C.space
     d = d if isinstance(d, Polarization) else Polarization(d)
+    if len(d.d) != space.t:
+        raise LatticeError("polarization length does not match space")
     mode = "product" if space.t >= 2 else "single-factor-classical"
 
     def inconclusive(reason, **kw):
@@ -328,8 +334,9 @@ def split_check(C, d, window, torsion_free_asserted=False):
             "cannot come from a sheaf" % violation
         )
 
-    safe_size = len(safe_region(space, d, window))
-    violations = hypothesis_violations(table, d)
+    safe = safe_region(space, d, window)
+    safe_size = len(safe)
+    violations = _violations(table, safe)
     if violations:
         a, i = violations[0]
         return SplitVerdict(
@@ -382,7 +389,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
             )
 
     try:
-        ms = multiplicities(table, d)
+        ms = _descend(table, d, report)
     except SplitterError as exc:
         return inconclusive(
             str(exc),

@@ -13,11 +13,14 @@ The vanishing-propagation rule is the minimality consequence along a
 one-factor strand: if H^n(F(a)), H^{n-1}(F(a+e_j)), ..., H^{n-n_j}(F(a+n_j e_j))
 all vanish, then H^n(F(a-e_j)) vanishes too.  Applied to a computed window
 it extends certified zeros in the decreasing directions and cross-checks
-the input table; it never defaults a cell to zero silently.
+the input table; it never defaults a cell to zero silently.  A rule's
+antecedents lie above its target, so one sweep in decreasing
+lexicographic order closes a table under it.
 """
 
 import csv
 import io
+import itertools
 
 from .bott import binom
 from .lattice import LatticeError, ProductSpace, Window
@@ -285,14 +288,17 @@ def corner_checksum(T, c, b):
 def strand_propagate(T, extend=None):
     """Close a table under the strand vanishing rule.
 
-    Runs the per-factor rule to a fixed point: whenever the n_j+1 cells
-    h^n(F(a)), h^{n-1}(F(a+e_j)), ..., h^{n-n_j}(F(a+n_j e_j)) are all
-    known zero, the cell h^n(F(a-e_j)) is marked inferred_zero.  New cells
-    may extend below the window by at most `extend` steps per factor
-    (default n_j + 1); pass 0 to forbid extension.  A derived zero clashing
-    with a computed nonzero cell raises StrandInconsistency, which signals
-    an invalid input table since the rule holds for every coherent sheaf.
-    Returns a new table; the input is not modified.
+    Whenever the n_j+1 cells h^n(F(a)), h^{n-1}(F(a+e_j)), ...,
+    h^{n-n_j}(F(a+n_j e_j)) are all known zero, the cell h^n(F(a-e_j)) is
+    marked inferred_zero.  Every antecedent of a target lies componentwise
+    strictly above it, so one sweep over the box in decreasing
+    lexicographic order meets each target after all its antecedents and
+    reaches the least fixed point of the rule.  New cells may extend below
+    the window by at most `extend` steps per factor (default n_j + 1);
+    pass 0 to forbid extension.  A derived zero clashing with a computed
+    nonzero cell raises StrandInconsistency, which signals an invalid input
+    table since the rule holds for every coherent sheaf.  Returns a new
+    table; the input is not modified.
     """
     space = T.space
     if extend is None:
@@ -301,50 +307,36 @@ def strand_propagate(T, extend=None):
         margins = (extend,) * space.t
     else:
         margins = tuple(int(x) for x in extend)
-    lo = tuple(l - mg for l, mg in zip(T.window.lo, margins))
-    hi = T.window.hi
-    box = Window(lo, hi)
-    out = T.copy()
+    box = Window(tuple(l - mg for l, mg in zip(T.window.lo, margins)), T.window.hi)
+    hi = box.hi
+    dims = space.factor_dims
     m = space.m
+    out = T.copy()
+    cells = out.cells
+    zeros = {key for key, (dim, _) in cells.items() if dim == 0}
 
-    def known_zero(a, i):
-        if i < 0 or i > m:
-            return True
-        cell = out.cells.get((a, i))
-        return cell is not None and cell[0] == 0
+    def strand(a, j):
+        """The twists a + e_j, ..., a + (n_j+1) e_j above a along factor j."""
+        return (a[:j] + (a[j] + k + 1,) + a[j + 1:] for k in range(dims[j] + 1))
 
-    changed = True
-    while changed:
-        changed = False
-        for j in range(space.t):
-            nj = space.factor_dims[j]
-            step = tuple(1 if jj == j else 0 for jj in range(space.t))
-            for a in box.twists():
-                target = tuple(x - s for x, s in zip(a, step))
-                if target not in box:
-                    continue
-                for n in range(m + 1):
-                    if (target, n) in out.cells:
-                        continue
-                    ante = [
-                        (tuple(x + k * s for x, s in zip(a, step)), n - k)
-                        for k in range(nj + 1)
-                    ]
-                    if all(known_zero(aa, ii) for aa, ii in ante):
-                        out.cells[(target, n)] = (0, STATUS_INFERRED)
-                        changed = True
-    # Consistency: re-run the rule over computed cells and flag clashes.
+    for a in itertools.product(*[range(h, l - 1, -1) for l, h in zip(box.lo, hi)]):
+        unknown = [n for n in range(m + 1) if (a, n) not in cells]
+        if not unknown:
+            continue
+        strands = [tuple(strand(a, j)) for j in range(space.t) if a[j] < hi[j]]
+        for n in unknown:
+            # h^{n-k} with n-k < 0 vanishes, so zip stops the strand at k = n.
+            ladder = range(n, -1, -1)
+            if any(zeros.issuperset(zip(up, ladder)) for up in strands):
+                cells[(a, n)] = (0, STATUS_INFERRED)
+                zeros.add((a, n))
+    # Consistency: re-run the rule over computed nonzero cells, in the
+    # input's order for each factor, and flag clashes.
+    nonzero = [(a, n, dim) for (a, n), (dim, status) in T.cells.items()
+               if dim and status == STATUS_COMPUTED]
     for j in range(space.t):
-        nj = space.factor_dims[j]
-        step = tuple(1 if jj == j else 0 for jj in range(space.t))
-        for (a, n), (dim, status) in T.cells.items():
-            if dim == 0 or status != STATUS_COMPUTED:
-                continue
-            src = tuple(x + s for x, s in zip(a, step))
-            ante = [
-                (tuple(x + k * s for x, s in zip(src, step)), n - k)
-                for k in range(nj + 1)
-            ]
-            if all(known_zero(aa, ii) for aa, ii in ante):
+        for a, n, dim in nonzero:
+            if zeros.issuperset(zip(strand(a, j), range(n, -1, -1))):
+                ante = zip(strand(a, j), range(n, n - dims[j] - 1, -1))
                 raise StrandInconsistency((a, n), dim, ante)
     return out

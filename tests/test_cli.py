@@ -1,7 +1,7 @@
 import json
 
 from conftest import ideal_sheaf_complex, koszul_point_complex
-from prodcoh import cli
+from prodcoh import cech, cli
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import default_field
@@ -251,6 +251,20 @@ def test_split_check_exit_codes(capsys, tmp_path):
     )
     assert code == 11
     assert "INCONCLUSIVE" in out
+
+
+def test_split_check_refuses_wrong_length_d_first(capsys, tmp_path, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("cohomology computed before the --d check")
+
+    monkeypatch.setattr(cech, "cohomology_table", no_table)
+    path = write_complex(tmp_path, free_complex(ProductSpace((1, 1)), [(0, 0)]))
+    code, _, err = run(
+        capsys,
+        ["split-check", "--input", path, "--d", "1", "--window", "-30:30,-30:30"],
+    )
+    assert code == 2
+    assert err == "error: polarization length does not match space\n"
 
 
 def test_split_check_ideal_sheaf_cli(capsys, tmp_path):

@@ -230,6 +230,114 @@ def test_table_json_csv_roundtrip(p11):
 
 
 # ---------------------------------------------------------------------------
+# Property test: the one-sweep propagation equals the naive fixed point.
+
+
+def naive_propagate(T, extend=None):
+    """Reference: rescan the box for every factor until no rule fires."""
+    space = T.space
+    if extend is None:
+        margins = tuple(nj + 1 for nj in space.factor_dims)
+    elif isinstance(extend, int):
+        margins = (extend,) * space.t
+    else:
+        margins = tuple(int(x) for x in extend)
+    lo = tuple(l - mg for l, mg in zip(T.window.lo, margins))
+    box = Window(lo, T.window.hi)
+    out = T.copy()
+    m = space.m
+
+    def known_zero(a, i):
+        if i < 0 or i > m:
+            return True
+        cell = out.cells.get((a, i))
+        return cell is not None and cell[0] == 0
+
+    changed = True
+    while changed:
+        changed = False
+        for j in range(space.t):
+            nj = space.factor_dims[j]
+            step = tuple(1 if jj == j else 0 for jj in range(space.t))
+            for a in box.twists():
+                target = tuple(x - s for x, s in zip(a, step))
+                if target not in box:
+                    continue
+                for n in range(m + 1):
+                    if (target, n) in out.cells:
+                        continue
+                    ante = [
+                        (tuple(x + k * s for x, s in zip(a, step)), n - k)
+                        for k in range(nj + 1)
+                    ]
+                    if all(known_zero(aa, ii) for aa, ii in ante):
+                        out.cells[(target, n)] = (0, STATUS_INFERRED)
+                        changed = True
+    for j in range(space.t):
+        nj = space.factor_dims[j]
+        step = tuple(1 if jj == j else 0 for jj in range(space.t))
+        for (a, n), (dim, status) in T.cells.items():
+            if dim == 0 or status != STATUS_COMPUTED:
+                continue
+            src = tuple(x + s for x, s in zip(a, step))
+            ante = [
+                (tuple(x + k * s for x, s in zip(src, step)), n - k)
+                for k in range(nj + 1)
+            ]
+            if all(known_zero(aa, ii) for aa, ii in ante):
+                raise StrandInconsistency((a, n), dim, ante)
+    return out
+
+
+@st.composite
+def random_tables(draw):
+    """A table of zero, nonzero and unknown cells over a small window, plus
+    cells outside it (above hi and below lo), and an `extend` argument."""
+    dims = draw(st.sampled_from([(1,), (1, 1), (1, 2), (1, 1, 1), (2, 3)]))
+    sp = ProductSpace(dims)
+    lo = tuple(draw(st.integers(-2, 1)) for _ in dims)
+    hi = tuple(l + draw(st.integers(0, 3 if sp.t < 3 else 2)) for l in lo)
+    T = CohomologyTable(sp, Window(lo, hi))
+    nonzero_rate = draw(st.integers(0, 2))
+    # Cell codes 0..9: below nonzero_rate nonzero, 8 and 9 unknown, 7 an
+    # inferred zero, the rest computed zeros.
+    near = st.tuples(*[st.integers(l - 3, h + 3) for l, h in zip(lo, hi)])
+    outside = draw(st.lists(near, max_size=8))
+    for a in itertools.chain(T.window.twists(), outside):
+        codes = draw(st.lists(st.integers(0, 9), min_size=sp.m + 1, max_size=sp.m + 1))
+        for i, code in enumerate(codes):
+            if code < nonzero_rate:
+                T.set_cell(a, i, draw(st.integers(1, 3)))
+            elif code < 8:
+                T.set_cell(a, i, 0, STATUS_INFERRED if code == 7 else STATUS_COMPUTED)
+    extend = draw(st.one_of(
+        st.none(),
+        st.just(0),
+        st.integers(1, 3),
+        st.tuples(*[st.integers(0, 3)] * sp.t),
+    ))
+    return T, extend
+
+
+def propagation_outcome(propagate, T, extend):
+    """The closed cells, or the clash StrandInconsistency reports."""
+    try:
+        return propagate(T, extend).cells
+    except StrandInconsistency as exc:
+        return ("clash", exc.cell, exc.dim, exc.antecedents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_tables())
+def test_propagation_sweep_equals_naive_fixed_point(case):
+    T, extend = case
+    before = list(T.cells.items())
+    got = propagation_outcome(strand_propagate, T, extend)
+    assert list(T.cells.items()) == before
+    assert got == propagation_outcome(naive_propagate, T, extend)
+
+
+# ---------------------------------------------------------------------------
 # Property tests: tables from the engine.
 
 
