@@ -193,7 +193,16 @@ class MultiHomogPoly:
             terms = {}
             for k, term in enumerate(obj.get("terms", [])):
                 e = tuple(tuple(block) for block in term["e"])
-                terms[e] = term["c"]
+                if any(type(x) is not int for block in e for x in block):
+                    raise SchemaError("%s.terms[%d].e: %r has an entry that is not an integer"
+                                      % (path, k, e))
+                if e in terms:
+                    raise SchemaError("%s.terms[%d].e: exponent vector %r is given twice"
+                                      % (path, k, e))
+                terms[e] = c = term["c"]
+                if type(c) not in (int, str):
+                    raise SchemaError("%s.terms[%d].c: %r is neither an integer nor a "
+                                      "'num/den' string" % (path, k, c))
         except (KeyError, TypeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
         try:
@@ -277,11 +286,6 @@ class LineBundleComplex:
         e = mat[row][col]
         return None if (e is None or (hasattr(e, "is_zero") and e.is_zero())) else e
 
-    def is_free_term(self):
-        """True for a single term concentrated in degree 0: a plain direct
-        sum of line bundles."""
-        return set(self.terms) == {0} and not self.diffs
-
     def to_json(self):
         terms = [
             {"p": p, "twists": [list(b) for b in self.terms[p].twists]}
@@ -314,17 +318,21 @@ class LineBundleComplex:
             raise SchemaError("complex: missing or not an object")
         terms = {}
         try:
-            for entry in body["terms"]:
-                terms[int(entry["p"])] = [space.degree(b) for b in entry["twists"]]
-        except (KeyError, TypeError, ValueError, LatticeError) as exc:
+            for k, entry in enumerate(body["terms"]):
+                path = "complex.terms[%d]" % k
+                p = _once(_integer(entry["p"], path + ".p"), terms, path)
+                terms[p] = [_degree(space, b, "%s.twists[%d]" % (path, t))
+                            for t, b in enumerate(entry["twists"])]
+        except (KeyError, TypeError) as exc:
             raise SchemaError("complex.terms: %s" % exc) from exc
         diffs = {}
         for d, dent in enumerate(body.get("diffs", [])):
+            path = "complex.diffs[%d]" % d
             try:
-                p = int(dent["p"])
+                p = _once(_integer(dent["p"], path + ".p"), diffs, path)
                 rows = dent["entries"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError("complex.diffs[%d]: %s" % (d, exc)) from exc
+            except (KeyError, TypeError) as exc:
+                raise SchemaError("%s: %s" % (path, exc)) from exc
             mat = []
             for r, row in enumerate(rows):
                 out = []
@@ -341,6 +349,25 @@ class LineBundleComplex:
                 mat.append(tuple(out))
             diffs[p] = tuple(mat)
         return cls(space, field, terms, diffs)
+
+
+def _integer(x, path):
+    if type(x) is not int:  # no bool, float or str
+        raise SchemaError("%s: %r is not an integer" % (path, x))
+    return x
+
+
+def _degree(space, b, path):
+    try:
+        return space.degree(b)
+    except LatticeError as exc:
+        raise SchemaError("%s: %s" % (path, exc)) from exc
+
+
+def _once(p, seen, path):
+    if p in seen:
+        raise SchemaError("%s.p: degree %d is given twice" % (path, p))
+    return p
 
 
 def _field_name(field):

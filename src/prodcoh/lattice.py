@@ -35,7 +35,9 @@ class ProductSpace:
     factor_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
+        dims = tuple(self.factor_dims)
+        if any(type(n) is not int for n in dims):  # no bool, float or str
+            raise LatticeError("factor dimensions must be integers, got %r" % (dims,))
         if not dims:
             raise LatticeError("a product space needs at least one factor")
         if any(n < 1 for n in dims):
@@ -51,8 +53,10 @@ class ProductSpace:
         return sum(self.factor_dims)
 
     def degree(self, a):
-        """Validate a multidegree and normalize it to a tuple of ints."""
-        a = tuple(int(x) for x in a)
+        """Validate a multidegree of ints and return it as a tuple."""
+        a = tuple(a)
+        if any(type(x) is not int for x in a):
+            raise LatticeError("multidegree %r has an entry that is not an integer" % (a,))
         if len(a) != self.t:
             raise LatticeError(
                 "multidegree %r has length %d, expected %d" % (a, len(a), self.t)

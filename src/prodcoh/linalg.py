@@ -141,13 +141,19 @@ def default_field():
 
 def parse_field(spec):
     """Parse a field flag: "q" for the rationals, "p:<prime>" for F_p."""
+    if not isinstance(spec, str):
+        raise FieldError("field %r is not a string (expected 'q' or 'p:<prime>')" % (spec,))
     spec = spec.strip()
     if spec == "q":
         return RATIONALS
     if spec == "p":
         return default_field()
     if spec.startswith("p:"):
-        return PrimeField(int(spec[2:]))
+        try:
+            p = int(spec[2:])
+        except ValueError as exc:
+            raise FieldError("bad modulus in field %r: %s" % (spec, exc)) from exc
+        return PrimeField(p)
     raise FieldError("unrecognized field %r (expected 'q' or 'p:<prime>')" % spec)
 
 

@@ -12,7 +12,10 @@ moves the differential delta of C onto them as
     D_H = sum_r (-1)^r p (delta h)^r delta i,
 
 finite because delta raises the term degree and h keeps it.  Multiplication
-only raises exponents, so no truncation is needed.  Terms no differential
+only raises exponents, so no truncation is needed.  For the same reason a
+factor with empty negative support keeps it down the whole series, so its
+i_j(1) = sum_v {v} rides along as one symbol, ALL, and a section class, empty
+in every factor, has h i = 0 and D_H = delta.  Terms no differential
 touches, as in every free sum, are counted without enumeration.
 """
 
@@ -57,25 +60,29 @@ def _negative_support(e):
     return tuple(frozenset(v for v, x in enumerate(ej) if x < 0) for ej in e)
 
 
+# i_j(1) = sum_v {v} on a factor with empty negative support, as one symbol.
+# That support stays empty down the chain, where h_j kills the symbol, (ip)_j
+# fixes it and p_j sends it to 1.  Its length keeps the Koszul shift |S|-1 = 0.
+ALL = (-1,)
+
+
 def _factor_ip(n, N, S):
     """i p on one factor: the cover sets of i(p(S))."""
     if len(N) == n + 1:
         return [S]
-    return [(v,) for v in range(n + 1)] if not N and S == (0,) else []
+    return [ALL] if not N and S in ((0,), ALL) else []
 
 
 def include(space, neg):
-    """i(1): the cover indices of the class of the block, coefficient 1."""
-    return list(itertools.product(*[
-        [tuple(range(n + 1))] if len(N) == n + 1 else [(v,) for v in range(n + 1)]
-        for n, N in zip(space.factor_dims, neg)
-    ]))
+    """i(1): the cover index of the class of the block, coefficient 1."""
+    return [tuple(tuple(range(n + 1)) if len(N) == n + 1 else ALL
+                  for n, N in zip(space.factor_dims, neg))]
 
 
 def projects(space, neg, idx):
-    """p(idx) = 1: idx is {0} in every factor with empty negative support and
-    the full set in every other factor.  Otherwise p(idx) = 0."""
-    return all(len(N) == n + 1 or (not N and S == (0,))
+    """p(idx) = 1: idx is {0} or ALL in every factor with empty negative
+    support and the full set in every other factor.  Otherwise p(idx) = 0."""
+    return all(len(N) == n + 1 or (not N and S in ((0,), ALL))
                for n, N, S in zip(space.factor_dims, neg, idx))
 
 
@@ -118,16 +125,24 @@ def _reduced(vec, prime):
     return {k: x for k, x in vec.items() if x}
 
 
+def _times(e, ev):
+    return tuple(tuple(map(add, b1, b2)) for b1, b2 in zip(e, ev))
+
+
 def _transfer(space, poly, p, s, e, prime):
     """The column D_H(x) of the class x = (p, s, e), as {(p', r, e'): value}."""
-    v = {(s, e, idx): 1 for idx in include(space, _negative_support(e))}
+    neg = _negative_support(e)
+    if not any(neg):  # a section: h i = 0, so D_H(x) is delta x
+        return {(p + 1, r, _times(e, ev)): c
+                for r, terms in poly.get((p, s), ()) for ev, c in terms}
+    v = {(s, e, idx): 1 for idx in include(space, neg)}
     out = defaultdict(int)
     while v:
         w = defaultdict(int)
         for (s, e, idx), x in v.items():
             for r, terms in poly.get((p, s), ()):
                 for ev, c in terms:
-                    w[(r, tuple(tuple(map(add, b1, b2)) for b1, b2 in zip(e, ev)), idx)] += x * c
+                    w[(r, _times(e, ev), idx)] += x * c
         p += 1
         sign_h = 1 if p % 2 else -1  # the (-1)^r of the series times the (-1)^p of h
         v = defaultdict(int)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import ideal_sheaf_complex, koszul_point_complex
 from prodcoh import cech, cli
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
@@ -218,6 +220,81 @@ def test_schema_error(capsys, tmp_path):
     path.write_text(json.dumps({"space": {"factor_dims": [1, 1]}}))
     code, _, err = run(capsys, ["cohomology", "--input", str(path), "--twist", "0,0"])
     assert code == 2 and "complex" in err
+
+
+def _refused(capsys, tmp_path, obj, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["cohomology", "--input", str(path), "--twist", "1,0"])
+    assert (code, out) == (2, "") and err.startswith("error: " + where), err
+
+
+def _zero_map(entry):
+    """O(-1,0) -> O on P1xP1 with the given degree-(1,0) entry."""
+    return {
+        "space": {"factor_dims": [1, 1]},
+        "complex": {
+            "terms": [{"p": -1, "twists": [[-1, 0]]}, {"p": 0, "twists": [[0, 0]]}],
+            "diffs": [{"p": -1, "entries": [[entry]]}],
+        },
+    }
+
+
+def test_repeated_monomial_is_refused(capsys, tmp_path):
+    # x_{0,0} - x_{0,0} spells out the zero map, h = (2,0,0) at (1,0); keeping
+    # only the last coefficient would read it as -x_{0,0}, h = (1,0,0).
+    x00 = [[1, 0], [0, 0]]
+    entry = {"degree": [1, 0], "terms": [{"c": 1, "e": x00}, {"c": -1, "e": x00}]}
+    _refused(capsys, tmp_path, _zero_map(entry), "complex.diffs[0].entries[0][0].terms[1].e:")
+
+
+def test_repeated_term_degree_is_refused(capsys, tmp_path):
+    obj = {"space": {"factor_dims": [1, 1]}, "complex": {"terms": [
+        {"p": 0, "twists": [[0, 0]]}, {"p": 0, "twists": [[1, 0]]}]}}
+    _refused(capsys, tmp_path, obj, "complex.terms[1].p:")
+
+
+def test_repeated_diff_degree_is_refused(capsys, tmp_path):
+    obj = koszul_point_complex().to_json()
+    obj["complex"]["diffs"].append(obj["complex"]["diffs"][0])
+    _refused(capsys, tmp_path, obj, "complex.diffs[2].p:")
+
+
+def test_malformed_field_is_refused(capsys, tmp_path):
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "0,0",
+                                  "--field", "p:abc"])
+    assert (code, out) == (2, "") and "bad modulus" in err
+    obj = koszul_point_complex().to_json()
+    obj["field"] = 5
+    _refused(capsys, tmp_path, obj, "field:")
+
+
+def _koszul_json_with(where, value):
+    """The Koszul point's JSON with the entry at the key path `where` set."""
+    obj = koszul_point_complex().to_json()
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return obj
+
+
+ENTRY = ("complex", "diffs", 0, "entries", 0, 0)
+
+
+@pytest.mark.parametrize("where, value, path", [
+    (("complex", "terms", 0, "p"), -1.7, "complex.terms[0].p:"),
+    (("complex", "diffs", 0, "p"), -1.7, "complex.diffs[0].p:"),
+    (("complex", "terms", 2, "twists", 0), [0.9, 0], "complex.terms[2].twists[0]:"),
+    (ENTRY + ("degree",), [0, 1.2], "complex.diffs[0].entries[0][0]:"),
+    (ENTRY + ("terms", 0, "e"), [[0, 0], [0, 1.9]], "complex.diffs[0].entries[0][0].terms[0].e:"),
+    (ENTRY + ("terms", 0, "c"), 1.5, "complex.diffs[0].entries[0][0].terms[0].c:"),
+    (("space", "factor_dims"), [1, 1.5], "space:"),
+], ids=["term-p", "diff-p", "twist", "poly-degree", "exponent", "coefficient", "factor-dims"])
+def test_non_integer_is_refused(capsys, tmp_path, where, value, path):
+    # int() would truncate each of these; the refusal names where it sits.
+    _refused(capsys, tmp_path, _koszul_json_with(where, value), path)
 
 
 def test_split_check_exit_codes(capsys, tmp_path):

@@ -57,6 +57,15 @@ def test_space_validation():
         Window((0, 0), (-1, 0))
 
 
+def test_degree_accepts_only_integers(p11):
+    assert p11.degree([3, -4]) == (3, -4)
+    for a in ((0.9, 0), (True, 0), ("1", 0), (1.0, 0)):
+        with pytest.raises(LatticeError):
+            p11.degree(a)
+    with pytest.raises(LatticeError):
+        ProductSpace((1, 1.5))
+
+
 def test_intermediate_k_range_examples(p11):
     d = Polarization((1, 1))
     assert intermediate_k_range(p11, d, (0, 0)) == ()

@@ -28,6 +28,14 @@ def _combine(terms):
     return {idx: x for idx, x in acc.items() if x}
 
 
+def _singletons(sp, terms):
+    """Expand the symbol minmodel.ALL = i_j(1) into its singletons sum_v {v}."""
+    return [(t, x) for idx, x in terms for t in itertools.product(*[
+        [(v,) for v in range(n + 1)] if S == minmodel.ALL else [S]
+        for n, S in zip(sp.factor_dims, idx)
+    ])]
+
+
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1)])
 def test_contraction_identity(dims):
     # d h + h d = 1 - i p on every basis element of every monomial block,
@@ -40,11 +48,11 @@ def test_contraction_identity(dims):
             if not all(N <= set(S) for N, S in zip(neg, idx)):
                 continue
             lhs = [(u, x * y) for t, x in d(idx) for u, y in h(t)]
-            lhs += [(u, x * y) for t, x in h(idx) for u, y in d(t)]
+            lhs += [(u, x * y) for t, x in _singletons(sp, h(idx)) for u, y in d(t)]
             rhs = [(idx, 1)]
             if minmodel.projects(sp, neg, idx):
                 rhs += [(t, -1) for t in minmodel.include(sp, neg)]
-            assert _combine(lhs) == _combine(rhs), (neg, idx)
+            assert _combine(_singletons(sp, lhs)) == _combine(_singletons(sp, rhs)), (neg, idx)
 
 
 def test_bott_classes_count_and_degree():
@@ -140,6 +148,48 @@ def test_free_sums_on_p2xp3_match_bott(twists, a, field):
     for b in twists:
         expected = [x + y for x, y in zip(expected, bott.line_bundle_h(sp, vadd(a, b)))]
     assert h == tuple(expected)
+
+
+def koszul_point(sp, field):
+    """The Koszul complex of x_{j,1..n_j} over all factors j: a resolution of
+    the point where they vanish, so h = (1, 0, ..., 0) at every twist."""
+    return koszul_complex(sp, field, [
+        MultiHomogPoly.variable(sp, field, j, i)
+        for j, n in enumerate(sp.factor_dims) for i in range(1, n + 1)
+    ])
+
+
+def ideal_point_h(sp, a):
+    """h(I_p(a)) from 0 -> I_p -> O -> O_p -> 0: evaluation at the point maps
+    H^0(O(a)) onto the field when a >= 0, and H^0(O(a)) = 0 otherwise."""
+    h = list(bott.line_bundle_h(sp, a))
+    if all(x >= 0 for x in a):
+        h[0] -= 1
+    else:
+        h[1] += 1
+    return tuple(h)
+
+
+# Sections take the shortcut D_H = delta at positive twists; at mixed-sign
+# twists one factor's i_j(1) rides down the series as a single symbol.
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("dims, twists", [
+    ((2, 2), [(4, 4), (3, 4), (3, -4), (-4, 3), (-3, -3)]),
+    ((2, 3), [(4, 4), (3, 4), (3, -4), (3, -5), (-3, 4)]),
+])
+def test_koszul_point_on_bigger_spaces(field, dims, twists):
+    sp = ProductSpace(dims)
+    K = koszul_point(sp, field)
+    for a in twists:
+        assert cech.hypercohomology(K, a) == (1,) + (0,) * sp.m, a
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ideal_of_point_on_p2xp2(field):
+    sp = ProductSpace((2, 2))
+    I = ideal_of(koszul_point(sp, field))
+    for a in [(4, 4), (3, 4), (3, -4), (-4, 3), (-3, -3), (-1, 2), (2, -1), (0, 0), (1, 1)]:
+        assert cech.hypercohomology(I, a) == ideal_point_h(sp, a), a
 
 
 def break_transfer(monkeypatch):
