@@ -188,6 +188,8 @@ class MultiHomogPoly:
 
     @classmethod
     def from_json(cls, space, field, obj, path="poly"):
+        if not isinstance(obj, dict):
+            raise SchemaError("%s: %r is neither 0, null nor a polynomial object" % (path, obj))
         try:
             degree = tuple(obj["degree"])
             terms = {}
@@ -199,10 +201,15 @@ class MultiHomogPoly:
                 if e in terms:
                     raise SchemaError("%s.terms[%d].e: exponent vector %r is given twice"
                                       % (path, k, e))
-                terms[e] = c = term["c"]
+                c = term["c"]
                 if type(c) not in (int, str):
                     raise SchemaError("%s.terms[%d].c: %r is neither an integer nor a "
                                       "'num/den' string" % (path, k, c))
+                try:
+                    terms[e] = field.coerce(c)
+                except (ValueError, ZeroDivisionError) as exc:  # FieldError is a ValueError
+                    raise SchemaError("%s.terms[%d].c: %r is not a coefficient in %r (%s)"
+                                      % (path, k, c, field, exc)) from exc
         except (KeyError, TypeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
         try:
@@ -337,7 +344,7 @@ class LineBundleComplex:
             for r, row in enumerate(rows):
                 out = []
                 for c, e in enumerate(row):
-                    if e == 0 or e is None:
+                    if e is None or (type(e) is int and e == 0):
                         out.append(None)
                     else:
                         out.append(

@@ -290,10 +290,19 @@ ENTRY = ("complex", "diffs", 0, "entries", 0, 0)
     (ENTRY + ("degree",), [0, 1.2], "complex.diffs[0].entries[0][0]:"),
     (ENTRY + ("terms", 0, "e"), [[0, 0], [0, 1.9]], "complex.diffs[0].entries[0][0].terms[0].e:"),
     (ENTRY + ("terms", 0, "c"), 1.5, "complex.diffs[0].entries[0][0].terms[0].c:"),
+    (ENTRY + ("terms", 0, "c"), "abc", "complex.diffs[0].entries[0][0].terms[0].c:"),
+    (ENTRY + ("terms", 0, "c"), "1/0", "complex.diffs[0].entries[0][0].terms[0].c:"),
+    (ENTRY + ("terms", 0, "c"), "1/65521", "complex.diffs[0].entries[0][0].terms[0].c:"),
+    (ENTRY, 0.0, "complex.diffs[0].entries[0][0]:"),
+    (ENTRY, False, "complex.diffs[0].entries[0][0]:"),
     (("space", "factor_dims"), [1, 1.5], "space:"),
-], ids=["term-p", "diff-p", "twist", "poly-degree", "exponent", "coefficient", "factor-dims"])
+], ids=["term-p", "diff-p", "twist", "poly-degree", "exponent", "coefficient",
+        "coefficient-word", "coefficient-over-zero", "coefficient-over-p", "entry-float-zero",
+        "entry-false", "factor-dims"])
 def test_non_integer_is_refused(capsys, tmp_path, where, value, path):
-    # int() would truncate each of these; the refusal names where it sits.
+    # Read loosely, int() would truncate the numbers, 0.0 and false would pass
+    # for the zero map and a bad coefficient string would end in a traceback;
+    # the refusal names where each sits.
     _refused(capsys, tmp_path, _koszul_json_with(where, value), path)
 
 
