@@ -41,29 +41,30 @@ def factor_h(n, a):
     """Cohomology vector (h^0, ..., h^n) of O(a) on P^n."""
     if n < 1:
         raise ValueError("factor dimension must be >= 1")
+    q, dim = factor_group(n, a) or (0, 0)
     h = [0] * (n + 1)
-    if a >= 0:
-        h[0] = binom(a + n, n)
-    elif a <= -n - 1:
-        h[n] = binom(-a - 1, n)
+    h[q] = dim
     return tuple(h)
 
 
+def factor_group(n, a):
+    """(q, h^q) of the one group of O(a) on P^n that can be nonzero, q = 0 or
+    n, or None when every group vanishes."""
+    if a >= 0:
+        return 0, math.comb(a + n, n)
+    if a <= -n - 1:
+        return n, math.comb(-a - 1, n)
+    return None
+
+
 def line_bundle_h(space, a):
-    """Cohomology vector (h^0, ..., h^m) of O(a) on the product."""
+    """Cohomology vector (h^0, ..., h^m) of O(a) on the product: by Kunneth,
+    the product of the factor groups, in the sum of their degrees."""
     a = space.degree(a)
     h = [0] * (space.m + 1)
-    sig = signature(space, a)
-    if sig is None:
-        return tuple(h)
-    i, neg = sig
-    dim = 1
-    for j, (nj, aj) in enumerate(zip(space.factor_dims, a)):
-        if j in neg:
-            dim *= binom(-aj - 1, nj)
-        else:
-            dim *= binom(aj + nj, nj)
-    h[i] = dim
+    groups = [factor_group(n, aj) for n, aj in zip(space.factor_dims, a)]
+    if None not in groups:
+        h[sum(q for q, _ in groups)] = math.prod(dim for _, dim in groups)
     return tuple(h)
 
 

@@ -11,7 +11,7 @@ exponent may be negative only on inverted variables.
 hypercohomology, the engine of every command, works on the minimal model of
 Tot(Cech (x) C) (module minmodel): each term's Cech complex contracts onto
 its Bott classes and the differential of the complex is moved onto them by
-homological perturbation, with no truncation.
+homological perturbation, with no truncation, set up once per table.
 
 assembled_hypercohomology is the independent reference the tests cross it
 against.  In a fixed multidegree the section spaces are infinite-dimensional,
@@ -29,7 +29,7 @@ from operator import add
 from . import linalg, minmodel
 from .coxring import validate_complex
 from .lattice import vadd
-from .tate import STATUS_COMPUTED, CohomologyTable
+from .tate import CohomologyTable
 
 
 class CechError(ValueError):
@@ -216,23 +216,25 @@ def assembled_hypercohomology(C, a):
     return h1
 
 
+def _check_valid(C):
+    violations = validate_complex(C)
+    if violations:
+        raise CechError("invalid complex: %r" % (violations[:3],))
+
+
 def hypercohomology(C, a):
     """Dimensions of H^i(F(a)), i = 0..m, for the degree-0 cohomology sheaf
     F of a validated line-bundle complex."""
-    violations = validate_complex(C)
-    if violations:
-        raise CechError("invalid complex: %r" % (violations[:3],))
-    return minmodel.hypercohomology(C, C.space.degree(a))
+    _check_valid(C)
+    return minmodel.engine(C)(C.space.degree(a))
 
 
 def cohomology_table(C, window):
-    """h^i(F(a)) for every twist a in the window, every cell computed."""
-    violations = validate_complex(C)
-    if violations:
-        raise CechError("invalid complex: %r" % (violations[:3],))
+    """h^i(F(a)) for every twist a in the window, every cell computed.  The
+    complex is validated and the engine set up once for the whole window."""
+    _check_valid(C)
     table = CohomologyTable(C.space, window)
+    h = minmodel.engine(C)
     for a in window.twists():
-        h = hypercohomology(C, a)
-        for i, dim in enumerate(h):
-            table.set_cell(a, i, dim, STATUS_COMPUTED)
+        table.set_h(a, h(a))
     return table

@@ -4,8 +4,8 @@ Twists of line bundles on P^{n_1} x ... x P^{n_t} are indexed by integer
 vectors of length t.  This module provides the componentwise partial order,
 the canonical twist, and the combinatorics of "safe" twists: the twists a
 such that O(k*d_1, ..., k*d_t)(a) has no intermediate cohomology for any
-integer k.  Safe twists form the test region of the splitting criterion in
-``splitter``.
+integer k, decided by interval arithmetic on k.  Safe twists form the test
+region of the splitting criterion in ``splitter``.
 """
 
 import itertools
@@ -81,7 +81,9 @@ class Polarization:
     d: tuple
 
     def __post_init__(self):
-        d = tuple(int(x) for x in self.d)
+        d = tuple(self.d)
+        if any(type(x) is not int for x in d):  # no bool, float or str
+            raise LatticeError("polarization degrees must be integers, got %r" % (d,))
         if any(x < 1 for x in d):
             raise LatticeError("polarization degrees must be >= 1, got %r" % (d,))
         object.__setattr__(self, "d", d)
@@ -99,8 +101,9 @@ class Window:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        lo, hi = tuple(self.lo), tuple(self.hi)
+        if any(type(x) is not int for x in lo + hi):  # no bool, float or str
+            raise LatticeError("window corners must be integers, got lo=%r hi=%r" % (lo, hi))
         if len(lo) != len(hi):
             raise LatticeError("window corners have mismatched lengths")
         if any(l > h for l, h in zip(lo, hi)):
@@ -174,10 +177,26 @@ def intermediate_k_range(space, d, a):
 
 def safe_region(space, d, window):
     """Twists a in the window for which no O(kH)(a) has intermediate
-    cohomology -- the region the splitting hypothesis quantifies over."""
-    return frozenset(
-        a for a in window.twists() if not intermediate_k_range(space, d, a)
-    )
+    cohomology -- the region the splitting hypothesis quantifies over.
+
+    Interval arithmetic on k, (L_j, U_j) tabulated per window coordinate:
+    factor j is in the h^0 range for k >= L_j, in the top range for k <= U_j
+    and in neither in the gap U_j < k < L_j.  The twist is unsafe iff some k
+    in [min L, max U] is in no gap; the least one is min L or follows a gap,
+    so only the L_j are tried.
+    """
+    space.degree(window.lo)  # a window of the wrong length is refused, not truncated
+    dd = d.d if isinstance(d, Polarization) else Polarization(d).d
+    if len(dd) != space.t:
+        raise LatticeError("polarization length does not match space")
+    ends = [[(-(x // dj), (-x - nj - 1) // dj) for x in range(lo, hi + 1)]
+            for nj, dj, lo, hi in zip(space.factor_dims, dd, window.lo, window.hi)]
+
+    def safe(pairs):
+        top = max(u for _, u in pairs)
+        return not any(k <= top and all(k <= u or l <= k for l, u in pairs) for k, _ in pairs)
+
+    return frozenset(a for a, e in zip(window.twists(), itertools.product(*ends)) if safe(e))
 
 
 def render_region(cells, window):

@@ -15,16 +15,16 @@ finite because delta raises the term degree and h keeps it.  Multiplication
 only raises exponents, so no truncation is needed.  For the same reason a
 factor with empty negative support keeps it down the whole series, so its
 i_j(1) = sum_v {v} rides along as one symbol, ALL, and a section class, empty
-in every factor, has h i = 0 and D_H = delta.  Terms no differential
-touches, as in every free sum, are counted without enumeration.
+in every factor, has h i = 0 and D_H = delta.  engine(C) sets up what depends
+on C alone once, for every twist of a window.  Terms no differential touches,
+as in every free sum, are Kunneth products of per-factor Bott values.
 """
 
 import itertools
-import math
 from collections import defaultdict
 from operator import add
 
-from . import linalg
+from . import bott, linalg
 from .coxring import compositions
 from .lattice import vadd
 
@@ -33,27 +33,20 @@ class EngineCheckFailed(RuntimeError):
     """A self-check of the cohomology engine failed; no answer is given."""
 
 
-def _bott(space, c):
-    """None when O(c) has no cohomology, else the Cech degree of its Bott
-    classes and per factor the k whose compositions into n_j+1 parts are
-    the exponents: the parts themselves when c_j >= 0, in degree 0, or minus
-    one minus them when c_j <= -n_j-1, in degree n_j."""
-    if any(-n - 1 < cj < 0 for n, cj in zip(space.factor_dims, c)):
-        return None
-    pairs = list(zip(space.factor_dims, c))
-    return sum(n for n, cj in pairs if cj < 0), [cj if cj >= 0 else -cj - n - 1 for n, cj in pairs]
-
-
 def bott_classes(space, c):
-    """Cech degree and exponent vectors of the Bott classes of O(c)."""
-    found = _bott(space, c)
-    if found is None:
+    """Cech degree and exponent vectors of the Bott classes of O(c).  Per
+    factor the exponents are the compositions of c_j into n_j+1 parts when
+    c_j >= 0, in degree 0, or minus one minus those of -c_j-n_j-1 when
+    c_j <= -n_j-1, in degree n_j; in between O(c) has no cohomology."""
+    pairs = list(zip(space.factor_dims, c))
+    if any(-n - 1 < cj < 0 for n, cj in pairs):
         return 0, ()
     blocks = [
-        [e if cj >= 0 else tuple(-1 - x for x in e) for e in compositions(k, n + 1)]
-        for n, cj, k in zip(space.factor_dims, c, found[1])
+        [e if cj >= 0 else tuple(-1 - x for x in e)
+         for e in compositions(cj if cj >= 0 else -cj - n - 1, n + 1)]
+        for n, cj in pairs
     ]
-    return found[0], tuple(itertools.product(*blocks))
+    return sum(n for n, cj in pairs if cj < 0), tuple(itertools.product(*blocks))
 
 
 def _negative_support(e):
@@ -156,38 +149,55 @@ def _transfer(space, poly, p, s, e, prime):
     return _reduced(out, prime)
 
 
-def hypercohomology(C, a):
-    """(h^0, ..., h^m) of the validated complex C in twist a."""
+def engine(C):
+    """The function a -> (h^0, ..., h^m) of the validated complex C, with the
+    field prime, the polynomial maps and the term list read once.  The factor
+    groups of untouched terms are memoized for the life of that function."""
     space = C.space
     prime = C.field.p if isinstance(C.field, linalg.PrimeField) else 0
     poly = polynomial_maps(C)
     touched = {p for p, _ in poly} | {p + 1 for p, _ in poly}
-    counts = defaultdict(int)
-    where = {}  # touched class (p, s, e) -> (total degree, position)
-    for p in C.degrees:
-        for s, b in enumerate(C.summands(p)):
-            c = vadd(a, b)
-            if p not in touched:
-                found = _bott(space, c)
-                if found:
-                    counts[p + found[0]] += math.prod(
-                        math.comb(k + n, n) for n, k in zip(space.factor_dims, found[1]))
-                continue
-            q, classes = bott_classes(space, c)
+    terms = [(p, s, b) for p in C.degrees for s, b in enumerate(C.summands(p))]
+    free = [(p, tuple(zip(space.factor_dims, b))) for p, _, b in terms if p not in touched]
+    touched_terms = [term for term in terms if term[0] in touched]
+    m = space.m
+    groups = {}  # (n, c) -> the factor group of O(c) on P^n, () when none
+
+    def hypercohomology(a):
+        counts = defaultdict(int)
+        for k, nb in free:
+            dim = 1
+            for (n, bj), aj in zip(nb, a):
+                group = groups.get((n, aj + bj))
+                if group is None:
+                    group = groups[(n, aj + bj)] = bott.factor_group(n, aj + bj) or ()
+                if not group:
+                    break
+                k += group[0]
+                dim *= group[1]
+            else:
+                counts[k] += dim
+        if not touched_terms:  # a free sum: no class to transfer or self-check
+            return tuple(counts[i] for i in range(m + 1))
+        where = {}  # touched class (p, s, e) -> (total degree, position)
+        for p, s, b in touched_terms:
+            q, classes = bott_classes(space, vadd(a, b))
             for e in classes:
                 where[(p, s, e)] = (p + q, counts[p + q])
                 counts[p + q] += 1
-    cols = {where[x]: {where[y][1]: v for y, v in _transfer(space, poly, *x, prime).items()}
-            for x in where}
-    rows = defaultdict(list)
-    for (k, _), col in cols.items():
-        square = defaultdict(int)
-        for y, v in col.items():
-            for z, u in cols[(k + 1, y)].items():
-                square[z] += v * u
-        if _reduced(square, prime):
-            raise EngineCheckFailed(
-                "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
-        rows[k].append(col)
-    ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in rows.items()})
-    return tuple(counts[i] - ranks[i] - ranks[i - 1] for i in range(space.m + 1))
+        cols = {where[x]: {where[y][1]: v for y, v in _transfer(space, poly, *x, prime).items()}
+                for x in where}
+        rows = defaultdict(list)
+        for (k, _), col in cols.items():
+            square = defaultdict(int)
+            for y, v in col.items():
+                for z, u in cols[(k + 1, y)].items():
+                    square[z] += v * u
+            if _reduced(square, prime):
+                raise EngineCheckFailed(
+                    "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
+            rows[k].append(col)
+        ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in rows.items()})
+        return tuple(counts[i] - ranks[i] - ranks[i - 1] for i in range(m + 1))
+
+    return hypercohomology

@@ -13,7 +13,7 @@ have none (the safe region).  The procedure works window-by-window:
 3. find the maximal twists with nonzero h^m; for a splitting candidate one
    of them must be aligned, i.e. of the form k*d + canonical twist;
 4. extract summand multiplicities by descending h^0 counts and verify the
-   whole window against the closed-form table of the candidate sum.
+   whole window against the candidate sum's per-factor closed forms.
 
 The verdict is Split only when every finite check passes; anything the
 window cannot certify comes back Inconclusive rather than extrapolated.
@@ -278,18 +278,32 @@ def _descend(T, d, report):
 def verify_split(T, ms, d):
     """Necessary-condition check: compare the table cell by cell with the
     closed-form table of (+) O(kH)^mult.  Returns None or the first
-    mismatch (a, i, got, expected) in lexicographic order."""
+    mismatch (a, i, got, expected) in lexicographic order.  By Kunneth a
+    summand's groups are products of factor groups, tabulated per coordinate."""
     space = T.space
     d = d if isinstance(d, Polarization) else Polarization(d)
+    space.degree(d.d)  # a polarization of the wrong length is refused, not truncated
+    groups = [
+        (mult, [{x: bott.factor_group(n, k * dj + x) for x in range(lo, hi + 1)}
+                for n, dj, lo, hi in zip(space.factor_dims, d.d, T.window.lo, T.window.hi)])
+        for k, mult in ms
+    ]
     for a in T.window.twists():
         expected = [0] * (space.m + 1)
-        for k, mult in ms:
-            h = bott.line_bundle_h(space, vadd(vscale(k, d.d), a))
-            expected = [x + mult * y for x, y in zip(expected, h)]
-        for i in range(space.m + 1):
+        for dim, cols in groups:
+            q = 0
+            for col, x in zip(cols, a):
+                group = col[x]
+                if group is None:
+                    break
+                q += group[0]
+                dim *= group[1]
+            else:
+                expected[q] += dim
+        for i, want in enumerate(expected):
             got = T.known_dim(a, i)
-            if got != expected[i]:
-                return (a, i, got, expected[i])
+            if got != want:
+                return (a, i, got, want)
     return None
 
 

@@ -53,6 +53,13 @@ class StrandInconsistency(ValueError):
         )
 
 
+def _check_dim(a, i, dim):
+    if not isinstance(dim, int):
+        raise ValueError("dimension %r at %r is not an integer" % (dim, (a, i)))
+    if dim < 0:
+        raise ValueError("negative dimension at %r" % ((a, i),))
+
+
 class CohomologyTable:
     """A window of cohomology dimensions h^i(F(a)) with per-cell provenance.
 
@@ -76,13 +83,19 @@ class CohomologyTable:
             raise ValueError("cohomological index %r is not one of 0..%d" % (i, self.space.m))
         if status not in (STATUS_COMPUTED, STATUS_INFERRED):
             raise ValueError("unknown cell status %r" % (status,))
-        if not isinstance(dim, int):
-            raise ValueError("dimension %r at %r is not an integer" % (dim, (a, i)))
-        if dim < 0:
-            raise ValueError("negative dimension at %r" % ((a, i),))
+        _check_dim(a, i, dim)
         if status == STATUS_INFERRED and dim != 0:
             raise ValueError("inferred cells must be zero")
         self.cells[(a, i)] = (dim, status)
+
+    def set_h(self, a, h):
+        """Store a computed (h^0, ..., h^m) at twist a, each entry checked as by set_cell."""
+        a = self.space.degree(a)
+        if len(h) != self.space.m + 1:
+            raise ValueError("vector %r at %r needs %d entries" % (h, a, self.space.m + 1))
+        for i, dim in enumerate(h):
+            _check_dim(a, i, dim)
+        self.cells.update({(a, i): (dim, STATUS_COMPUTED) for i, dim in enumerate(h)})
 
     def get(self, a, i):
         """(dim, status) or None if the cell is unknown."""

@@ -168,6 +168,19 @@ def test_cohomology_truncation_exit(capsys, tmp_path, monkeypatch):
     assert code == 3 and "self-check" in err and out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["cohomology", "--window", "0:1,0:1"],
+    ["tate-profile", "--b", "1,1"],
+    ["tate-profile", "--b", "1,1", "--checks", "tate,corner", "--c", "0,0"],
+])
+def test_window_self_check_exit(capsys, tmp_path, monkeypatch, args):
+    # The window engine keeps the self-check: exit 3, nothing on stdout.
+    path = write_complex(tmp_path, koszul_point_complex())
+    break_transfer(monkeypatch)
+    code, out, err = run(capsys, args[:1] + ["--input", path] + args[1:])
+    assert code == 3 and "self-check" in err and out == ""
+
+
 def test_cohomology_invalid_complex(capsys, tmp_path):
     sp = ProductSpace((1, 1))
     F = default_field()
@@ -451,6 +464,18 @@ def test_tate_profile_bad_table(capsys, tmp_path):
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, ["tate-profile", "--table", str(path), "--b", "0,0"])
         assert code == 2 and message in err
+
+
+def test_tate_profile_table_window_not_integer(capsys, tmp_path):
+    from conftest import bott_table
+    from prodcoh.lattice import Window
+
+    obj = bott_table(ProductSpace((1, 1)), [((0, 0), 1)], Window((-3, -3), (1, 1))).to_json()
+    obj["window"]["lo"] = [0.5, 0]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["tate-profile", "--table", str(path), "--b", "0,0"])
+    assert code == 2 and "window corners must be integers" in err and out == ""
 
 
 def test_bad_flags(capsys):

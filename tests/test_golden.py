@@ -1,0 +1,95 @@
+"""Golden outputs: the byte-reproducibility contract of the command line.
+
+Each command runs in process through cli.main; the sha256 of its stdout and
+its exit code must equal the values recorded here.  The digests were taken
+before the split-check stages were computed per window (the per-complex
+engine set-up, the interval safe region and the per-factor verification),
+so a change to any stage that moves a byte of output fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import ideal_sheaf_complex, koszul_point_complex
+from prodcoh import cli
+from prodcoh.coxring import free_complex
+from prodcoh.lattice import ProductSpace
+from prodcoh.linalg import RATIONALS
+from test_cli import write_complex
+
+P11, P111, P23 = ProductSpace((1, 1)), ProductSpace((1, 1, 1)), ProductSpace((2, 3))
+
+COMPLEXES = {
+    "p11-split": lambda: free_complex(P11, [(-1, -1), (0, 0), (1, 1), (1, 1)]),
+    "p11-nonsplit": lambda: free_complex(P11, [(0, 0), (1, -2), (-1, -1)]),
+    "p111-split": lambda: free_complex(P111, [(1, 1, 1), (0, 0, 0), (0, 0, 0), (-1, -1, -1)]),
+    "p111-nonsplit": lambda: free_complex(P111, [(0, 0, 0), (0, 1, -2)]),
+    "p23-split": lambda: free_complex(P23, [(-1, -1), (0, 0), (1, 1)]),
+    "p23-split-d21": lambda: free_complex(P23, [(-2, -1), (0, 0), (2, 1), (2, 1)]),
+    "p23-nonsplit": lambda: free_complex(P23, [(1, 1), (-3, 1)]),
+    "koszul": koszul_point_complex,
+    "koszul-q": lambda: koszul_point_complex(RATIONALS),
+    "ideal": ideal_sheaf_complex,
+}
+
+# name, complex, command and its flags (--input is added), exit code, and the
+# sha256 of stdout.
+CASES = [
+    ("split-p11", "p11-split", "split-check --d 1,1 --window -4:3,-4:3", 0,
+     "cfeb1ecc2230db7f88939ea87ed12d0c9b85cd9e50e8e1478b30e4d05591a52e"),
+    ("split-p11-tf", "p11-split",
+     "split-check --d 1,1 --window -3:3,-4:2 --assert-torsion-free", 0,
+     "f800532d7128abca41003272d77375ddbc4a1ec685a52dc4a63718c8ae221fc5"),
+    ("nonsplit-p11", "p11-nonsplit", "split-check --d 1,1 --window -4:3,-4:3", 10,
+     "280e557018152f2f69801b9843599ff8ad6c6fb122ce2a618a3f6451069cb108"),
+    ("inconclusive-p11", "p11-split", "split-check --d 1,1 --window 0:1,0:1", 11,
+     "3561d987b86e16e3fdd2228727cfb304203cfc7e57c57c49de81626e799a5ede"),
+    ("inconclusive-p11-koszul", "koszul", "split-check --d 1,1 --window -3:2,-3:2", 11,
+     "63b5f30d8f97fd4f0e4a0dd0b6140b85374ab4ef12be9ba94855090383989ad3"),
+    ("nonsplit-p11-ideal", "ideal", "split-check --d 1,1 --window -3:3,-3:3", 10,
+     "1d1e9b3c443334a307f31ad3241d73c530ec70129939c3e8d3e0f802d94ff7b8"),
+    ("split-p111", "p111-split", "split-check --d 1,1,1 --window -3:2,-3:2,-3:2", 0,
+     "0e38d8aa6fde108d0a5d39ee01752455d415cde79901e008913012183188adcc"),
+    ("nonsplit-p111", "p111-nonsplit", "split-check --d 1,1,1 --window -3:2,-3:2,-3:2", 10,
+     "463fba1959fb4ab7f1356508278c0e26f3cfed223ec51f866dc9319e13700f92"),
+    ("inconclusive-p111", "p111-split", "split-check --d 1,1,1 --window -1:1,-1:1,-1:1", 11,
+     "7a5d58228db5cba359a7343debfc266751dc64fcf70bfef93e6fda2fd963067d"),
+    ("split-p23", "p23-split", "split-check --d 1,1 --window -4:2,-5:2", 0,
+     "fce003a18e36b9638a073a7e691e9fd88f9842e382dcd09bb06a2058dea346cd"),
+    ("split-p23-d21", "p23-split-d21", "split-check --d 2,1 --window -6:3,-5:3", 0,
+     "552eb750d19bf3d768c42278324ceddc15bc546f395c1d9843076e1542d8965f"),
+    ("nonsplit-p23-d21", "p23-split", "split-check --d 2,1 --window -6:3,-6:3", 10,
+     "8ecc537dda6435fcb0b595c981c9120edbb1114a25280126e5d2b7fbfacda582"),
+    ("nonsplit-p23", "p23-nonsplit", "split-check --d 1,1 --window -4:2,-5:2", 10,
+     "2bdc3298fa0f6fab6f0f2ef4ef9bb8b801fe8093c90d1d8cc6e88bb0c3b5c37e"),
+    ("inconclusive-p23", "p23-split", "split-check --d 1,1 --window -2:2,-2:2", 11,
+     "e05fe319aac8eec8bfc96e3be612f776340578603c3f6a2f631e954a68151b3c"),
+    ("window-json", "koszul", "cohomology --window -3:2,-2:3 --format json", 0,
+     "21ec52abaa988d703f8eece3ae04c1c9e992324b1da78e1634fbe228bc1504bd"),
+    ("window-csv", "ideal", "cohomology --window -3:2,-3:2 --format csv", 0,
+     "278c8288d161c50929625d8c8d8803cdd623520828ca97463c646ccbe93c470b"),
+    ("window-ascii", "p23-nonsplit", "cohomology --window -4:1,-5:1", 0,
+     "b1026dccb5b6fc7a49636f500296a4da287392c7b4a5b0b1bad723281c4d713b"),
+    ("window-q-json", "koszul-q", "cohomology --window -2:1,-2:1 --format json", 0,
+     "ff859ea92b8c1e5048225ea4c8db4fb4c7dd354b61eb3aaacdd7e5e61ac6a5a1"),
+    ("tate-koszul", "koszul",
+     "tate-profile --b 0,0 --checks tate,corner,strand --c 0,0 --J 0", 0,
+     "ec3bfed66058dac4882666419e03f2c852f88d0985d8db38b73ea5e73e6e6fe7"),
+    ("tate-ideal", "ideal",
+     "tate-profile --b 1,0 --checks tate,corner,strand --c 0,-1 --I 1 --K 0", 0,
+     "89cdaabed3223f45e7037c9e769ffc4e2bfc91404c5a11e0972b41cd586f731f"),
+    ("tate-p111", "p111-split",
+     "tate-profile --b 0,0,0 --checks tate,corner,strand --c -1,0,0 --J 0,2", 0,
+     "d677f512fb4283229e3e27b6c92423f46a0517d44bab4a1a4629120cba950b73"),
+]
+
+
+@pytest.mark.parametrize("complex_name, command, code, digest",
+                         [pytest.param(*case[1:], id=case[0]) for case in CASES])
+def test_golden_output(tmp_path, capsys, complex_name, command, code, digest):
+    path = write_complex(tmp_path, COMPLEXES[complex_name]())
+    argv = command.split()
+    got = cli.main(argv[:1] + ["--input", path] + argv[1:])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodcoh import bott
 from prodcoh.lattice import (
@@ -64,6 +65,42 @@ def test_degree_accepts_only_integers(p11):
             p11.degree(a)
     with pytest.raises(LatticeError):
         ProductSpace((1, 1.5))
+
+
+def test_polarization_accepts_only_integers():
+    assert Polarization([2, 1]).d == (2, 1)
+    for d in ((1.0, 1), (1.5, 1), (True, 1), ("1", 1)):
+        with pytest.raises(LatticeError, match="polarization degrees must be integers"):
+            Polarization(d)
+
+
+def test_window_accepts_only_integers():
+    assert Window([-1, 0], [2, 3]).lo == (-1, 0)
+    for lo, hi in (((0.5, 0), (1, 1)), ((0, 0), (1, 1.0)), ((False, 0), (1, 1)),
+                   (("0", 0), (1, 1))):
+        with pytest.raises(LatticeError, match="window corners must be integers"):
+            Window(lo, hi)
+
+
+@st.composite
+def polarized_windows(draw):
+    """A space with t <= 4 factors of dimension <= 4, a polarization with
+    degrees <= 4, and a small window inside [-15, 15]^t."""
+    t = draw(st.integers(1, 4))
+    space = ProductSpace(tuple(draw(st.integers(1, 4)) for _ in range(t)))
+    d = Polarization(tuple(draw(st.integers(1, 4)) for _ in range(t)))
+    lo = tuple(draw(st.integers(-15, 15)) for _ in range(t))
+    hi = tuple(min(15, x + draw(st.integers(0, 3))) for x in lo)
+    return space, d, Window(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polarized_windows())
+def test_safe_region_equals_k_range_scan(case):
+    space, d, window = case
+    assert safe_region(space, d, window) == {
+        a for a in window.twists() if not intermediate_k_range(space, d, a)
+    }
 
 
 def test_intermediate_k_range_examples(p11):

@@ -11,6 +11,7 @@ from prodcoh import bott, cech, minmodel, splitter
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex, monomials
 from prodcoh.lattice import ProductSpace, Window, vadd
 from prodcoh.linalg import RATIONALS, default_field
+from prodcoh.tate import STATUS_COMPUTED
 from test_cech import koszul_complex
 
 FIELDS = [default_field(), RATIONALS]
@@ -192,14 +193,43 @@ def test_ideal_of_point_on_p2xp2(field):
         assert cech.hypercohomology(I, a) == ideal_point_h(sp, a), a
 
 
+def per_twist_table(C, window):
+    """The cells of cohomology_table, from one cech.hypercohomology call per
+    twist: the reference of the window engine, whose set-up and per-factor
+    memo are shared by every twist of the window."""
+    return {(a, i): (dim, STATUS_COMPUTED)
+            for a in window.twists() for i, dim in enumerate(cech.hypercohomology(C, a))}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2)])
+def test_window_engine_matches_per_twist_on_koszul_point(field, dims):
+    sp = ProductSpace(dims)
+    window = Window((-3,) * sp.t, (2,) * sp.t)
+    K = koszul_point(sp, field)
+    for C in (K, ideal_of(K)):
+        assert cech.cohomology_table(C, window).cells == per_twist_table(C, window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 2), (2, 3), (1, 1, 1)]), st.data())
+def test_window_engine_matches_per_twist_on_free_sums(dims, data):
+    sp = ProductSpace(dims)
+    twist = st.tuples(*[st.integers(-6, 4)] * sp.t)
+    C = free_complex(sp, data.draw(st.lists(twist, min_size=1, max_size=4)))
+    lo = data.draw(st.tuples(*[st.integers(-5, 2)] * sp.t))
+    window = Window(lo, tuple(x + data.draw(st.integers(0, 3)) for x in lo))
+    assert cech.cohomology_table(C, window).cells == per_twist_table(C, window)
+
+
 def break_transfer(monkeypatch):
-    """Double one entry of D_H out of the degree -2 term.  For the Koszul
-    point at twist (1, 1) that breaks D_H o D_H = 0."""
+    """Double one entry of D_H out of the degree -2 term, wherever it has
+    one.  For the Koszul point at twist (1, 1) that breaks D_H o D_H = 0."""
     transfer = minmodel._transfer
 
     def corrupted(space, poly, p, s, e, prime):
         col = transfer(space, poly, p, s, e, prime)
-        if p == -2:
+        if p == -2 and col:
             key = min(col)
             col[key] = 2 * col[key] % prime
         return col

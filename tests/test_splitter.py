@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import bott_table, ideal_sheaf_complex, polarized_table
 from prodcoh import bott
 from prodcoh.coxring import free_complex
@@ -122,6 +124,48 @@ def test_verify_split_first_mismatch(p11):
 def test_verify_split_empty_multiset(p11):
     T = bott_table(p11, [], Window((-2, -2), (2, 2)))
     assert verify_split(T, (), D11) is None
+
+
+def cell_by_cell_verify(T, ms, d):
+    """verify_split as one bott.line_bundle_h call per twist and summand:
+    the reference of the per-factor tables."""
+    for a in T.window.twists():
+        expected = [0] * (T.space.m + 1)
+        for k, mult in ms:
+            h = bott.line_bundle_h(T.space, vadd(vscale(k, d.d), a))
+            expected = [x + mult * y for x, y in zip(expected, h)]
+        for i in range(T.space.m + 1):
+            if T.known_dim(a, i) != expected[i]:
+                return (a, i, T.known_dim(a, i), expected[i])
+    return None
+
+
+@st.composite
+def candidate_and_table(draw):
+    """A candidate multiset, and the table of it or of another multiset
+    over a small window, with at most one cell raised, lowered or removed."""
+    sp = ProductSpace(draw(st.sampled_from([(1,), (1, 1), (1, 2), (2, 3), (1, 1, 1)])))
+    d = Polarization(tuple(draw(st.integers(1, 3)) for _ in range(sp.t)))
+    multiset = st.dictionaries(st.integers(-3, 3), st.integers(1, 3), max_size=3)
+    ms = tuple(sorted(draw(multiset).items(), reverse=True))
+    lo = tuple(draw(st.integers(-6, 2)) for _ in range(sp.t))
+    window = Window(lo, tuple(x + draw(st.integers(0, 3)) for x in lo))
+    T = polarized_table(sp, ms if draw(st.booleans()) else draw(multiset).items(), d.d, window)
+    a = tuple(draw(st.integers(l, h)) for l, h in zip(window.lo, window.hi))
+    i = draw(st.integers(0, sp.m))
+    change = draw(st.sampled_from([None, 1, -1, "remove"]))
+    if change == "remove":
+        del T.cells[(a, i)]
+    elif change is not None and T.known_dim(a, i) + change >= 0:
+        T.set_cell(a, i, T.known_dim(a, i) + change, STATUS_COMPUTED)
+    return T, ms, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_and_table())
+def test_verify_split_equals_cell_by_cell(case):
+    T, ms, d = case
+    assert verify_split(T, ms, d) == cell_by_cell_verify(T, ms, d)
 
 
 def test_split_check_two_summands(p11):
