@@ -150,29 +150,24 @@ def extremal_hm(T, d):
     A position a is certified extremal when h^m(F(a)) != 0 and every
     h^m(F(a+e_j)) is known zero; monotonicity then kills everything above.
     Maximal nonvanishing twists with an unknown upper neighbour make the
-    report uncertified.
+    report uncertified.  The locus is walked in decreasing lexicographic
+    order against the front of maximal twists found so far: every c > a
+    comes before a, and so does a maximal twist above c, so a twist below
+    no front member is maximal.  Positions and notes are reported ascending.
     """
     space = T.space
     d = d if isinstance(d, Polarization) else Polarization(d)
     m = space.m
-    locus = [
-        a
-        for (a, i), (dim, _) in T.cells.items()
-        if i == m and dim > 0
-    ]
-    locus_set = set(locus)
-    positions = []
-    notes = []
-    certified = True
-    for a in sorted(locus):
-        if any(lt(a, c) for c in locus_set if c != a):
-            continue
+    front = []
+    for a in sorted((a for (a, i), (dim, _) in T.cells.items() if i == m and dim > 0),
+                    reverse=True):
+        if not any(lt(a, c) for c in front):
+            front.append(a)
+    positions, notes = [], []
+    for a in reversed(front):
         ups = [tuple(x + (1 if jj == j else 0) for jj, x in enumerate(a)) for j in range(space.t)]
-        if all(T.known_zero(u, m) for u in ups):
-            positions.append(a)
-        else:
-            certified = False
-            notes.append(a)
+        (positions if all(T.known_zero(u, m) for u in ups) else notes).append(a)
+    certified = not notes
     aligned = None
     omega = canonical_twist(space)
     for a in positions:

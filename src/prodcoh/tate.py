@@ -13,14 +13,16 @@ The vanishing-propagation rule is the minimality consequence along a
 one-factor strand: if H^n(F(a)), H^{n-1}(F(a+e_j)), ..., H^{n-n_j}(F(a+n_j e_j))
 all vanish, then H^n(F(a-e_j)) vanishes too.  Applied to a computed window
 it extends certified zeros in the decreasing directions and cross-checks
-the input table; it never defaults a cell to zero silently.  A rule's
-antecedents lie above its target, so one sweep in decreasing
-lexicographic order closes a table under it.
+the input table; it never defaults a cell to zero silently.  The table is
+held as bit planes, one Python int per index n and kind of knowledge, so
+the rule fires on every twist at once by shifts and ANDs until it settles.
 """
 
 import csv
 import io
 import itertools
+import math
+import re
 
 from .bott import binom
 from .lattice import LatticeError, ProductSpace, Window
@@ -303,53 +305,95 @@ def strand_propagate(T, extend=None):
 
     Whenever the n_j+1 cells h^n(F(a)), h^{n-1}(F(a+e_j)), ...,
     h^{n-n_j}(F(a+n_j e_j)) are all known zero, the cell h^n(F(a-e_j)) is
-    marked inferred_zero.  Every antecedent of a target lies componentwise
-    strictly above it, so one sweep over the box in decreasing
-    lexicographic order meets each target after all its antecedents and
-    reaches the least fixed point of the rule.  New cells may extend below
-    the window by at most `extend` steps per factor (default n_j + 1);
-    pass 0 to forbid extension.  A derived zero clashing with a computed
-    nonzero cell raises StrandInconsistency, which signals an invalid input
-    table since the rule holds for every coherent sheaf.  Returns a new
-    table; the input is not modified.
+    marked inferred_zero.  New cells may extend below the window by at most
+    `extend` steps per factor, a non-negative int or a tuple of t of them
+    (default n_j + 1); pass 0 to forbid extension.
+
+    The rule runs on bit planes: the box lo - extend <= a <= hi is laid out
+    row-major, padded n_j + 1 above hi so that a shift by (k+1)*stride_j
+    never carries into the next coordinate, and each index n holds three
+    ints over it (known, known zero, computed nonzero).  The targets along
+    factor j at index n are the AND over k = 0..min(n, n_j) of
+    zero[n-k] >> (k+1)*stride_j, masked by the unknown cells and the guard
+    a_j < hi_j; the rule is monotone, so iterating it reaches its least
+    fixed point.  Inferred cells are stored in decreasing lexicographic
+    order.  A derived zero clashing with a computed nonzero cell (one outside
+    the box is looked up cell by cell) raises StrandInconsistency for the
+    first clashing factor and its first clash in the input's order: the
+    rule holds for every coherent sheaf, so the table is invalid.  Returns
+    a new table; the input is not modified.
     """
     space = T.space
-    if extend is None:
-        margins = tuple(nj + 1 for nj in space.factor_dims)
-    elif isinstance(extend, int):
-        margins = (extend,) * space.t
-    else:
-        margins = tuple(int(x) for x in extend)
-    box = Window(tuple(l - mg for l, mg in zip(T.window.lo, margins)), T.window.hi)
-    hi = box.hi
-    dims = space.factor_dims
-    m = space.m
+    dims, m, t = space.factor_dims, space.m, space.t
+    margins = (tuple(nj + 1 for nj in dims) if extend is None
+               else (extend,) * t if type(extend) is int else extend)
+    if not (type(margins) is tuple and len(margins) == t
+            and all(type(x) is int and x >= 0 for x in margins)):  # no bool or float
+        raise ValueError("extend must be a non-negative integer or a tuple of %d of them, "
+                         "got %r" % (t, extend))
+    lo = tuple(l - mg for l, mg in zip(T.window.lo, margins))
+    hi = T.window.hi
+    sizes = [h - l + nj + 2 for l, h, nj in zip(lo, hi, dims)]
+    strides = [math.prod(sizes[j + 1:]) for j in range(t)]
+    twists = list(itertools.product(*(range(l, l + z) for l, z in zip(lo, sizes))))
+
+    def block(tops):
+        """The layout positions with lo <= a <= tops."""
+        mask = 1
+        for j in range(t - 1, -1, -1):
+            mask = sum(mask << x * strides[j] for x in range(tops[j] - lo[j] + 1))
+        return mask
+
+    def rule(n, j, targets):
+        for k in range(min(n, dims[j]) + 1):
+            targets &= zero[n - k] >> (k + 1) * strides[j]
+        return targets
+
+    def ante(a, n, j):
+        return [(a[:j] + (a[j] + k + 1,) + a[j + 1:], n - k) for k in range(dims[j] + 1)]
+
+    def clash(a, n, j):
+        return all(cells.get(key, (1,))[0] == 0 for key in ante(a, n, j)[:max(n + 1, 0)])
+
+    known, zero, nonzero = ([bytearray(b"0") * len(twists) for _ in range(m + 1)]
+                            for _ in range(3))
+    where = {a: p for p, a in enumerate(twists)}
+    box = block(hi)
+    computed = []
+    for (a, n), (dim, status) in T.cells.items():
+        p = where.get(a) if 0 <= n <= m else None
+        if p is not None:  # bit p is byte ~p of the base-2 digits
+            known[n][~p] = 49
+            if not dim:
+                zero[n][~p] = 49
+        if dim and status == STATUS_COMPUTED:
+            in_box = p is not None and box >> p & 1
+            if in_box:
+                nonzero[n][~p] = 49
+            computed.append((a, n, dim, in_box))
+    known, zero, nonzero = ([int(digits, 2) for digits in plane]
+                            for plane in (known, zero, nonzero))
+    guards = [block(hi[:j] + (hi[j] - 1,) + hi[j + 1:]) for j in range(t)]
+    unknown = [box & ~plane for plane in known]
+    todo = list(unknown)
+    changed = True
+    while changed:
+        changed = False
+        for n, j in itertools.product(range(m + 1), range(t)):
+            new = rule(n, j, guards[j] & todo[n])
+            if new:
+                zero[n] |= new
+                todo[n] ^= new
+                changed = True
     out = T.copy()
     cells = out.cells
-    zeros = {key for key, (dim, _) in cells.items() if dim == 0}
-
-    def strand(a, j):
-        """The twists a + e_j, ..., a + (n_j+1) e_j above a along factor j."""
-        return (a[:j] + (a[j] + k + 1,) + a[j + 1:] for k in range(dims[j] + 1))
-
-    for a in itertools.product(*[range(h, l - 1, -1) for l, h in zip(box.lo, hi)]):
-        unknown = [n for n in range(m + 1) if (a, n) not in cells]
-        if not unknown:
-            continue
-        strands = [tuple(strand(a, j)) for j in range(space.t) if a[j] < hi[j]]
-        for n in unknown:
-            # h^{n-k} with n-k < 0 vanishes, so zip stops the strand at k = n.
-            ladder = range(n, -1, -1)
-            if any(zeros.issuperset(zip(up, ladder)) for up in strands):
-                cells[(a, n)] = (0, STATUS_INFERRED)
-                zeros.add((a, n))
-    # Consistency: re-run the rule over computed nonzero cells, in the
-    # input's order for each factor, and flag clashes.
-    nonzero = [(a, n, dim) for (a, n), (dim, status) in T.cells.items()
-               if dim and status == STATUS_COMPUTED]
-    for j in range(space.t):
-        for a, n, dim in nonzero:
-            if zeros.issuperset(zip(strand(a, j), range(n, -1, -1))):
-                ante = zip(strand(a, j), range(n, n - dims[j] - 1, -1))
-                raise StrandInconsistency((a, n), dim, ante)
+    digits = [format(u ^ left, "0%db" % len(twists)) for u, left in zip(unknown, todo)]
+    hits = sorted((hit.start(), n) for n, s in enumerate(digits) for hit in re.finditer("1", s))
+    for i, n in hits:  # character i of the digits is bit ~i
+        cells[(twists[~i], n)] = (0, STATUS_INFERRED)
+    for j in range(t):
+        if (any(rule(n, j, nonzero[n]) for n in range(m + 1))
+                or any(clash(a, n, j) for a, n, _, in_box in computed if not in_box)):
+            a, n, dim, _ = next(c for c in computed if clash(c[0], c[1], j))
+            raise StrandInconsistency((a, n), dim, ante(a, n, j))
     return out

@@ -4,7 +4,10 @@ Each command runs in process through cli.main; the sha256 of its stdout and
 its exit code must equal the values recorded here.  The digests were taken
 before the split-check stages were computed per window (the per-complex
 engine set-up, the interval safe region and the per-factor verification),
-so a change to any stage that moves a byte of output fails here.
+so a change to any stage that moves a byte of output fails here.  The two
+wide windows, recorded before strand propagation ran on bit planes and the
+extremal positions were found against the maximal front, run both stages
+at scale.
 """
 
 import hashlib
@@ -53,6 +56,10 @@ CASES = [
      "0e38d8aa6fde108d0a5d39ee01752455d415cde79901e008913012183188adcc"),
     ("nonsplit-p111", "p111-nonsplit", "split-check --d 1,1,1 --window -3:2,-3:2,-3:2", 10,
      "463fba1959fb4ab7f1356508278c0e26f3cfed223ec51f866dc9319e13700f92"),
+    ("split-p11-wide", "p11-split", "split-check --d 1,1 --window -30:30,-30:30", 0,
+     "7372f5b3845204c07799693cc70deddf915e7f58cabd32e5146b136ea1b869cb"),
+    ("split-p111-wide", "p111-split", "split-check --d 1,1,1 --window -8:8,-8:8,-8:8", 0,
+     "2a0f75bf879be5adee646a7746d44bbbc3e894d45342e3cd4c8be4d538458016"),
     ("inconclusive-p111", "p111-split", "split-check --d 1,1,1 --window -1:1,-1:1,-1:1", 11,
      "7a5d58228db5cba359a7343debfc266751dc64fcf70bfef93e6fda2fd963067d"),
     ("split-p23", "p23-split", "split-check --d 1,1 --window -4:2,-5:2", 0,

@@ -1,20 +1,24 @@
+import itertools
+import json
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import bott_table, ideal_sheaf_complex, polarized_table
-from prodcoh import bott
+from prodcoh import bott, cech, cli
 from prodcoh.coxring import free_complex
 from prodcoh.lattice import (
     Polarization,
     ProductSpace,
     Window,
     canonical_twist,
+    lt,
     safe_region,
     vadd,
     vscale,
 )
 from prodcoh.splitter import (
+    ExtremalReport,
     SplitVerdict,
     extremal_hm,
     hm_monotonicity_check,
@@ -23,7 +27,8 @@ from prodcoh.splitter import (
     split_check,
     verify_split,
 )
-from prodcoh.tate import STATUS_COMPUTED
+from prodcoh.tate import STATUS_COMPUTED, CohomologyTable
+from test_cli import write_complex
 
 
 D11 = Polarization((1, 1))
@@ -71,6 +76,58 @@ def test_extremal_uncertifiable_at_boundary(p11):
     report = extremal_hm(T, D11)
     assert not report.certified
     assert (-2, -2) in report.notes
+
+
+def quadratic_extremal_hm(T, d):
+    """extremal_hm comparing every locus twist with every other one: the
+    reference of the maximal-front walk."""
+    space = T.space
+    m = space.m
+    locus = [a for (a, i), (dim, _) in T.cells.items() if i == m and dim > 0]
+    positions, notes = [], []
+    for a in sorted(locus):
+        if any(lt(a, c) for c in locus if c != a):
+            continue
+        ups = [tuple(x + (1 if jj == j else 0) for jj, x in enumerate(a)) for j in range(space.t)]
+        (positions if all(T.known_zero(u, m) for u in ups) else notes).append(a)
+    aligned = None
+    for a in positions:
+        nums = [aj - wj for aj, wj in zip(a, canonical_twist(space))]
+        ks = {num // dj for num, dj in zip(nums, d.d)}
+        if all(num % dj == 0 for num, dj in zip(nums, d.d)) and len(ks) == 1:
+            aligned = ks.pop()
+            break
+    return ExtremalReport(tuple(positions), aligned, not notes, tuple(notes))
+
+
+@st.composite
+def hm_locus_tables(draw):
+    """A table whose h^m cells are zero, nonzero or unknown at random, over
+    the window and one step above it (mostly zero there) and at up to eight
+    twists at most three steps outside it, so the locus is not down-closed."""
+    sp = ProductSpace(draw(st.sampled_from([(1,), (1, 1), (1, 2), (2, 3), (1, 1, 1)])))
+    d = Polarization(tuple(draw(st.integers(1, 3)) for _ in range(sp.t)))
+    lo = tuple(draw(st.integers(-5, 1)) for _ in range(sp.t))
+    window = Window(lo, tuple(x + draw(st.integers(0, 3)) for x in lo))
+    T = CohomologyTable(sp, window)
+    near = st.tuples(*[st.integers(l - 3, h + 3) for l, h in zip(window.lo, window.hi)])
+    rim = Window(window.lo, tuple(h + 1 for h in window.hi)).twists()
+    for a in itertools.chain(rim, draw(st.lists(near, max_size=8))):
+        choices = [None, 0, 0, 0, 1, 2] if a in window else [None, 0, 0, 0, 0, 1]
+        dim = draw(st.sampled_from(choices))
+        if dim is not None:
+            T.set_cell(a, sp.m, dim, STATUS_COMPUTED)
+    locus = {a for (a, i), (dim, _) in T.cells.items() if i == sp.m and dim}
+    assume(any(tuple(x - (jj == j) for jj, x in enumerate(a)) not in locus
+               for a in locus for j in range(sp.t)))
+    return T, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(hm_locus_tables())
+def test_extremal_front_equals_quadratic(case):
+    T, d = case
+    assert extremal_hm(T, d) == quadratic_extremal_hm(T, d)
 
 
 def test_multiplicities_two_summands(p11):
@@ -200,6 +257,29 @@ def test_split_check_tiny_window_inconclusive(p11):
     C = free_complex(p11, [(1, 1), (-1, -1)])
     v = split_check(C, D11, Window((-1, -1), (0, 0)))
     assert v.kind == "inconclusive"
+
+
+def test_split_check_strand_inconsistency(p11, monkeypatch, tmp_path, capsys):
+    # The engine's table of O with h^1 at (-1,-1) raised to 1: h^1(O(0,-1))
+    # and h^0(O(1,-1)) vanish, so the rule along factor 0 forces it to 0.
+    real = cech.cohomology_table
+
+    def raised(C, window):
+        T = real(C, window)
+        T.set_cell((-1, -1), 1, 1)
+        return T
+
+    monkeypatch.setattr(cech, "cohomology_table", raised)
+    reason = ("strand propagation inconsistency: strand rule forces "
+              "h^1(F((-1, -1))) = 0 but the table has 1")
+    C = free_complex(p11, [(0, 0)])
+    v = split_check(C, D11, Window((-3, -3), (3, 3)))
+    assert (v.kind, v.reason) == ("inconclusive", reason)
+    code = cli.main(["split-check", "--input", write_complex(tmp_path, C),
+                     "--d", "1,1", "--window", "-3:3,-3:3"])
+    head, body = capsys.readouterr().out.split("\n", 1)
+    assert (code, head) == (cli.EXIT_INCONCLUSIVE, "INCONCLUSIVE: " + reason)
+    assert json.loads(body)["reason"] == reason
 
 
 def test_split_check_uncertifiable_extremality(p11):

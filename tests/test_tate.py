@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bott_table, ideal_sheaf_complex, koszul_point_complex
 from prodcoh import bott, cech, tate
-from prodcoh.coxring import free_complex
+from prodcoh.coxring import MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window
+from prodcoh.linalg import default_field
 from prodcoh.tate import (
     STATUS_COMPUTED,
     STATUS_INFERRED,
@@ -22,7 +24,7 @@ from prodcoh.tate import (
     tate_checksum,
     tate_term_dims,
 )
-from test_cech import koszul_points
+from test_cech import koszul_complex, koszul_points
 from test_minmodel import ideal_of
 
 
@@ -195,6 +197,90 @@ def test_propagation_detects_sabotage(p11):
     assert dim > 0 and T.known_dim(a, i) == dim
 
 
+@pytest.mark.parametrize("extend", [(1.7, 2.2), (2, 2, 2), -1, True, (True, 1)],
+                         ids=["float", "too-long", "negative", "bool", "bool-in-tuple"])
+def test_malformed_extend_is_refused(p11, extend):
+    T = bott_table(p11, [((0, 0), 1)], Window((-2, -2), (2, 2)))
+    with pytest.raises(ValueError, match="extend must be"):
+        strand_propagate(T, extend=extend)
+
+
+def test_first_factor_clash_is_reported_in_either_order(p11):
+    # h^0(O(a)) vanishes iff some a_j < 0.  Raised to 1, h^0 at (2,-1)
+    # clashes along factor 0 only (h^0(O(3,-1)) = 0 but h^0(O(2,0)) = 3),
+    # and h^0 at (-1,2) along factor 1 only.
+    base = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (3, 3)))
+    raised = [((-1, 2), 0), ((2, -1), 0)]
+    for order in (raised, raised[::-1]):
+        cells = {key: cell for key, cell in base.cells.items() if key not in raised}
+        cells.update((key, (1, STATUS_COMPUTED)) for key in order)
+        T = CohomologyTable(p11, base.window, cells)
+        with pytest.raises(StrandInconsistency) as err:
+            strand_propagate(T)
+        assert (err.value.cell, err.value.dim, err.value.antecedents) == (
+            ((2, -1), 0), 1, (((3, -1), 0), ((4, -1), -1)))
+        assert propagation_outcome(naive_propagate, T, None) == (
+            "clash", ((2, -1), 0), 1, (((3, -1), 0), ((4, -1), -1)))
+
+
+def test_no_inference_at_window_top():
+    # On P^1 over [0, 2] with twist 2 unknown and zeros stored at 3 and 4,
+    # the rule would force twist 2 from above, but only twists of the box
+    # serve as antecedents, so it stays unknown; 1 and 0 force -1 and -2.
+    p1 = ProductSpace((1,))
+    T = CohomologyTable(p1, Window((0,), (2,)))
+    for a, i in itertools.product((0, 1, 3, 4), (0, 1)):
+        T.set_cell((a,), i, 0)
+    out = strand_propagate(T)
+    assert out.cells == naive_propagate(T).cells
+    assert [key for key in out.cells if key not in T.cells] == [
+        ((-1,), 0), ((-1,), 1), ((-2,), 0), ((-2,), 1)]
+
+
+def test_clashes_at_the_window_top_and_outside_the_box(p11):
+    def zeros(space, window):
+        T = CohomologyTable(space, window)
+        for a in window.twists():
+            for i in range(space.m + 1):
+                T.set_cell(a, i, 0)
+        return T
+
+    # A cell at the window top has antecedents up to n_j + 1 above it.
+    p1 = ProductSpace((1,))
+    T = zeros(p1, Window((0,), (1,)))
+    T.set_cell((1,), 1, 1)
+    T.set_cell((2,), 1, 0)
+    T.set_cell((3,), 0, 0)
+    want = ("clash", ((1,), 1), 1, (((2,), 1), ((3,), 0)))
+    assert propagation_outcome(strand_propagate, T, None) == want
+    assert propagation_outcome(naive_propagate, T, None) == want
+    # Two steps above the window top of factor 1, (0,3) has no antecedent
+    # along it; the next row of the layout, at (1,-2), is an inferred zero.
+    T = zeros(p11, Window((0, 0), (1, 1)))
+    T.set_cell((0, 3), 0, 1)
+    assert propagation_outcome(strand_propagate, T, None) == naive_propagate(T).cells
+    # A stray below the box is the only clash.
+    T.set_cell((3, -10), 0, 1)
+    T.set_cell((4, -10), 0, 0)
+    want = ("clash", ((3, -10), 0), 1, (((4, -10), 0), ((5, -10), -1)))
+    assert propagation_outcome(strand_propagate, T, None) == want
+    assert propagation_outcome(naive_propagate, T, None) == want
+
+
+def test_far_stray_cell_is_cheap(p11):
+    # The bit planes span the box, not the cells: a zero 10^6 steps away
+    # neither grows them nor changes what is inferred.
+    T = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (3, 3)))
+    want = strand_propagate(T).cells
+    for far in ((10 ** 6, 0), (-10 ** 6, -10 ** 6)):
+        U = T.copy()
+        U.set_cell(far, 1, 0)
+        start = time.perf_counter()
+        got = strand_propagate(U).cells
+        assert time.perf_counter() - start < 1.0
+        assert got == {**want, (far, 1): (0, STATUS_COMPUTED)}
+
+
 def test_propagation_inferences_match_recomputation(p11):
     # Sampled inferred cells agree with direct recomputation.
     rng = random.Random(5)
@@ -339,6 +425,47 @@ def test_propagation_sweep_equals_naive_fixed_point(case):
 
 # ---------------------------------------------------------------------------
 # Property tests: tables from the engine.
+
+
+@st.composite
+def engine_tables_with_strays(draw):
+    """The engine's table of a free sum, a Koszul point or its ideal sheaf on
+    P^1 x P^2, (P^1)^3 or P^2 x P^3, plus stray cells up to 20 steps
+    outside the box that propagation fills by default."""
+    sp = draw(st.sampled_from([ProductSpace((1, 2)), ProductSpace((1, 1, 1)),
+                               ProductSpace((2, 3))]))
+    field = default_field()
+    kind = draw(st.sampled_from(["point", "ideal", "free"]))
+    if kind == "free":
+        twist = st.tuples(*[st.integers(-3, 2)] * sp.t)
+        K = free_complex(sp, draw(st.lists(twist, min_size=1, max_size=3)), field)
+    else:
+        # x_{j,i} + c x_{j,0} for i = 1..n_j cut out the point (1 : -c_1 : ...).
+        K = koszul_complex(sp, field, [
+            MultiHomogPoly.variable(sp, field, j, i + 1)
+            + MultiHomogPoly.variable(sp, field, j, 0, draw(st.integers(-2, 2)))
+            for j, n in enumerate(sp.factor_dims) for i in range(n)])
+        K = ideal_of(K) if kind == "ideal" else K
+    lo = tuple(draw(st.integers(-2, 1)) for _ in range(sp.t))
+    hi = tuple(l + draw(st.integers(0, 2)) for l in lo)
+    T = cech.cohomology_table(K, Window(lo, hi))
+    near = st.tuples(*[st.integers(l - n - 21, h + 20)
+                       for l, h, n in zip(lo, hi, sp.factor_dims)])
+    for a in draw(st.lists(near, max_size=6)):
+        dim = draw(st.sampled_from([0, 0, 0, 1, 2]))
+        status = STATUS_INFERRED if not dim and draw(st.booleans()) else STATUS_COMPUTED
+        T.set_cell(a, draw(st.integers(0, sp.m)), dim, status)
+    return T
+
+
+@settings(max_examples=25, deadline=None)
+@given(engine_tables_with_strays())
+def test_propagation_equals_naive_on_engine_tables(T):
+    got = propagation_outcome(strand_propagate, T, None)
+    assert got == propagation_outcome(naive_propagate, T, None)
+    if isinstance(got, dict):  # inferred cells come in decreasing lexicographic order
+        inferred = [(a, n) for a, n in got if (a, n) not in T.cells]
+        assert inferred == sorted(inferred, key=lambda key: ([-x for x in key[0]], key[1]))
 
 
 @st.composite
