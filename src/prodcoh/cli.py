@@ -165,7 +165,7 @@ def cmd_cohomology(args):
     if args.twist:
         a = C.space.degree(parse_ints(args.twist, "twist"))
         h = cech.hypercohomology(C, a)
-        if args.check_prime and not isinstance(C.field, linalg.RationalField):
+        if args.check_prime is not None and not isinstance(C.field, linalg.RationalField):
             other = load_complex(args.input, "p:%d" % args.check_prime)
             h2 = cech.hypercohomology(other, a)
             if h2 != h:
@@ -181,7 +181,7 @@ def cmd_cohomology(args):
         raise UsageError("cohomology needs --twist or --window")
     window = parse_window(args.window)
     table = cech.cohomology_table(C, window)
-    if args.check_prime and not isinstance(C.field, linalg.RationalField):
+    if args.check_prime is not None and not isinstance(C.field, linalg.RationalField):
         other = load_complex(args.input, "p:%d" % args.check_prime)
         table2 = cech.cohomology_table(other, window)
         if table2.cells != table.cells:
@@ -271,9 +271,17 @@ def cmd_tate_profile(args):
             if not args.c:
                 raise UsageError("--checks strand requires --c")
             c = space.degree(parse_ints(args.c, "strand degree"))
-            I = set(parse_ints(args.I, "I") if args.I else ())
-            J = set(parse_ints(args.J, "J") if args.J else ())
-            K = set(parse_ints(args.K, "K") if args.K else ())
+            sets = {f: set(parse_ints(getattr(args, f), f) if getattr(args, f) else ())
+                    for f in "IJK"}
+            for f, js in sets.items():
+                if any(not 0 <= j < space.t for j in js):
+                    raise UsageError("--%s %s: factor indices run over 0..%d"
+                                     % (f, getattr(args, f), space.t - 1))
+            for f, g in ("IJ", "IK", "JK"):
+                if sets[f] & sets[g]:
+                    raise UsageError("--%s and --%s share factor index %d"
+                                     % (f, g, min(sets[f] & sets[g])))
+            I, J, K = sets["I"], sets["J"], sets["K"]
             report["strand"] = {
                 "c": list(c),
                 "I": sorted(I),

@@ -15,9 +15,13 @@ finite because delta raises the term degree and h keeps it.  Multiplication
 only raises exponents, so no truncation is needed.  For the same reason a
 factor with empty negative support keeps it down the whole series, so its
 i_j(1) = sum_v {v} rides along as one symbol, ALL, and a section class, empty
-in every factor, has h i = 0 and D_H = delta.  engine(C) sets up what depends
-on C alone once, for every twist of a window.  Terms no differential touches,
-as in every free sum, are Kunneth products of per-factor Bott values.
+in every factor, has h i = 0 and D_H = delta.  For a class in term k at Cech
+degree q, level r of the series lies in term k+r+1 at Cech degree q-r, and
+the projection p kills it unless that term has Bott classes in that degree;
+so the series stops at the last such level, and when that is level 0,
+D_H = p delta i is local cohomology multiplication.  engine(C) sets up what
+depends on C alone once, for every twist of a window.  Terms no differential
+touches, as in every free sum, are Kunneth products of per-factor Bott values.
 """
 
 import itertools
@@ -122,15 +126,27 @@ def _times(e, ev):
     return tuple(tuple(map(add, b1, b2)) for b1, b2 in zip(e, ev))
 
 
-def _transfer(space, poly, p, s, e, prime):
-    """The column D_H(x) of the class x = (p, s, e), as {(p', r, e'): value}."""
+def _transfer(space, poly, p, s, e, prime, blocks):
+    """The column D_H(x) of the class x = (p, s, e), as {(p', r, e'): value}.
+    blocks holds the (term, Cech degree) pairs with Bott classes.  The series
+    stops at the last level r with (p+r+1, q-r) in blocks, q the Cech degree
+    of x; none means an empty column.  At level 0 alone, D_H(x) = p delta i x
+    keeps e+ev when every fully negative factor of e stays fully negative."""
     neg = _negative_support(e)
     if not any(neg):  # a section: h i = 0, so D_H(x) is delta x
         return {(p + 1, r, _times(e, ev)): c
                 for r, terms in poly.get((p, s), ()) for ev, c in terms}
+    q = sum(n for n, N in zip(space.factor_dims, neg) if N)
+    last = next((r for r in range(q, -1, -1) if (p + r + 1, q - r) in blocks), None)
+    if last is None:
+        return {}
+    if last == 0:
+        full = [j for j, N in enumerate(neg) if N]
+        return {(p + 1, r, f): c for r, terms in poly.get((p, s), ()) for ev, c in terms
+                for f in (_times(e, ev),) if all(max(f[j]) < 0 for j in full)}
     v = {(s, e, idx): 1 for idx in include(space, neg)}
     out = defaultdict(int)
-    while v:
+    for level in range(last + 1):
         w = defaultdict(int)
         for (s, e, idx), x in v.items():
             for r, terms in poly.get((p, s), ()):
@@ -143,8 +159,9 @@ def _transfer(space, poly, p, s, e, prime):
             N = _negative_support(e)
             if projects(space, N, idx):
                 out[(p, r, e)] += x
-            for idx2, sign in contraction(space, N, idx):
-                v[(r, e, idx2)] += sign_h * sign * x
+            if level < last:
+                for idx2, sign in contraction(space, N, idx):
+                    v[(r, e, idx2)] += sign_h * sign * x
         v = _reduced(v, prime)
     return _reduced(out, prime)
 
@@ -180,12 +197,16 @@ def engine(C):
         if not touched_terms:  # a free sum: no class to transfer or self-check
             return tuple(counts[i] for i in range(m + 1))
         where = {}  # touched class (p, s, e) -> (total degree, position)
+        blocks = set()  # (term, Cech degree) pairs holding Bott classes
         for p, s, b in touched_terms:
             q, classes = bott_classes(space, vadd(a, b))
+            if classes:
+                blocks.add((p, q))
             for e in classes:
                 where[(p, s, e)] = (p + q, counts[p + q])
                 counts[p + q] += 1
-        cols = {where[x]: {where[y][1]: v for y, v in _transfer(space, poly, *x, prime).items()}
+        cols = {where[x]: {where[y][1]: v
+                           for y, v in _transfer(space, poly, *x, prime, blocks).items()}
                 for x in where}
         rows = defaultdict(list)
         for (k, _), col in cols.items():

@@ -3,12 +3,12 @@ import json
 import pytest
 
 from conftest import ideal_sheaf_complex, koszul_point_complex
-from prodcoh import cech, cli
+from prodcoh import cech, cli, minmodel
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
-from test_minmodel import break_transfer
+from test_minmodel import break_transfer, last_level
 
 
 def run(capsys, argv):
@@ -178,6 +178,33 @@ def test_window_self_check_exit(capsys, tmp_path, monkeypatch, args):
     path = write_complex(tmp_path, koszul_point_complex())
     break_transfer(monkeypatch)
     code, out, err = run(capsys, args[:1] + ["--input", path] + args[1:])
+    assert code == 3 and "self-check" in err and out == ""
+
+
+def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
+    # At (-3,-3) every class of the Koszul point is fully negative in both
+    # factors and its series stops at level 0, where D_H is multiplication.
+    # Doubling one entry of a column out of the degree -2 term breaks
+    # D_H o D_H = 0: EngineCheckFailed, and exit 3 with nothing on stdout.
+    K = koszul_point_complex()
+    assert cech.hypercohomology(K, (-3, -3)) == (1, 0, 0)
+    transfer = minmodel._transfer
+    corrupted_classes = []
+
+    def corrupted(space, poly, p, s, e, prime, blocks):
+        col = transfer(space, poly, p, s, e, prime, blocks)
+        if p == -2 and col and max(map(max, e)) < 0 and last_level(space, p, e, blocks) == 0:
+            key = min(col)
+            col[key] = 2 * col[key] % prime
+            corrupted_classes.append(e)
+        return col
+
+    monkeypatch.setattr(minmodel, "_transfer", corrupted)
+    with pytest.raises(cech.EngineCheckFailed):
+        cech.hypercohomology(K, (-3, -3))
+    assert corrupted_classes
+    path = write_complex(tmp_path, K)
+    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "-3,-3"])
     assert code == 3 and "self-check" in err and out == ""
 
 
@@ -407,6 +434,37 @@ def test_tate_profile_strand(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["strand"]["value"] == 0 and report["strand"]["exact_expected"]
+
+
+@pytest.mark.parametrize("sets, message", [
+    pytest.param(["--I", "5"], "--I 5: factor indices run over 0..1", id="past-last"),
+    pytest.param(["--I", "-1"], "--I -1: factor indices run over 0..1", id="negative"),
+    pytest.param(["--K", "0,2"], "--K 0,2: factor indices run over 0..1", id="K-past-last"),
+    pytest.param(["--I", "0", "--J", "0"], "--I and --J share factor index 0", id="I-J-overlap"),
+    pytest.param(["--J", "1", "--K", "0,1"], "--J and --K share factor index 1",
+                 id="J-K-overlap"),
+])
+def test_tate_profile_strand_bad_factor_sets(capsys, tmp_path, sets, message):
+    # Indices outside 0..t-1 and overlapping sets are refused with exit 2,
+    # naming the flag: no traceback, and no silent alias of the last factor.
+    path = write_complex(tmp_path, free_complex(ProductSpace((1, 1)), [(0, 0)]))
+    code, out, err = run(
+        capsys,
+        ["tate-profile", "--input", path, "--b", "0,0", "--checks", "strand",
+         "--c", "0,0"] + sets,
+    )
+    assert code == 2 and message in err and out == ""
+
+
+@pytest.mark.parametrize("args", [["--twist", "1,1"], ["--window", "0:1,0:1"]])
+def test_cohomology_check_prime_zero_is_refused(capsys, tmp_path, args):
+    # --check-prime 0 is no prime, as 4, -7 and 2 are not: exit 2, where it
+    # used to be skipped.
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(
+        capsys, ["cohomology", "--input", path, "--check-prime", "0"] + args
+    )
+    assert code == 2 and "odd prime, got 0" in err and out == ""
 
 
 def test_tate_profile_coverage_exit(capsys, tmp_path):

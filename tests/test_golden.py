@@ -7,7 +7,9 @@ engine set-up, the interval safe region and the per-factor verification),
 so a change to any stage that moves a byte of output fails here.  The two
 wide windows, recorded before strand propagation ran on bit planes and the
 extremal positions were found against the maximal front, run both stages
-at scale.
+at scale.  The three windows of negative and mixed twists, recorded before
+the perturbation series stopped at the last level that can reach a class,
+run the capped series and its level-0 multiplication at scale.
 """
 
 import hashlib
@@ -18,10 +20,12 @@ from conftest import ideal_sheaf_complex, koszul_point_complex
 from prodcoh import cli
 from prodcoh.coxring import free_complex
 from prodcoh.lattice import ProductSpace
-from prodcoh.linalg import RATIONALS
+from prodcoh.linalg import RATIONALS, default_field
 from test_cli import write_complex
+from test_minmodel import ideal_of, koszul_point
 
 P11, P111, P23 = ProductSpace((1, 1)), ProductSpace((1, 1, 1)), ProductSpace((2, 3))
+P12 = ProductSpace((1, 2))
 
 COMPLEXES = {
     "p11-split": lambda: free_complex(P11, [(-1, -1), (0, 0), (1, 1), (1, 1)]),
@@ -34,6 +38,8 @@ COMPLEXES = {
     "koszul": koszul_point_complex,
     "koszul-q": lambda: koszul_point_complex(RATIONALS),
     "ideal": ideal_sheaf_complex,
+    "koszul-p12": lambda: koszul_point(P12, default_field()),
+    "ideal-p111-q": lambda: ideal_of(koszul_point(P111, RATIONALS)),
 }
 
 # name, complex, command and its flags (--input is added), exit code, and the
@@ -76,6 +82,13 @@ CASES = [
      "21ec52abaa988d703f8eece3ae04c1c9e992324b1da78e1634fbe228bc1504bd"),
     ("window-csv", "ideal", "cohomology --window -3:2,-3:2 --format csv", 0,
      "278c8288d161c50929625d8c8d8803cdd623520828ca97463c646ccbe93c470b"),
+    ("window-p12-wide-json", "koszul-p12", "cohomology --window -6:2,-6:2 --format json", 0,
+     "244e9885626fd08d00cdefc4b07a87c6ac62bc52ec3e20f0061cca89939c81d0"),
+    ("window-ideal-wide-csv", "ideal", "cohomology --window -8:8,-8:8 --format csv", 0,
+     "b02b4ce6660002197b5e6bb81bda9dd36629b11b66c6b1f386af3e0011d5f2f1"),
+    ("window-p111-ideal-q-json", "ideal-p111-q",
+     "cohomology --window -3:1,-3:1,-3:1 --format json", 0,
+     "ee0e658448a1ff31d21dc607380bf1a3c27d8701b45732a2e77a071d98b60f92"),
     ("window-ascii", "p23-nonsplit", "cohomology --window -4:1,-5:1", 0,
      "b1026dccb5b6fc7a49636f500296a4da287392c7b4a5b0b1bad723281c4d713b"),
     ("window-q-json", "koszul-q", "cohomology --window -2:1,-2:1 --format json", 0,

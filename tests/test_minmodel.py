@@ -227,8 +227,8 @@ def break_transfer(monkeypatch):
     one.  For the Koszul point at twist (1, 1) that breaks D_H o D_H = 0."""
     transfer = minmodel._transfer
 
-    def corrupted(space, poly, p, s, e, prime):
-        col = transfer(space, poly, p, s, e, prime)
+    def corrupted(space, poly, p, s, e, prime, blocks):
+        col = transfer(space, poly, p, s, e, prime, blocks)
         if p == -2 and col:
             key = min(col)
             col[key] = 2 * col[key] % prime
@@ -246,3 +246,141 @@ def test_failed_self_check_makes_split_check_inconclusive(monkeypatch):
         cech.hypercohomology(K, (1, 1))
     verdict = splitter.split_check(K, (1, 1), window)
     assert verdict.kind == "inconclusive" and "self-check" in verdict.reason
+
+
+# ---------------------------------------------------------------------------
+# The degree-bounded series against the series run to its end.
+
+def uncapped_transfer(space, poly, p, s, e, prime):
+    """The column D_H(x) from the series run until its states die out: the
+    reference of minmodel._transfer, which stops at the last level that can
+    reach a class."""
+    neg = minmodel._negative_support(e)
+    if not any(neg):
+        return {(p + 1, r, minmodel._times(e, ev)): c
+                for r, terms in poly.get((p, s), ()) for ev, c in terms}
+    v = {(s, e, idx): 1 for idx in minmodel.include(space, neg)}
+    out = defaultdict(int)
+    while v:
+        w = defaultdict(int)
+        for (s, e, idx), x in v.items():
+            for r, terms in poly.get((p, s), ()):
+                for ev, c in terms:
+                    w[(r, minmodel._times(e, ev), idx)] += x * c
+        p += 1
+        sign_h = 1 if p % 2 else -1
+        v = defaultdict(int)
+        for (r, e, idx), x in minmodel._reduced(w, prime).items():
+            N = minmodel._negative_support(e)
+            if minmodel.projects(space, N, idx):
+                out[(p, r, e)] += x
+            for idx2, sign in minmodel.contraction(space, N, idx):
+                v[(r, e, idx2)] += sign_h * sign * x
+        v = minmodel._reduced(v, prime)
+    return minmodel._reduced(out, prime)
+
+
+def classes_and_blocks(C, a):
+    """The Bott classes (p, s, e) of every term of C(a), and the (term, Cech
+    degree) pairs that hold them."""
+    classes, blocks = [], set()
+    for p in C.degrees:
+        for s, b in enumerate(C.summands(p)):
+            q, es = minmodel.bott_classes(C.space, vadd(a, b))
+            if es:
+                blocks.add((p, q))
+            classes += [(p, s, e) for e in es]
+    return classes, blocks
+
+
+def last_level(space, p, e, blocks):
+    """The last level r of the series of the class (p, s, e) whose states,
+    in term p+r+1 at Cech degree q-r, can project onto a class; None when
+    there is none.  For a section, q = 0, so it is 0 or None."""
+    q = sum(n for n, ej in zip(space.factor_dims, e) if max(ej) < 0)
+    return max((r for r in range(q + 1) if (p + r + 1, q - r) in blocks), default=None)
+
+
+def check_columns(C, a):
+    """Assert that every column of C(a) equals the uncapped series, and count
+    the classes by (last level, is a section)."""
+    prime = getattr(C.field, "p", 0)
+    poly = minmodel.polynomial_maps(C)
+    classes, blocks = classes_and_blocks(C, a)
+    levels = defaultdict(int)
+    for p, s, e in classes:
+        col = minmodel._transfer(C.space, poly, p, s, e, prime, blocks)
+        assert col == uncapped_transfer(C.space, poly, p, s, e, prime), (a, p, s, e)
+        levels[(last_level(C.space, p, e, blocks), min(map(min, e)) >= 0)] += 1
+    return levels
+
+
+@st.composite
+def capped_cases(draw):
+    """mixed_koszul's complexes, or the Koszul point or its ideal sheaf on
+    P^1 x P^2 or (P^1)^3, at a twist with a negative entry."""
+    if draw(st.booleans()):
+        K, _ = draw(mixed_koszul())
+    else:
+        sp = ProductSpace(draw(st.sampled_from([(1, 2), (1, 1, 1)])))
+        K = koszul_point(sp, draw(st.sampled_from(FIELDS)))
+        if draw(st.booleans()):
+            K = ideal_of(K)
+    a = [draw(st.integers(-6, 2)) for _ in range(K.space.t)]
+    a[draw(st.integers(0, K.space.t - 1))] = draw(st.integers(-6, -1))
+    return K, tuple(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_cases())
+def test_capped_series_columns_equal_uncapped(case):
+    check_columns(*case)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_capped_series_reaches_every_level(field):
+    # The acyclic Koszul complexes' classes cancel only through the higher
+    # levels of the series, so the cap stops some series after level 1 or 2.
+    # The Koszul point and its ideal sheaf take the level-0 multiplication
+    # at negative and mixed twists.
+    sp = ProductSpace((1, 1))
+    x0, x1, y0, y1 = (MultiHomogPoly.variable(sp, field, j, i) for j in (0, 1) for i in (0, 1))
+    acyclic = defaultdict(int)
+    for forms in (
+        [x0, y0, x1 * y1],
+        [x0 + x1, y0 - y1, x1 * y1 - x0 * y0],
+        [x0 * y0, x1 * y1, x0 * y1 + x1 * y0],
+    ):
+        for a in itertools.product(range(-3, 3), repeat=2):
+            for key, count in check_columns(koszul_complex(sp, field, forms), a).items():
+                acyclic[key] += count
+    assert acyclic[(1, False)] and acyclic[(2, False)], dict(acyclic)
+    for dims, a in [((1, 2), (-3, -4)), ((1, 2), (2, -4)), ((1, 1, 1), (-3, 1, -2))]:
+        K = koszul_point(ProductSpace(dims), field)
+        for C in (K, ideal_of(K)):
+            assert check_columns(C, a)[(0, False)], (dims, a)
+
+
+# ---------------------------------------------------------------------------
+# Serre duality for complexes: h^i(C(a)) = h^{m-i}(C^v (x) omega(-a)).
+
+def dual_twisted(C):
+    """C^v (x) omega, omega = O(-n_1-1, ..., -n_t-1): the summand O(b) of C^p
+    becomes O(omega - b) in degree -p, and d^p: C^p -> C^{p+1} becomes its
+    transpose out of degree -p-1.  The sign the dual differential carries in
+    each degree changes no rank, so it is left out."""
+    omega = tuple(-n - 1 for n in C.space.factor_dims)
+    terms = {-p: [tuple(w - x for w, x in zip(omega, b)) for b in C.summands(p)]
+             for p in C.degrees}
+    diffs = {-p - 1: [list(col) for col in zip(*mat)] for p, mat in C.diffs.items()}
+    return LineBundleComplex(C.space, C.field, terms, diffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_cases())
+def test_serre_duality_for_complexes(case):
+    # At a twist with a negative entry the Koszul point's classes take the
+    # level-0 multiplication; at its negation, sections take D_H = delta.
+    C, a = case
+    dual = cech.hypercohomology(dual_twisted(C), tuple(-x for x in a))
+    assert cech.hypercohomology(C, a) == dual[::-1]
