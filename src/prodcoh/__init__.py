@@ -7,7 +7,6 @@ from .lattice import (
     ProductSpace,
     Window,
     canonical_twist,
-    intermediate_k_range,
     leq,
     lt,
     render_region,
@@ -24,12 +23,7 @@ from .coxring import (
     poly_mult,
     validate_complex,
 )
-from .cech import (
-    TruncationInstability,
-    cech_basis,
-    cohomology_table,
-    hypercohomology,
-)
+from .cech import cohomology_table, hypercohomology
 from .tate import (
     CohomologyTable,
     StrandInconsistency,

@@ -22,7 +22,6 @@ from .lattice import (
     Window,
     render_region,
     safe_region,
-    vadd,
 )
 
 EXIT_OK = 0
@@ -93,6 +92,8 @@ def dump_json(obj):
 
 def cmd_regions(args):
     space = ProductSpace(parse_ints(args.space, "space"))
+    if space.t < 2:
+        raise UsageError("regions needs a space of at least two factors")
     window = parse_window(args.window)
     if len(window.lo) != space.t:
         raise UsageError("window dimension does not match the space")
@@ -160,18 +161,29 @@ def _table_ascii(table):
     return "\n".join(lines)
 
 
+def _at_check_prime(args, C, compute):
+    """compute(complex) for the input read at --check-prime, or None when
+    there is nothing to compare: no flag, or a complex over Q, which has no
+    unlucky primes.  A value that is not a prime is refused over every field."""
+    if args.check_prime is None:
+        return None
+    flag = "p:%d" % args.check_prime
+    linalg.parse_field(flag)
+    if isinstance(C.field, linalg.RationalField):
+        return None
+    return compute(load_complex(args.input, flag))
+
+
 def cmd_cohomology(args):
     C = load_complex(args.input, args.field)
     if args.twist:
         a = C.space.degree(parse_ints(args.twist, "twist"))
         h = cech.hypercohomology(C, a)
-        if args.check_prime is not None and not isinstance(C.field, linalg.RationalField):
-            other = load_complex(args.input, "p:%d" % args.check_prime)
-            h2 = cech.hypercohomology(other, a)
-            if h2 != h:
-                raise PrimeDisagreement(
-                    "dimensions differ between primes: %r vs %r" % (h, h2)
-                )
+        h2 = _at_check_prime(args, C, lambda other: cech.hypercohomology(other, a))
+        if h2 is not None and h2 != h:
+            raise PrimeDisagreement(
+                "dimensions differ between primes: %r vs %r" % (h, h2)
+            )
         if args.format == "json":
             dump_json({"twist": list(a), "h": list(h)})
         else:
@@ -181,11 +193,9 @@ def cmd_cohomology(args):
         raise UsageError("cohomology needs --twist or --window")
     window = parse_window(args.window)
     table = cech.cohomology_table(C, window)
-    if args.check_prime is not None and not isinstance(C.field, linalg.RationalField):
-        other = load_complex(args.input, "p:%d" % args.check_prime)
-        table2 = cech.cohomology_table(other, window)
-        if table2.cells != table.cells:
-            raise PrimeDisagreement("tables differ between primes")
+    cells2 = _at_check_prime(args, C, lambda other: cech.cohomology_table(other, window).cells)
+    if cells2 is not None and cells2 != table.cells:
+        raise PrimeDisagreement("tables differ between primes")
     if args.format == "json":
         dump_json(table.to_json())
     elif args.format == "csv":

@@ -66,8 +66,11 @@ def expvec_degree(space, e):
     for block, nj in zip(e, space.factor_dims):
         if len(block) != nj + 1:
             raise CoxError("exponent block %r has wrong length" % (block,))
-        if any(x < 0 for x in block):
-            raise CoxError("negative exponent in %r" % (e,))
+        for x in block:
+            if type(x) is not int:  # no bool, float or str
+                raise CoxError("exponent vector %r has an entry that is not an integer" % (e,))
+            if x < 0:
+                raise CoxError("negative exponent in %r" % (e,))
     return tuple(sum(block) for block in e)
 
 
@@ -82,7 +85,7 @@ class MultiHomogPoly:
         degree = space.degree(degree)
         clean = {}
         for e, c in terms.items():
-            e = tuple(tuple(int(x) for x in block) for block in e)
+            e = tuple(tuple(block) for block in e)
             if expvec_degree(space, e) != degree:
                 raise CoxError(
                     "term %r has degree %r, declared %r"
@@ -251,9 +254,10 @@ class FreeSum:
     twists: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "twists", tuple(tuple(int(x) for x in b) for b in self.twists)
-        )
+        twists = tuple(tuple(b) for b in self.twists)
+        if any(type(x) is not int for b in twists for x in b):  # no bool, float or str
+            raise CoxError("twists must be integers, got %r" % (twists,))
+        object.__setattr__(self, "twists", twists)
 
     def __len__(self):
         return len(self.twists)
@@ -272,10 +276,10 @@ class LineBundleComplex:
     def __init__(self, space, field, terms, diffs=None):
         self.space = space
         self.field = field
-        self.terms = {int(p): FreeSum(tuple(tw)) for p, tw in terms.items()}
+        self.terms = {_degree_key(p): FreeSum(tuple(tw)) for p, tw in terms.items()}
         self.diffs = {}
         for p, mat in (diffs or {}).items():
-            self.diffs[int(p)] = tuple(tuple(row) for row in mat)
+            self.diffs[_degree_key(p)] = tuple(tuple(row) for row in mat)
         self._validated = None
 
     @property
@@ -356,6 +360,12 @@ class LineBundleComplex:
                 mat.append(tuple(out))
             diffs[p] = tuple(mat)
         return cls(space, field, terms, diffs)
+
+
+def _degree_key(p):
+    if type(p) is not int:  # no bool, float or str
+        raise CoxError("homological degree %r is not an integer" % (p,))
+    return p
 
 
 def _integer(x, path):

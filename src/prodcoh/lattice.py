@@ -4,8 +4,10 @@ Twists of line bundles on P^{n_1} x ... x P^{n_t} are indexed by integer
 vectors of length t.  This module provides the componentwise partial order,
 the canonical twist, and the combinatorics of "safe" twists: the twists a
 such that O(k*d_1, ..., k*d_t)(a) has no intermediate cohomology for any
-integer k, decided by interval arithmetic on k.  Safe twists form the test
-region of the splitting criterion in ``splitter``.
+integer k, decided for a whole window at once by interval arithmetic on k.
+Safe twists form the test region of the splitting criterion in
+``splitter``; the per-twist scan over k that the tests compare it with is in
+tests/reference.py.
 """
 
 import itertools
@@ -149,30 +151,6 @@ def lt(a, b):
 def canonical_twist(space):
     """The twist of the canonical sheaf: (-n_1-1, ..., -n_t-1)."""
     return tuple(-n - 1 for n in space.factor_dims)
-
-
-def intermediate_k_range(space, d, a):
-    """All integers k for which O(kH)(a) has nonzero intermediate cohomology.
-
-    Mixing needs one factor in the global-sections range (k*d_j + a_j >= 0)
-    and another in the top range (k*d_i + a_i <= -n_i - 1), which pins k to
-    the interval [min_j ceil(-a_j/d_j), max_i floor((-a_i-n_i-1)/d_i)].
-    Every k in that interval is tested exactly; outside it no factor pair
-    can have opposite signs.  Returns a sorted tuple, possibly empty.
-    """
-    from . import bott
-
-    a = space.degree(a)
-    dd = d.d if isinstance(d, Polarization) else Polarization(d).d
-    if len(dd) != space.t:
-        raise LatticeError("polarization length does not match space")
-    lo = min(-(aj // dj) for aj, dj in zip(a, dd))
-    hi = max((-aj - nj - 1) // dj for aj, nj, dj in zip(a, space.factor_dims, dd))
-    ks = []
-    for k in range(lo, hi + 1):
-        if bott.is_intermediate(space, bott.signature(space, vadd(vscale(k, dd), a))):
-            ks.append(k)
-    return tuple(ks)
 
 
 def safe_region(space, d, window):

@@ -157,23 +157,6 @@ def parse_field(spec):
     raise FieldError("unrecognized field %r (expected 'q' or 'p:<prime>')" % spec)
 
 
-def rank(rows, ncols, field):
-    """Rank of a matrix given as a list of dense rows over the field."""
-    return rank_sparse(_sparse(rows, field), field)
-
-
-def _sparse(rows, field):
-    out = []
-    for row in rows:
-        entries = {}
-        for j, x in enumerate(row):
-            x = field.coerce(x)
-            if x:
-                entries[j] = x
-        out.append(entries)
-    return out
-
-
 def rank_sparse(rows, field):
     """Rank of a matrix given as sparse rows ({column: nonzero value} dicts
     with values already in the field), by Gaussian elimination in place.

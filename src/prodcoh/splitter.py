@@ -89,26 +89,6 @@ class SplitVerdict:
             out["reason"] = self.reason
         return out
 
-    @classmethod
-    def from_json(cls, obj):
-        kind = obj["verdict"]
-        v = cls(
-            kind=kind,
-            window=Window.from_json(obj["window"]) if obj.get("window") else None,
-            torsion_free_asserted=obj["assertions"]["torsion_free"],
-            safe_region_size=obj["safe_region_size"],
-            extremal_positions=tuple(tuple(a) for a in obj["extremal_positions"]),
-            aligned_k=obj.get("aligned_k"),
-            mode=obj.get("mode", "product"),
-        )
-        if kind == "split":
-            v.summands = tuple((s["k"], s["mult"]) for s in obj["summands"])
-        elif kind == "nonsplit":
-            v.witness = (tuple(obj["witness"]["twist"]), obj["witness"]["i"])
-        else:
-            v.reason = obj.get("reason", "")
-        return v
-
 
 def hypothesis_violations(T, d):
     """Safe-region twists in the window carrying intermediate cohomology.

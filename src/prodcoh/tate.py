@@ -188,9 +188,6 @@ class TateTermProfile:
     def checksum(self):
         return sum((-1) ** (d % 2) * v for d, v in self.dims.items())
 
-    def to_json(self):
-        return {"b": list(self.b), "dims": {str(d): v for d, v in sorted(self.dims.items())}}
-
 
 def support_box(space, b):
     """Twists contributing to internal degree b: 0 <= b_j - a_j <= n_j + 1."""

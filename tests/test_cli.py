@@ -548,3 +548,22 @@ def test_bad_flags(capsys):
         capsys, ["cohomology", "--input", "x.json", "--twist", "0,0", "--depth", "1,1"]
     )
     assert code == 2 and "--depth" in err
+
+
+@pytest.mark.parametrize("args", [["--twist", "1,1"], ["--window", "0:1,0:1"]])
+def test_cohomology_check_prime_over_q(capsys, tmp_path, args):
+    # Over Q nothing is compared, but a value that is no prime is still
+    # refused, as over F_p; a prime leaves the output as it is.
+    path = write_complex(tmp_path, koszul_point_complex())
+    base = ["cohomology", "--input", path, "--field", "q"] + args
+    for bad in ("0", "4"):
+        code, out, err = run(capsys, base + ["--check-prime", bad])
+        assert (code, out) == (2, "") and "odd prime, got %s" % bad in err
+    _, plain, _ = run(capsys, base)
+    assert run(capsys, base + ["--check-prime", "3"]) == (0, plain, "")
+
+
+@pytest.mark.parametrize("slice_", [[], ["--slice", "0"]])
+def test_regions_one_factor(capsys, slice_):
+    code, out, err = run(capsys, ["regions", "--space", "2", "--window", "-3:3"] + slice_)
+    assert (code, out) == (2, "") and "at least two factors" in err

@@ -107,3 +107,32 @@ def test_rational_coefficients():
     p = MultiHomogPoly(sp, RATIONALS, (1,), {((1, 0),): "1/2"})
     q = poly_mult(p, p)
     assert q.terms[((2, 0),)] == RATIONALS.coerce("1/4")
+
+
+@pytest.mark.parametrize("twist", [(0.5, 0), (True, 0), (0, "1")])
+def test_free_sum_accepts_only_integers(p11, twist):
+    # int() read (0.5, 0) as O(0,0) and (True, 0) as O(1,0).
+    with pytest.raises(CoxError, match="twists must be integers"):
+        free_complex(p11, [twist])
+
+
+@pytest.mark.parametrize("terms, diffs", [
+    ({0.0: [(0, 0)]}, {}),
+    ({True: [(0, 0)]}, {}),
+    ({-1: [(-1, 0)], 0: [(0, 0)]}, {-1.0: [[None]]}),
+    ({-1: [(-1, 0)], 0: [(0, 0)]}, {False: [[None]]}),
+])
+def test_complex_degrees_accept_only_integers(p11, terms, diffs):
+    with pytest.raises(CoxError, match="homological degree"):
+        LineBundleComplex(p11, default_field(), terms, diffs)
+
+
+@pytest.mark.parametrize("e", [((True, False), (0, 0)), ((1.0, 0), (0, 0))])
+def test_poly_exponents_accept_only_integers(p11, e):
+    # Both exponent vectors have degree (1, 0) under int(), so int() took them
+    # for x_{0,0}.
+    F = default_field()
+    with pytest.raises(CoxError, match="not an integer"):
+        MultiHomogPoly(p11, F, (1, 0), {e: 1})
+    with pytest.raises(CoxError, match="not an integer"):
+        MultiHomogPoly.monomial(p11, F, 1, e)

@@ -9,7 +9,9 @@ wide windows, recorded before strand propagation ran on bit planes and the
 extremal positions were found against the maximal front, run both stages
 at scale.  The three windows of negative and mixed twists, recorded before
 the perturbation series stopped at the last level that can reach a class,
-run the capped series and its level-0 multiplication at scale.
+run the capped series and its level-0 multiplication at scale.  The
+single-twist cohomology cases and the regions grids were recorded before the
+truncated Cech reference moved out of the package.
 """
 
 import hashlib
@@ -102,6 +104,53 @@ CASES = [
     ("tate-p111", "p111-split",
      "tate-profile --b 0,0,0 --checks tate,corner,strand --c -1,0,0 --J 0,2", 0,
      "d677f512fb4283229e3e27b6c92423f46a0517d44bab4a1a4629120cba950b73"),
+    ("twist-ascii", "koszul", "cohomology --twist 1,1", 0,
+     "52f5b09b7f3a7b252add753da727be49c7dc72775ba4196b0f007f46738834e2"),
+    ("twist-json", "ideal", "cohomology --twist -2,1 --format json", 0,
+     "6a8f659ce31012f52b46568197bcab7a6ad67710994172e6c6679a6f87f322f6"),
+    ("twist-field-q", "koszul", "cohomology --twist -1,-2 --field q", 0,
+     "075001fc9480b79ca97258a17e42314b823dfdb702bc1914e3d9ad21928fdd72"),
+    ("twist-check-prime", "p23-nonsplit", "cohomology --twist -1,-1 --check-prime 3", 0,
+     "9a061209b7f5cbeb938ed9aee6cf6cc875ab6b98bd444a814588242b73d7379b"),
+    ("twist-check-prime-json", "koszul",
+     "cohomology --twist 1,1 --check-prime 3 --format json", 0,
+     "43437b00ae3958e08d4f91834404d009a89413976c58f887bd15796fcfc2b5f1"),
+]
+
+# regions reads no complex: name, command, exit code, sha256 of stdout.
+REGION_CASES = [
+    ("regions-full-ascii", "regions --space 2,3 --window -5:1,-5:2 --mode full", 0,
+     "b6abf254e2c03f9faf552f433a687f5a1cbf05bb3d5ef65fbe531a402b87cc85"),
+    ("regions-full-json",
+     "regions --space 2,3 --window -5:1,-5:2 --mode full --format json", 0,
+     "5681ab0f1cb3e7954c5d6a803b75eafa853f98bdcce7ab26b9dbd6a87b463704"),
+    ("regions-full-csv",
+     "regions --space 2,3 --window -5:1,-5:2 --mode full --format csv", 0,
+     "737372e51e308c4f922f0dc9ae954317e880b3570a45cdb13df8069f5cd7ca8e"),
+    ("regions-intermediate-ascii",
+     "regions --space 2,3 --window -5:1,-5:2 --mode intermediate", 0,
+     "5f6e685e035d24f480b010d595d261e116db2b072cf2dc29e2ce6effe1b8c04d"),
+    ("regions-intermediate-json",
+     "regions --space 2,3 --window -5:1,-5:2 --mode intermediate --format json", 0,
+     "4e13a9ff220b54eb1ef1955b19c5c77310de979478097926cede80007ca60e2e"),
+    ("regions-intermediate-csv",
+     "regions --space 2,3 --window -5:1,-5:2 --mode intermediate --format csv", 0,
+     "43f89c61014954e81f69450048078b8fd5c923080261742e63b91776a1f374a4"),
+    ("regions-safe-ascii", "regions --space 2,3 --window -6:3,-6:3 --mode safe --d 2,1", 0,
+     "2475734451f906f393335049020deeb7196adbcc7d7c6d1835f19cbf8804c918"),
+    ("regions-safe-json",
+     "regions --space 2,3 --window -6:3,-6:3 --mode safe --d 2,1 --format json", 0,
+     "64939efbe13229c7506effa5b1370c84c622459b529a57eae999a025b539f384"),
+    ("regions-safe-csv",
+     "regions --space 2,3 --window -6:3,-6:3 --mode safe --d 2,1 --format csv", 0,
+     "f8b842f3883977f83b1c86965d3b5edf2052c39f7ae8c6d9c8cefe7b9278493c"),
+    ("regions-slice-p111-safe-json",
+     "regions --space 1,1,1 --window -3:3,-3:3,-3:3 --mode safe --d 1,1,1 --slice -1 "
+     "--format json", 0,
+     "c0de66a8816b2e10f49ce8150f2915ff093ed1e9367a01bb036b939c6d2350d2"),
+    ("regions-slice-p111-full",
+     "regions --space 1,1,1 --window -3:3,-3:3,-3:3 --mode full --slice -2", 0,
+     "39d81b3164396fa549b905af5f176ec4de2949316c7a3dad65c700ed062e3305"),
 ]
 
 
@@ -111,5 +160,13 @@ def test_golden_output(tmp_path, capsys, complex_name, command, code, digest):
     path = write_complex(tmp_path, COMPLEXES[complex_name]())
     argv = command.split()
     got = cli.main(argv[:1] + ["--input", path] + argv[1:])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("command, code, digest",
+                         [pytest.param(*case[1:], id=case[0]) for case in REGION_CASES])
+def test_golden_regions(capsys, command, code, digest):
+    got = cli.main(command.split())
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodcoh import bott
+from reference import intermediate_k_range
 from prodcoh.lattice import (
     LatticeError,
     Polarization,
     ProductSpace,
     Window,
     canonical_twist,
-    intermediate_k_range,
     leq,
     lt,
     render_region,

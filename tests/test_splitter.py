@@ -19,7 +19,6 @@ from prodcoh.lattice import (
 )
 from prodcoh.splitter import (
     ExtremalReport,
-    SplitVerdict,
     extremal_hm,
     hm_monotonicity_check,
     hypothesis_violations,
@@ -363,15 +362,6 @@ def test_single_factor_mode():
     v = split_check(C, Polarization((1,)), Window((-8,), (6,)))
     assert v.mode == "single-factor-classical"
     assert v.kind == "split" and v.summands == ((1, 1),)
-
-
-def test_verdict_json_roundtrip(p11):
-    C = free_complex(p11, [(1, 1), (-1, -1)])
-    for window in (Window((-5, -5), (5, 5)), Window((-1, -1), (0, 0))):
-        v = split_check(C, D11, window, torsion_free_asserted=True)
-        assert SplitVerdict.from_json(v.to_json()) == v
-    v = split_check(free_complex(p11, [(1, 0)]), D11, Window((-5, -5), (5, 5)))
-    assert SplitVerdict.from_json(v.to_json()) == v
 
 
 def test_window_stability(p11):
