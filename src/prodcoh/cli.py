@@ -2,7 +2,9 @@
 
 Subcommands: regions (cohomology-region grids), cohomology (tables of a
 line-bundle complex), split-check (splitting verdict), tate-profile
-(Tate term dimensions and exactness checksums).
+(Tate term dimensions and exactness checksums).  A command builds only
+its own subcommand's parser; the full parser is built for help and for
+an argv that names no command.
 
 Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
 3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
@@ -306,59 +308,70 @@ def cmd_tate_profile(args):
     return EXIT_OK
 
 
-def build_parser():
+# Each subcommand's handler, help line and flags, in the order --help lists them.
+_COMMANDS = {
+    "regions": (cmd_regions, "render cohomology regions of line bundles", [
+        ("--space", dict(required=True, help="factor dimensions, e.g. 2,3")),
+        ("--window", dict(required=True, help="per-factor lo:hi, e.g. -5:1,-5:2")),
+        ("--mode", dict(choices=["full", "intermediate", "safe"], default="full")),
+        ("--d", dict(help="polarization degrees (required for --mode safe)")),
+        ("--slice", dict(help="fixed values of coordinates 3..t")),
+        ("--format", dict(choices=["ascii", "json", "csv"], default="ascii")),
+    ]),
+    "cohomology": (cmd_cohomology, "cohomology of a line-bundle complex", [
+        ("--input", dict(required=True, help="complex JSON file")),
+        ("--twist", dict(help="single twist a1,...,at")),
+        ("--window", dict(help="per-factor lo:hi")),
+        ("--field", dict(help="q or p:<prime> (overrides the file)")),
+        ("--check-prime", dict(
+            type=int, default=None,
+            help="recompute at this prime and compare (guards unlucky primes)")),
+        ("--format", dict(choices=["ascii", "json", "csv"], default="ascii")),
+    ]),
+    "split-check": (cmd_split_check, "decide splitting into sums of O(kH)", [
+        ("--input", dict(required=True, help="complex JSON file")),
+        ("--d", dict(required=True, help="polarization degrees, e.g. 1,1")),
+        ("--window", dict(required=True, help="per-factor lo:hi")),
+        ("--field", dict(help="q or p:<prime>")),
+        ("--assert-torsion-free", dict(
+            action="store_true",
+            help="record the torsion-freeness hypothesis (not verified)")),
+    ]),
+    "tate-profile": (cmd_tate_profile, "Tate term dimensions and checksums", [
+        ("--input", dict(help="complex JSON file")),
+        ("--table", dict(help="precomputed table JSON file")),
+        ("--b", dict(required=True, help="internal degree b1,...,bt")),
+        ("--window", dict(help="table window (default: the support box of b)")),
+        ("--field", dict(help="q or p:<prime>")),
+        ("--checks", dict(help="comma list from tate,strand,corner")),
+        ("--c", dict(help="quadrant degree for strand/corner checks")),
+        ("--I", dict(help="strand factors with a_i < c_i (0-based)")),
+        ("--J", dict(help="strand factors with a_i = c_i (0-based)")),
+        ("--K", dict(help="strand factors with a_i >= c_i (0-based)")),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The prodcoh parser.  Given a subcommand name, only that subcommand's
+    parser is built; otherwise (no command, -h, an unknown word) all are."""
     parser = argparse.ArgumentParser(
         prog="prodcoh",
         description="Exact multigraded sheaf cohomology on products of "
         "projective spaces, and the splitting test for sums of O(kH).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("regions", help="render cohomology regions of line bundles")
-    p.add_argument("--space", required=True, help="factor dimensions, e.g. 2,3")
-    p.add_argument("--window", required=True, help="per-factor lo:hi, e.g. -5:1,-5:2")
-    p.add_argument("--mode", choices=["full", "intermediate", "safe"], default="full")
-    p.add_argument("--d", help="polarization degrees (required for --mode safe)")
-    p.add_argument("--slice", help="fixed values of coordinates 3..t")
-    p.add_argument("--format", choices=["ascii", "json", "csv"], default="ascii")
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("cohomology", help="cohomology of a line-bundle complex")
-    p.add_argument("--input", required=True, help="complex JSON file")
-    p.add_argument("--twist", help="single twist a1,...,at")
-    p.add_argument("--window", help="per-factor lo:hi")
-    p.add_argument("--field", help="q or p:<prime> (overrides the file)")
-    p.add_argument(
-        "--check-prime", type=int, default=None,
-        help="recompute at this prime and compare (guards unlucky primes)",
-    )
-    p.add_argument("--format", choices=["ascii", "json", "csv"], default="ascii")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("split-check", help="decide splitting into sums of O(kH)")
-    p.add_argument("--input", required=True, help="complex JSON file")
-    p.add_argument("--d", required=True, help="polarization degrees, e.g. 1,1")
-    p.add_argument("--window", required=True, help="per-factor lo:hi")
-    p.add_argument("--field", help="q or p:<prime>")
-    p.add_argument(
-        "--assert-torsion-free", action="store_true",
-        help="record the torsion-freeness hypothesis (not verified)",
-    )
-    p.set_defaults(func=cmd_split_check)
-
-    p = sub.add_parser("tate-profile", help="Tate term dimensions and checksums")
-    p.add_argument("--input", help="complex JSON file")
-    p.add_argument("--table", help="precomputed table JSON file")
-    p.add_argument("--b", required=True, help="internal degree b1,...,bt")
-    p.add_argument("--window", help="table window (default: the support box of b)")
-    p.add_argument("--field", help="q or p:<prime>")
-    p.add_argument("--checks", help="comma list from tate,strand,corner")
-    p.add_argument("--c", help="quadrant degree for strand/corner checks")
-    p.add_argument("--I", help="strand factors with a_i < c_i (0-based)")
-    p.add_argument("--J", help="strand factors with a_i = c_i (0-based)")
-    p.add_argument("--K", help="strand factors with a_i >= c_i (0-based)")
-    p.set_defaults(func=cmd_tate_profile)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # A lone subparser still lists every command in the usage line of a
+    # top-level error; with all of them argparse's own listing is kept, so
+    # the "required" and "invalid choice" messages read as they always have.
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -386,11 +399,10 @@ def _join_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_join_values(list(argv)))
+        args = parser.parse_args(_join_values(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

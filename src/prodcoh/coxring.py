@@ -107,7 +107,7 @@ class MultiHomogPoly:
     @classmethod
     def zero(cls, space, field, degree):
         p = object.__new__(cls)
-        p.space, p.field, p.degree, p.terms = space, field, tuple(degree), {}
+        p.space, p.field, p.degree, p.terms = space, field, space.degree(degree), {}
         return p
 
     @classmethod

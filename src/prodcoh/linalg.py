@@ -52,7 +52,8 @@ class PrimeField:
     """Arithmetic in Z/p for an odd prime p; elements are ints in [0, p)."""
 
     def __init__(self, p):
-        p = int(p)
+        if type(p) is not int:  # no bool, float or str
+            raise FieldError("modulus %r is not an integer" % (p,))
         if p >= _MR_LIMIT:
             raise FieldError(
                 "modulus %d is too large: primality is certified below %d"

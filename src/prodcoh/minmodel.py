@@ -131,11 +131,9 @@ def _transfer(space, poly, p, s, e, prime, blocks):
     blocks holds the (term, Cech degree) pairs with Bott classes.  The series
     stops at the last level r with (p+r+1, q-r) in blocks, q the Cech degree
     of x; none means an empty column.  At level 0 alone, D_H(x) = p delta i x
-    keeps e+ev when every fully negative factor of e stays fully negative."""
+    keeps e+ev when every fully negative factor of e stays fully negative;
+    a section (q = 0) has none, so its column is delta x."""
     neg = _negative_support(e)
-    if not any(neg):  # a section: h i = 0, so D_H(x) is delta x
-        return {(p + 1, r, _times(e, ev)): c
-                for r, terms in poly.get((p, s), ()) for ev, c in terms}
     q = sum(n for n, N in zip(space.factor_dims, neg) if N)
     last = next((r for r in range(q, -1, -1) if (p + r + 1, q - r) in blocks), None)
     if last is None:

@@ -99,6 +99,15 @@ def test_cohomology_single_twist(capsys, tmp_path):
     assert json.loads(out) == {"twist": [-2, -2], "h": [0, 0, 1]}
 
 
+def test_main_takes_any_iterable_argv(capsys, tmp_path):
+    # main reads the command name before parsing, so a generator must not be
+    # consumed by that first look.
+    path = write_complex(tmp_path, koszul_point_complex())
+    argv = ["cohomology", "--input", path, "--twist", "-1,1", "--format", "json"]
+    runs = [run(capsys, given) for given in (argv, tuple(argv), (x for x in argv))]
+    assert runs[0][0] == 0 and runs[0][1] and runs == [runs[0]] * 3
+
+
 def test_cohomology_window_csv(capsys, tmp_path):
     path = write_complex(tmp_path, koszul_point_complex())
     argv = ["cohomology", "--input", path, "--window", "-2:2,-2:2",

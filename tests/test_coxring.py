@@ -10,7 +10,7 @@ from prodcoh.coxring import (
     poly_mult,
     validate_complex,
 )
-from prodcoh.lattice import ProductSpace
+from prodcoh.lattice import LatticeError, ProductSpace
 from prodcoh.linalg import RATIONALS, default_field
 
 
@@ -136,3 +136,11 @@ def test_poly_exponents_accept_only_integers(p11, e):
         MultiHomogPoly(p11, F, (1, 0), {e: 1})
     with pytest.raises(CoxError, match="not an integer"):
         MultiHomogPoly.monomial(p11, F, 1, e)
+
+
+@pytest.mark.parametrize("degree", [(0.5, "x"), (True, 0), (1,)])
+def test_zero_poly_degree_is_validated(p11, degree):
+    # zero() once stored any degree as given, unlike every other constructor.
+    with pytest.raises(LatticeError):
+        MultiHomogPoly.zero(p11, default_field(), degree)
+    assert MultiHomogPoly.zero(p11, default_field(), [1, 2]).degree == (1, 2)

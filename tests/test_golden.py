@@ -11,7 +11,9 @@ at scale.  The three windows of negative and mixed twists, recorded before
 the perturbation series stopped at the last level that can reach a class,
 run the capped series and its level-0 multiplication at scale.  The
 single-twist cohomology cases and the regions grids were recorded before the
-truncated Cech reference moved out of the package.
+truncated Cech reference moved out of the package.  The help and usage-error
+cases pin stdout, stderr and the exit code; they were recorded while every
+command still built the parsers of all four subcommands.
 """
 
 import hashlib
@@ -170,3 +172,39 @@ def test_golden_regions(capsys, command, code, digest):
     got = cli.main(command.split())
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# argv, exit code, sha256 of stdout + "\0" + stderr (help wrapped at 80 columns).
+USAGE_CASES = [
+    ("", 2, "2001e28969413a9f4c5f2b7aa62c6d184bb28ae49a0b26cf82f72fae13176c11"),
+    ("bogus", 2, "62bd61e7b70bfa88b4bfd387bd7210e1198f6c3a08bf88fa2437e0a8bb2f2e0b"),
+    ("--help", 0, "594cbc142a277e1f67c4f0a8419556fb17a0eed8e6c3f8b8c7f48cf8e504c056"),
+    ("-h", 0, "594cbc142a277e1f67c4f0a8419556fb17a0eed8e6c3f8b8c7f48cf8e504c056"),
+    ("regions --help", 0,
+     "c866f679a9b0a7242b0f5ba7ae8f8b523bc8735f80442c85379cc8ab0f5626d7"),
+    ("cohomology --help", 0,
+     "f7942d498f892fef9e00cab6261bbc678f5d85f4a6e9ae23f0802ee1d12a3471"),
+    ("split-check --help", 0,
+     "7682827ae08ed2688d097f966491d6e14e41dd8271f2a826a31b0d9de4ab60c8"),
+    ("tate-profile --help", 0,
+     "aaadc7c5729026dc74be31606c2f0d39b6fb729fbb51f15222e732a0532d7e82"),
+    ("cohomology", 2, "673b83ae8f6c4a108ecc9c2c16aef33ca8ea53775e637eef758124a483513cbc"),
+    ("cohomology --format xml --input x", 2,
+     "1aa057c5ba215a7e53966d965df635682a6caf1cfa275dafee8996280686d914"),
+    ("cohomology --input x --twist 1,1 --extra", 2,
+     "f5edc180c06da735fb34fea7b06bf432f87e90e4704097a16570a3f3843711a7"),
+    ("cohomology --check-prime x --input y", 2,
+     "c9a14357e4f045f64a1e02ca1e75cf33615cf18b456d42bc343eb236c787dc02"),
+    ("regions --space 1,1", 2,
+     "c7a70576ff78b80c1a31d8de16fc25d0c56e9084c16842d42959cf3b3cc06d40"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest",
+                         [pytest.param(*case, id=case[0] or "empty") for case in USAGE_CASES])
+def test_golden_usage(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = cli.main(argv.split())
+    out = capsys.readouterr()
+    text = out.out + "\0" + out.err
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)

@@ -43,6 +43,13 @@ def test_prime_field_ops():
         PrimeField(2)
 
 
+@pytest.mark.parametrize("p", [7.9, 7.0, "65521", True, Fraction(7)])
+def test_prime_field_modulus_must_be_int(p):
+    # int() once took 7.9 for 7 and the string "65521" for the prime.
+    with pytest.raises(linalg.FieldError, match="not an integer"):
+        PrimeField(p)
+
+
 def test_rank_both_fields():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert reference.rank(rows, 3, PrimeField(65521)) == 2
