@@ -178,7 +178,7 @@ def _at_check_prime(args, C, compute):
 
 def cmd_cohomology(args):
     C = load_complex(args.input, args.field)
-    if args.twist:
+    if args.twist is not None:
         a = C.space.degree(parse_ints(args.twist, "twist"))
         h = cech.hypercohomology(C, a)
         h2 = _at_check_prime(args, C, lambda other: cech.hypercohomology(other, a))
@@ -188,10 +188,14 @@ def cmd_cohomology(args):
             )
         if args.format == "json":
             dump_json({"twist": list(a), "h": list(h)})
+        elif args.format == "csv":  # the table of the one-twist window a:a
+            table = tate.CohomologyTable(C.space, Window(a, a))
+            table.set_h(a, h)
+            emit(table.to_csv())
         else:
             emit("h(F(%s)) = %s" % (",".join(map(str, a)), list(h)))
         return EXIT_OK
-    if not args.window:
+    if args.window is None:
         raise UsageError("cohomology needs --twist or --window")
     window = parse_window(args.window)
     table = cech.cohomology_table(C, window)

@@ -1,35 +1,30 @@
 """Hypercohomology from the minimal model of Tot(Cech (x) C).
 
-The Cech differential never changes a Laurent monomial e, so each term's
-Cech complex splits into blocks: per factor j, the cover sets containing
-the negative support N_j of e.  That factor complex is one-dimensional in
-degree 0 when N_j is empty, in degree n_j when N_j is every vertex, and
-contractible otherwise, by the cone on the smallest vertex v0 outside N_j.
-Tensored, these give a contraction (i, p, h) of each term onto its Bott
-classes, and the basic perturbation lemma (Crainic, arXiv:math/0403266)
-moves the differential delta of C onto them as
-
-    D_H = sum_r (-1)^r p (delta h)^r delta i,
-
-finite because delta raises the term degree and h keeps it.  Multiplication
-only raises exponents, so no truncation is needed.  For the same reason a
-factor with empty negative support keeps it down the whole series, so its
-i_j(1) = sum_v {v} rides along as one symbol, ALL, and a section class, empty
-in every factor, has h i = 0 and D_H = delta.  For a class in term k at Cech
-degree q, level r of the series lies in term k+r+1 at Cech degree q-r, and
-the projection p kills it unless that term has Bott classes in that degree;
-so the series stops at the last such level, and when that is level 0,
-D_H = p delta i is local cohomology multiplication.  engine(C) sets up what
-depends on C alone once, for every twist of a window.  Terms no differential
-touches, as in every free sum, are Kunneth products of per-factor Bott values.
+The Cech differential keeps each Laurent monomial e, so a term's Cech complex
+splits into blocks: per factor j, the cover sets containing the negative
+support N_j of e.  That factor complex is one-dimensional in degree 0 when N_j
+is empty, in degree n_j when N_j is every vertex, and otherwise contracted by
+the cone on the smallest vertex v0 outside N_j.  Tensored, these contract
+(i, p, h) each term onto its Bott classes, and the basic perturbation lemma
+(Crainic, arXiv:math/0403266) moves the differential delta of C onto them as
+D_H = sum_r (-1)^r p (delta h)^r delta i, finite as delta raises the term
+degree and h keeps it.  Multiplication only raises exponents, so nothing is
+truncated and an empty N_j stays empty: its i_j(1) = sum_v {v} rides along as
+one symbol, ALL.  Level r of the series of a class in term k at Cech degree q
+lies in term k+r+1 at Cech degree q-r, so the series stops at the last level
+that can reach a class; at level 0, D_H = p delta i is local cohomology
+multiplication.  An exponent vector is one int of biased fields, wide enough
+that no sum carries: a product is an add, N_j is read off the top bits, and
+the level-0 filter is one AND.  Columns are indexed by a class's position in
+its total degree.  engine(C) sets up what depends on C once for every twist;
+untouched terms, as in every free sum, are Kunneth products of Bott values.
 """
 
 import itertools
 from collections import defaultdict
-from operator import add
+from operator import mul
 
 from . import bott, linalg
-from .coxring import compositions
 from .lattice import vadd
 
 
@@ -37,37 +32,42 @@ class EngineCheckFailed(RuntimeError):
     """A self-check of the cohomology engine failed; no answer is given."""
 
 
-def bott_classes(space, c):
-    """Cech degree and exponent vectors of the Bott classes of O(c).  Per
-    factor the exponents are the compositions of c_j into n_j+1 parts when
-    c_j >= 0, in degree 0, or minus one minus those of -c_j-n_j-1 when
-    c_j <= -n_j-1, in degree n_j; in between O(c) has no cohomology."""
+def _packed_compositions(total, u):
+    """sum_k x_k u_k over the compositions x of total into len(u) >= 2 parts, lex order."""
+    if len(u) == 2:
+        return [x * u[0] + (total - x) * u[1] for x in range(total + 1)]
+    return [x * u[0] + y for x in range(total + 1) for y in _packed_compositions(total - x, u[1:])]
+
+
+def bott_classes(space, c, width):
+    """Cech degree and packed exponent vectors of the Bott classes of O(c):
+    variable k's exponent plus 2^(width-1) in bits [k*width, (k+1)*width),
+    so a top bit is set exactly for an exponent >= 0.  Per factor they are
+    the compositions of c_j into n_j+1 parts when c_j >= 0, in degree 0, or
+    minus one minus those of -c_j-n_j-1 when c_j <= -n_j-1, in degree n_j."""
     pairs = list(zip(space.factor_dims, c))
     if any(-n - 1 < cj < 0 for n, cj in pairs):
         return 0, ()
-    blocks = [
-        [e if cj >= 0 else tuple(-1 - x for x in e)
-         for e in compositions(cj if cj >= 0 else -cj - n - 1, n + 1)]
-        for n, cj in pairs
-    ]
-    return sum(n for n, cj in pairs if cj < 0), tuple(itertools.product(*blocks))
+    classes, units = [0], [1 << k * width for k in range(space.m + space.t)]
+    for n, cj in pairs:  # sums of per-factor packed compositions x, or -1-x when cj < 0
+        u, units = units[:n + 1], units[n + 1:]
+        base, sign = (sum(u) << width - 1, 1) if cj >= 0 else (sum(u) * ((1 << width - 1) - 1), -1)
+        block = [base + sign * y for y in _packed_compositions(cj if cj >= 0 else -cj - n - 1, u)]
+        classes = [x + y for x in classes for y in block]
+    return sum(n for n, cj in pairs if cj < 0), classes
 
 
-def _negative_support(e):
-    return tuple(frozenset(v for v, x in enumerate(ej) if x < 0) for ej in e)
+def _negative_support(space, width, f):
+    """Per factor, the variables with a clear top bit, a negative exponent, in f."""
+    tops = iter(range(width - 1, (space.m + space.t) * width, width))
+    return tuple(frozenset(v for v in range(n + 1) if not f >> next(tops) & 1)
+                 for n in space.factor_dims)
 
 
 # i_j(1) = sum_v {v} on a factor with empty negative support, as one symbol.
 # That support stays empty down the chain, where h_j kills the symbol, (ip)_j
 # fixes it and p_j sends it to 1.  Its length keeps the Koszul shift |S|-1 = 0.
 ALL = (-1,)
-
-
-def _factor_ip(n, N, S):
-    """i p on one factor: the cover sets of i(p(S))."""
-    if len(N) == n + 1:
-        return [S]
-    return [ALL] if not N and S in ((0,), ALL) else []
 
 
 def include(space, neg):
@@ -87,16 +87,14 @@ def contraction(space, neg, idx):
     """h(idx), before the (-1)^p of the term, as (cover index, sign) pairs:
     sum_j (-1)^{sum_{j'<j}(|S_j'|-1)} (ip)_{<j} (x) h_j (x) 1, where the cone
     h_j sends S to (-1)^{pos(v0,S)} (S minus v0) if v0 is in S and |S| >= 2."""
-    out = []
-    prefixes = [()]
-    shift = 0
+    out, prefixes, shift = [], [()], 0
     for j, (n, N, S) in enumerate(zip(space.factor_dims, neg, idx)):
         v0 = next((v for v in range(n + 1) if v not in N), None)
         if v0 in S and len(S) > 1:
             sign = -1 if (shift + S.index(v0)) % 2 else 1
             rest = (tuple(v for v in S if v != v0),) + idx[j + 1:]
             out.extend((pre + rest, sign) for pre in prefixes)
-        ip = _factor_ip(n, N, S)
+        ip = [S] if len(N) == n + 1 else [ALL] if not N and S in ((0,), ALL) else []  # i p(S)
         if not ip:
             break
         prefixes = [pre + (T,) for pre in prefixes for T in ip]
@@ -122,52 +120,47 @@ def _reduced(vec, prime):
     return {k: x for k, x in vec.items() if x}
 
 
-def _times(e, ev):
-    return tuple(tuple(map(add, b1, b2)) for b1, b2 in zip(e, ev))
-
-
-def _transfer(space, poly, p, s, e, prime, blocks):
-    """The column D_H(x) of the class x = (p, s, e), as {(p', r, e'): value}.
-    blocks holds the (term, Cech degree) pairs with Bott classes.  The series
-    stops at the last level r with (p+r+1, q-r) in blocks, q the Cech degree
-    of x; none means an empty column.  At level 0 alone, D_H(x) = p delta i x
-    keeps e+ev when every fully negative factor of e stays fully negative;
-    a section (q = 0) has none, so its column is delta x."""
-    neg = _negative_support(e)
-    q = sum(n for n, N in zip(space.factor_dims, neg) if N)
+def _transfer(space, poly, p, s, q, prime, blocks, where, width):
+    """The columns D_H(x), {position: value}, of the classes x of summand s
+    of term p, at Cech degree q, in the order of where[(p, s)]: where[(p', r)]
+    maps a packed class to its position in its total degree, poly holds
+    unbiased packed exponents, blocks the (term, Cech degree) pairs with
+    classes.  At level 0, e+ev stays when every fully negative factor of e
+    stays so, that is when no top bit clear in e is set in e+ev."""
+    classes = where[(p, s)]
     last = next((r for r in range(q, -1, -1) if (p + r + 1, q - r) in blocks), None)
-    if last is None:
-        return {}
-    if last == 0:
-        full = [j for j, N in enumerate(neg) if N]
-        return {(p + 1, r, f): c for r, terms in poly.get((p, s), ()) for ev, c in terms
-                for f in (_times(e, ev),) if all(max(f[j]) < 0 for j in full)}
-    v = {(s, e, idx): 1 for idx in include(space, neg)}
-    out = defaultdict(int)
+    if not last:  # None too: then no e+ev passes the filter
+        tops = sum(1 << k * width for k in range(space.m + space.t)) << width - 1
+        mask = tops & ~next(iter(classes))
+        targets = [(where[(p + 1, r)], terms) for r, terms in poly.get((p, s), ())]
+        return [{at[f]: c for at, terms in targets for ev, c in terms if not (f := e + ev) & mask}
+                for e in classes]
+    neg = _negative_support(space, width, next(iter(classes)))
+    v = {(i, s, e, idx): 1 for i, e in enumerate(classes) for idx in include(space, neg)}
+    out, k = [defaultdict(int) for _ in classes], p
     for level in range(last + 1):
         w = defaultdict(int)
-        for (s, e, idx), x in v.items():
-            for r, terms in poly.get((p, s), ()):
+        for (i, r, f, idx), x in v.items():
+            for r2, terms in poly.get((k, r), ()):
                 for ev, c in terms:
-                    w[(r, _times(e, ev), idx)] += x * c
-        p += 1
-        sign_h = 1 if p % 2 else -1  # the (-1)^r of the series times the (-1)^p of h
+                    w[(i, r2, f + ev, idx)] += x * c
+        k += 1
+        sign_h = 1 if k % 2 else -1  # the (-1)^r of the series times the (-1)^p of h
         v = defaultdict(int)
-        for (r, e, idx), x in _reduced(w, prime).items():
-            N = _negative_support(e)
+        for (i, r, f, idx), x in _reduced(w, prime).items():
+            N = _negative_support(space, width, f)
             if projects(space, N, idx):
-                out[(p, r, e)] += x
+                out[i][where[(k, r)][f]] += x
             if level < last:
                 for idx2, sign in contraction(space, N, idx):
-                    v[(r, e, idx2)] += sign_h * sign * x
+                    v[(i, r, f, idx2)] += sign_h * sign * x
         v = _reduced(v, prime)
-    return _reduced(out, prime)
+    return [_reduced(col, prime) for col in out]
 
 
 def engine(C):
-    """The function a -> (h^0, ..., h^m) of the validated complex C, with the
-    field prime, the polynomial maps and the term list read once.  The factor
-    groups of untouched terms are memoized for the life of that function."""
+    """The function a -> (h^0, ..., h^m) of the validated complex C, reading C
+    once and memoizing untouched terms' factor groups and the packed maps."""
     space = C.space
     prime = C.field.p if isinstance(C.field, linalg.PrimeField) else 0
     poly = polynomial_maps(C)
@@ -175,8 +168,9 @@ def engine(C):
     terms = [(p, s, b) for p in C.degrees for s, b in enumerate(C.summands(p))]
     free = [(p, tuple(zip(space.factor_dims, b))) for p, _, b in terms if p not in touched]
     touched_terms = [term for term in terms if term[0] in touched]
-    m = space.m
-    groups = {}  # (n, c) -> the factor group of O(c) on P^n, () when none
+    bs = zip(*[b for _, _, b in touched_terms])  # per factor, the touched summand degrees
+    ends = [(n, max(x), min(x)) for n, x in zip(space.factor_dims, bs)]
+    groups, packed = {}, {}  # (n, c) -> O(c)'s factor group on P^n or (); width -> packed poly
 
     def hypercohomology(a):
         counts = defaultdict(int)
@@ -193,30 +187,36 @@ def engine(C):
             else:
                 counts[k] += dim
         if not touched_terms:  # a free sum: no class to transfer or self-check
-            return tuple(counts[i] for i in range(m + 1))
-        where = {}  # touched class (p, s, e) -> (total degree, position)
-        blocks = set()  # (term, Cech degree) pairs holding Bott classes
+            return tuple(counts[i] for i in range(space.m + 1))
+        # An exponent is a class's, in [c_j+n_j, -1] or [0, c_j] for c = a+b, plus at most the
+        # spread hi_j - lo_j of the b_j: in [-top-1, top], so 2^bit_length(top) bias never carries.
+        width = max(max(aj + hi, -aj - lo - n - 1, hi - lo - 1)
+                    for (n, hi, lo), aj in zip(ends, a)).bit_length() + 1
+        units = [1 << k * width for k in range(space.m + space.t)]
+        pk = packed.get(width) or packed.setdefault(width, {key: [
+            (r, [(sum(map(mul, itertools.chain(*ev), units)), c) for ev, c in terms])
+            for r, terms in maps] for key, maps in poly.items()})
+        where, blocks, sizes, order = {}, set(), defaultdict(int), []
         for p, s, b in touched_terms:
-            q, classes = bott_classes(space, vadd(a, b))
+            q, classes = bott_classes(space, vadd(a, b), width)
+            where[(p, s)] = dict(zip(classes, itertools.count(sizes[p + q])))
             if classes:
                 blocks.add((p, q))
-            for e in classes:
-                where[(p, s, e)] = (p + q, counts[p + q])
-                counts[p + q] += 1
-        cols = {where[x]: {where[y][1]: v
-                           for y, v in _transfer(space, poly, *x, prime, blocks).items()}
-                for x in where}
-        rows = defaultdict(list)
-        for (k, _), col in cols.items():
-            square = defaultdict(int)
-            for y, v in col.items():
-                for z, u in cols[(k + 1, y)].items():
-                    square[z] += v * u
-            if _reduced(square, prime):
-                raise EngineCheckFailed(
-                    "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
-            rows[k].append(col)
-        ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in rows.items()})
-        return tuple(counts[i] - ranks[i] - ranks[i - 1] for i in range(m + 1))
+                sizes[p + q] += len(classes)
+                order.append((p, s, q))
+        cols = defaultdict(list)  # total degree -> columns, by position
+        for p, s, q in order:
+            cols[p + q] += _transfer(space, pk, p, s, q, prime, blocks, where, width)
+        for k, col_k in cols.items():
+            for col in col_k:
+                square = defaultdict(int)
+                for y, v in col.items():
+                    for z, u in cols[k + 1][y].items():
+                        square[z] += v * u
+                if _reduced(square, prime):
+                    raise EngineCheckFailed(
+                        "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
+        ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in cols.items()})
+        return tuple(counts[i] + sizes[i] - ranks[i] - ranks[i - 1] for i in range(space.m + 1))
 
     return hypercohomology

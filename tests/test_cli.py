@@ -8,7 +8,7 @@ from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
-from test_minmodel import break_transfer, last_level
+from test_minmodel import break_transfer, last_level, unpack
 
 
 def run(capsys, argv):
@@ -125,6 +125,31 @@ def test_cohomology_window_csv(capsys, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("twist", ["1,1", "-2,0", "3,-4"])
+@pytest.mark.parametrize("field", [[], ["--field", "q"]])
+def test_cohomology_twist_csv_is_the_one_twist_window(capsys, tmp_path, twist, field):
+    # --twist a --format csv prints the table of the window a1:a1,...,at:at.
+    window = ",".join("%s:%s" % (x, x) for x in twist.split(","))
+    for C in (koszul_point_complex(), ideal_sheaf_complex()):
+        path = write_complex(tmp_path, C)
+        base = ["cohomology", "--input", path, "--format", "csv"] + field
+        got = run(capsys, base + ["--twist", twist])
+        assert got == run(capsys, base + ["--window", window])
+        assert got[0] == 0 and got[1].startswith("a1,a2,i,dim,status\n")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--twist", "bad twist ''"),
+    ("--window", "bad window component ''"),
+])
+def test_cohomology_empty_twist_or_window_is_named(capsys, tmp_path, flag, message):
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, ["cohomology", "--input", path, flag, ""])
+    assert code == 2 and out == "" and message in err
+    code, out, err = run(capsys, ["cohomology", "--input", path])
+    assert code == 2 and out == "" and "needs --twist or --window" in err
+
+
 def test_cohomology_json_roundtrip(capsys, tmp_path):
     from prodcoh.tate import CohomologyTable
 
@@ -200,13 +225,15 @@ def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
     transfer = minmodel._transfer
     corrupted_classes = []
 
-    def corrupted(space, poly, p, s, e, prime, blocks):
-        col = transfer(space, poly, p, s, e, prime, blocks)
-        if p == -2 and col and max(map(max, e)) < 0 and last_level(space, p, e, blocks) == 0:
-            key = min(col)
-            col[key] = 2 * col[key] % prime
-            corrupted_classes.append(e)
-        return col
+    def corrupted(space, poly, p, s, q, prime, blocks, where, width):
+        cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
+        for f, col in zip(where[(p, s)], cols):
+            e = unpack(space, width, f)
+            if p == -2 and col and max(map(max, e)) < 0 and last_level(space, p, e, blocks) == 0:
+                key = min(col)
+                col[key] = 2 * col[key] % prime
+                corrupted_classes.append(e)
+        return cols
 
     monkeypatch.setattr(minmodel, "_transfer", corrupted)
     with pytest.raises(cech.EngineCheckFailed):

@@ -57,15 +57,33 @@ def test_contraction_identity(dims):
             assert _combine(_singletons(sp, lhs)) == _combine(_singletons(sp, rhs)), (neg, idx)
 
 
+def unpack(space, width, f):
+    """The exponent vector, per factor, of a packed exponent f: the k-th
+    variable, in factor order, holds its exponent plus 2^(width-1) in bits
+    [k*width, (k+1)*width)."""
+    xs = [(f >> k * width & (1 << width) - 1) - (1 << width - 1)
+          for k in range(space.m + space.t)]
+    starts = list(itertools.accumulate([n + 1 for n in space.factor_dims], initial=0))
+    return tuple(tuple(xs[i:j]) for i, j in zip(starts, starts[1:]))
+
+
+def cech_degree(space, e):
+    """The Cech degree of a Bott class with exponent vector e."""
+    return sum(n for n, ej in zip(space.factor_dims, e) if max(ej) < 0)
+
+
 def test_bott_classes_count_and_degree():
     sp = ProductSpace((1, 2))
-    for c in itertools.product(range(-5, 4), repeat=2):
-        q, classes = minmodel.bott_classes(sp, c)
+    for c, width in itertools.product(itertools.product(range(-5, 4), repeat=2), [4, 5, 8]):
+        q, classes = minmodel.bott_classes(sp, c, width)
         h = bott.line_bundle_h(sp, c)
         assert len(classes) == sum(h)
         if classes:
             assert h[q] == len(classes)
-            assert all(tuple(map(sum, e)) == c for e in classes)
+            es = [unpack(sp, width, e) for e in classes]
+            assert all(tuple(map(sum, e)) == c for e in es)
+            assert all(cech_degree(sp, e) == q for e in es)
+            assert len(set(es)) == len(es)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +212,23 @@ def test_ideal_of_point_on_p2xp2(field):
         assert cech.hypercohomology(I, a) == ideal_point_h(sp, a), a
 
 
+# The engine packs an exponent vector into fields that hold [-2^w, 2^w - 1]
+# for the smallest w the twist allows.  At (t, s) with t > 0 the products of
+# the Koszul point's maps reach the exponent t, and at (-t, s) its lowest
+# term has the class exponent -t, so t = 2^k - 1, 2^k, 2^k + 1 put the
+# largest exponent just below, at and just above the edge of a field width.
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("k", [4, 5])
+def test_packing_width_edges(field, dims, k):
+    sp = ProductSpace(dims)
+    K = koszul_point(sp, field)
+    for t in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+        for a in [(t, -2), (-t, 1), (-2, t), (1, -t)]:
+            assert cech.hypercohomology(K, a) == (1,) + (0,) * sp.m, a
+            assert cech.hypercohomology(ideal_of(K), a) == ideal_point_h(sp, a), a
+
+
 def per_twist_table(C, window):
     """The cells of cohomology_table, from one cech.hypercohomology call per
     twist: the reference of the window engine, whose set-up and per-factor
@@ -224,16 +259,18 @@ def test_window_engine_matches_per_twist_on_free_sums(dims, data):
 
 
 def break_transfer(monkeypatch):
-    """Double one entry of D_H out of the degree -2 term, wherever it has
-    one.  For the Koszul point at twist (1, 1) that breaks D_H o D_H = 0."""
+    """Double one entry of each column of D_H out of the degree -2 term,
+    wherever it has one.  For the Koszul point at twist (1, 1) that breaks
+    D_H o D_H = 0."""
     transfer = minmodel._transfer
 
-    def corrupted(space, poly, p, s, e, prime, blocks):
-        col = transfer(space, poly, p, s, e, prime, blocks)
-        if p == -2 and col:
-            key = min(col)
-            col[key] = 2 * col[key] % prime
-        return col
+    def corrupted(space, poly, p, s, q, prime, blocks, where, width):
+        cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
+        for col in cols:
+            if p == -2 and col:
+                key = min(col)
+                col[key] = 2 * col[key] % prime
+        return cols
 
     monkeypatch.setattr(minmodel, "_transfer", corrupted)
 
@@ -252,13 +289,28 @@ def test_failed_self_check_makes_split_check_inconclusive(monkeypatch):
 # ---------------------------------------------------------------------------
 # The degree-bounded series against the series run to its end.
 
+def _times(e, ev):
+    return tuple(tuple(map(operator.add, b1, b2)) for b1, b2 in zip(e, ev))
+
+
+def _negative_support(e):
+    return tuple(frozenset(v for v, x in enumerate(ej) if x < 0) for ej in e)
+
+
+def _reduced(vec, prime):
+    if prime:
+        return {k: x % prime for k, x in vec.items() if x % prime}
+    return {k: x for k, x in vec.items() if x}
+
+
 def uncapped_transfer(space, poly, p, s, e, prime):
-    """The column D_H(x) from the series run until its states die out: the
-    reference of minmodel._transfer, which stops at the last level that can
-    reach a class."""
-    neg = minmodel._negative_support(e)
+    """The column D_H(x) of the class x = (p, s, e), with e and the exponents
+    of poly as tuples of per-factor tuples, as {(p', r, e'): value}, from the
+    series run until its states die out: the reference of minmodel._transfer,
+    which stops at the last level that can reach a class."""
+    neg = _negative_support(e)
     if not any(neg):
-        return {(p + 1, r, minmodel._times(e, ev)): c
+        return {(p + 1, r, _times(e, ev)): c
                 for r, terms in poly.get((p, s), ()) for ev, c in terms}
     v = {(s, e, idx): 1 for idx in minmodel.include(space, neg)}
     out = defaultdict(int)
@@ -267,30 +319,30 @@ def uncapped_transfer(space, poly, p, s, e, prime):
         for (s, e, idx), x in v.items():
             for r, terms in poly.get((p, s), ()):
                 for ev, c in terms:
-                    w[(r, minmodel._times(e, ev), idx)] += x * c
+                    w[(r, _times(e, ev), idx)] += x * c
         p += 1
         sign_h = 1 if p % 2 else -1
         v = defaultdict(int)
-        for (r, e, idx), x in minmodel._reduced(w, prime).items():
-            N = minmodel._negative_support(e)
+        for (r, e, idx), x in _reduced(w, prime).items():
+            N = _negative_support(e)
             if minmodel.projects(space, N, idx):
                 out[(p, r, e)] += x
             for idx2, sign in minmodel.contraction(space, N, idx):
                 v[(r, e, idx2)] += sign_h * sign * x
-        v = minmodel._reduced(v, prime)
-    return minmodel._reduced(out, prime)
+        v = _reduced(v, prime)
+    return _reduced(out, prime)
 
 
-def classes_and_blocks(C, a):
-    """The Bott classes (p, s, e) of every term of C(a), and the (term, Cech
-    degree) pairs that hold them."""
+def classes_and_blocks(C, a, width):
+    """The Bott classes (p, s, e) of every term of C(a), e unpacked, and the
+    (term, Cech degree) pairs that hold them."""
     classes, blocks = [], set()
     for p in C.degrees:
         for s, b in enumerate(C.summands(p)):
-            q, es = minmodel.bott_classes(C.space, vadd(a, b))
+            q, es = minmodel.bott_classes(C.space, vadd(a, b), width)
             if es:
                 blocks.add((p, q))
-            classes += [(p, s, e) for e in es]
+            classes += [(p, s, unpack(C.space, width, e)) for e in es]
     return classes, blocks
 
 
@@ -298,21 +350,60 @@ def last_level(space, p, e, blocks):
     """The last level r of the series of the class (p, s, e) whose states,
     in term p+r+1 at Cech degree q-r, can project onto a class; None when
     there is none.  For a section, q = 0, so it is 0 or None."""
-    q = sum(n for n, ej in zip(space.factor_dims, e) if max(ej) < 0)
+    q = cech_degree(space, e)
     return max((r for r in range(q + 1) if (p + r + 1, q - r) in blocks), default=None)
 
 
+def engine_columns(C, a):
+    """The arguments of every minmodel._transfer call the engine makes for
+    C(a), with copies of the columns it returned, which rank_sparse consumes."""
+    calls = []
+    transfer = minmodel._transfer
+
+    def recording(*args):
+        cols = transfer(*args)
+        calls.append((args, [dict(col) for col in cols]))
+        return cols
+
+    minmodel._transfer = recording
+    try:
+        cech.hypercohomology(C, a)
+    finally:
+        minmodel._transfer = transfer
+    return calls
+
+
 def check_columns(C, a):
-    """Assert that every column of C(a) equals the uncapped series, and count
-    the classes by (last level, is a section)."""
+    """Assert that every column the engine builds for C(a), its positions
+    named back as (p', r, e') with e' unpacked, equals the uncapped series,
+    and that every class gets one; count the classes by (last level, is a
+    section)."""
     prime = getattr(C.field, "p", 0)
     poly = minmodel.polynomial_maps(C)
-    classes, blocks = classes_and_blocks(C, a)
-    levels = defaultdict(int)
-    for p, s, e in classes:
-        col = minmodel._transfer(C.space, poly, p, s, e, prime, blocks)
-        assert col == uncapped_transfer(C.space, poly, p, s, e, prime), (a, p, s, e)
-        levels[(last_level(C.space, p, e, blocks), min(map(min, e)) >= 0)] += 1
+    calls = engine_columns(C, a)
+    if not calls:
+        assert not classes_and_blocks(C, a, 8)[0]
+        return {}
+    # Every call of one twist shares its where, blocks and width.
+    space, _, _, _, _, _, blocks, where, width = calls[0][0]
+    named = {}  # (total degree, position) -> (p', r, e')
+    for (p2, r), at in where.items():
+        for f, pos in at.items():
+            e = unpack(space, width, f)
+            named[(p2 + cech_degree(space, e), pos)] = (p2, r, e)
+    levels, seen = defaultdict(int), []
+    for (_, _, p, s, q, _, blocks_, where_, width_), cols in calls:
+        assert (blocks_, where_, width_) == (blocks, where, width)
+        assert len(cols) == len(where[(p, s)])
+        for f, col in zip(where[(p, s)], cols):
+            e = unpack(space, width, f)
+            assert cech_degree(space, e) == q
+            got = {named[(p + q + 1, y)]: v for y, v in col.items()}
+            assert got == uncapped_transfer(space, poly, p, s, e, prime), (a, p, s, e)
+            levels[(last_level(space, p, e, blocks), min(map(min, e)) >= 0)] += 1
+            seen.append((p, s, e))
+    classes, all_blocks = classes_and_blocks(C, a, width)
+    assert sorted(seen) == sorted(classes) and all_blocks == blocks
     return levels
 
 
