@@ -12,14 +12,13 @@ from .lattice import (
     render_region,
     safe_region,
 )
-from .bott import factor_h, line_bundle_h, signature
+from .bott import line_bundle_h, signature
 from .linalg import PrimeField, RationalField, RATIONALS, default_field, parse_field
 from .coxring import (
     FreeSum,
     LineBundleComplex,
     MultiHomogPoly,
     free_complex,
-    monomials,
     poly_mult,
     validate_complex,
 )
@@ -32,7 +31,6 @@ from .tate import (
     corner_checksum,
     strand_checksum,
     strand_propagate,
-    tate_checksum,
     tate_term_dims,
 )
 from .splitter import (

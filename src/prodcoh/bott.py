@@ -15,36 +15,12 @@ Dimensions of line-bundle cohomology do not depend on the base field.
 
 import math
 
-from .lattice import canonical_twist
-
 
 def binom(n, k):
     """Combinatorial binomial coefficient, zero outside 0 <= k <= n."""
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def poly_binom(x, n):
-    """C(x, n) as the degree-n polynomial x(x-1)...(x-n+1)/n!, any integer x.
-
-    Used for Euler characteristics, where the polynomial extension avoids
-    the sign ambiguity of negative-argument binomials.
-    """
-    num = 1
-    for i in range(n):
-        num *= x - i
-    return num // math.factorial(n)
-
-
-def factor_h(n, a):
-    """Cohomology vector (h^0, ..., h^n) of O(a) on P^n."""
-    if n < 1:
-        raise ValueError("factor dimension must be >= 1")
-    q, dim = factor_group(n, a) or (0, 0)
-    h = [0] * (n + 1)
-    h[q] = dim
-    return tuple(h)
 
 
 def factor_group(n, a):
@@ -88,17 +64,3 @@ def signature(space, a):
 
 def is_intermediate(space, sig):
     return sig is not None and 0 < sig[0] < space.m
-
-
-def euler_characteristic(space, a):
-    """chi(O(a)) = prod_j C(a_j + n_j, n_j), polynomial binomials."""
-    a = space.degree(a)
-    chi = 1
-    for nj, aj in zip(space.factor_dims, a):
-        chi *= poly_binom(aj + nj, nj)
-    return chi
-
-
-def serre_dual_twist(space, a):
-    """The twist paired with a under Serre duality: -a + canonical."""
-    return tuple(w - x for w, x in zip(canonical_twist(space), space.degree(a)))

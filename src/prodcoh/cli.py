@@ -78,7 +78,7 @@ def load_complex(path, field_flag=None):
             "%s: invalid JSON at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
-    override = linalg.parse_field(field_flag) if field_flag else None
+    override = None if field_flag is None else linalg.parse_field(field_flag)
     return LineBundleComplex.from_json(obj, field_override=override)
 
 
@@ -100,7 +100,7 @@ def cmd_regions(args):
     if len(window.lo) != space.t:
         raise UsageError("window dimension does not match the space")
     if space.t != 2:
-        if not args.slice:
+        if args.slice is None:
             raise UsageError(
                 "regions renders 2-D grids; pass --slice v3,...,vt to fix the "
                 "remaining coordinates"
@@ -112,7 +112,7 @@ def cmd_regions(args):
         fixed = ()
 
     if args.mode == "safe":
-        if not args.d:
+        if args.d is None:
             raise UsageError("--mode safe requires --d")
         d = Polarization(parse_ints(args.d, "polarization"))
         cells = safe_region(space, d, window)
@@ -245,7 +245,7 @@ def cmd_split_check(args):
 
 def cmd_tate_profile(args):
     b = None
-    if args.table:
+    if args.table is not None:
         try:
             with open(args.table) as fh:
                 table = tate.CohomologyTable.from_json(json.load(fh))
@@ -254,13 +254,13 @@ def cmd_tate_profile(args):
         space = table.space
         b = space.degree(parse_ints(args.b, "internal degree"))
     else:
-        if not args.input:
+        if args.input is None:
             raise UsageError("tate-profile needs --input or --table")
         C = load_complex(args.input, args.field)
         space = C.space
         b = space.degree(parse_ints(args.b, "internal degree"))
         window = (
-            parse_window(args.window) if args.window else tate.support_box(space, b)
+            tate.support_box(space, b) if args.window is None else parse_window(args.window)
         )
         table = cech.cohomology_table(C, window)
 
@@ -270,12 +270,12 @@ def cmd_tate_profile(args):
         "profile": {str(d): v for d, v in sorted(profile.dims.items())},
         "checksum": profile.checksum(),
     }
-    checks = [c for c in (args.checks or "").split(",") if c]
+    checks = [] if args.checks is None else args.checks.split(",")
     for check in checks:
         if check == "tate":
             continue  # the headline checksum above
         elif check == "corner":
-            if not args.c:
+            if args.c is None:
                 raise UsageError("--checks corner requires --c")
             c = space.degree(parse_ints(args.c, "corner degree"))
             report["corner"] = {
@@ -284,11 +284,11 @@ def cmd_tate_profile(args):
                 "exact_expected": True,
             }
         elif check == "strand":
-            if not args.c:
+            if args.c is None:
                 raise UsageError("--checks strand requires --c")
             c = space.degree(parse_ints(args.c, "strand degree"))
-            sets = {f: set(parse_ints(getattr(args, f), f) if getattr(args, f) else ())
-                    for f in "IJK"}
+            sets = {f: set() if v is None else set(parse_ints(v, f))
+                    for f, v in zip("IJK", (args.I, args.J, args.K))}
             for f, js in sets.items():
                 if any(not 0 <= j < space.t for j in js):
                     raise UsageError("--%s %s: factor indices run over 0..%d"

@@ -13,7 +13,6 @@ The represented sheaf is the degree-0 cohomology sheaf of the complex;
 exactness away from degree 0 is asserted by the caller, not verified.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,37 +26,6 @@ class CoxError(ValueError):
 
 class SchemaError(ValueError):
     """Raised on malformed JSON input; the message carries the path."""
-
-
-def compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 0:
-            yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def monomials(space, degree):
-    """All exponent vectors of the given multidegree, lexicographic order.
-
-    An exponent vector is a tuple of per-factor exponent tuples.  Empty when
-    some coordinate of the degree is negative.
-    """
-    degree = space.degree(degree)
-    if any(dj < 0 for dj in degree):
-        return ()
-    per_factor = [
-        tuple(compositions(dj, nj + 1))
-        for dj, nj in zip(degree, space.factor_dims)
-    ]
-    return tuple(itertools.product(*per_factor))
 
 
 def expvec_degree(space, e):
@@ -103,12 +71,6 @@ class MultiHomogPoly:
         self.field = field
         self.degree = degree
         self.terms = clean
-
-    @classmethod
-    def zero(cls, space, field, degree):
-        p = object.__new__(cls)
-        p.space, p.field, p.degree, p.terms = space, field, space.degree(degree), {}
-        return p
 
     @classmethod
     def monomial(cls, space, field, coeff, e):
@@ -310,7 +272,7 @@ class LineBundleComplex:
             diffs.append({"p": p, "entries": rows})
         return {
             "space": self.space.to_json(),
-            "field": _field_name(self.field),
+            "field": self.field.name,
             "complex": {"terms": terms, "diffs": diffs},
         }
 
@@ -385,10 +347,6 @@ def _once(p, seen, path):
     if p in seen:
         raise SchemaError("%s.p: degree %d is given twice" % (path, p))
     return p
-
-
-def _field_name(field):
-    return field.name
 
 
 def free_complex(space, twists, field=None):

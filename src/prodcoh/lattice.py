@@ -90,9 +90,6 @@ class Polarization:
             raise LatticeError("polarization degrees must be >= 1, got %r" % (d,))
         object.__setattr__(self, "d", d)
 
-    def times(self, k):
-        return vscale(k, self.d)
-
 
 @dataclass(frozen=True)
 class Window:

@@ -90,18 +90,13 @@ class SplitVerdict:
         return out
 
 
-def hypothesis_violations(T, d):
-    """Safe-region twists in the window carrying intermediate cohomology.
+def hypothesis_violations(T, safe):
+    """Twists of safe, the safe region in T's window, carrying intermediate
+    cohomology in T.
 
     Returned in lexicographic twist order, lowest index first, so the first
     entry is the canonical witness.
     """
-    d = d if isinstance(d, Polarization) else Polarization(d)
-    return _violations(T, safe_region(T.space, d, T.window))
-
-
-def _violations(T, safe):
-    """hypothesis_violations over an already computed safe region."""
     return [
         (a, i) for a in sorted(safe) for i in range(1, T.space.m) if T.known_dim(a, i)
     ]
@@ -136,7 +131,6 @@ def extremal_hm(T, d):
     no front member is maximal.  Positions and notes are reported ascending.
     """
     space = T.space
-    d = d if isinstance(d, Polarization) else Polarization(d)
     m = space.m
     front = []
     for a in sorted((a for (a, i), (dim, _) in T.cells.items() if i == m and dim > 0),
@@ -178,22 +172,17 @@ def _h0_of_twist_sum(space, d, ks_mults, shift_k):
     return total
 
 
-def multiplicities(T, d):
+def multiplicities(T, d, report):
     """Summand multiplicities of a split candidate by h^0 descent.
 
     k_max is the largest k with h^0(F(-kH)) nonzero; descending from there,
     mult(k) = h^0(F(-kH)) - sum_{k'>k} mult(k') * h^0(O((k'-k)H)).  The
     descent stops at the k pinned by the aligned extremal position (the
     smallest summand twist of any splitting) and is verified one step
-    further down when the window allows.  Negative residuals, missing
-    window coverage or a missing aligned position raise SplitterError.
+    further down when the window allows.  report is extremal_hm(T, d).
+    Negative residuals, missing window coverage, an uncertified report or
+    a missing aligned position raise SplitterError.
     """
-    d = d if isinstance(d, Polarization) else Polarization(d)
-    return _descend(T, d, extremal_hm(T, d))
-
-
-def _descend(T, d, report):
-    """multiplicities with the extremal report of T already computed."""
     space = T.space
     if not report.certified:
         raise SplitterError(
@@ -256,7 +245,6 @@ def verify_split(T, ms, d):
     mismatch (a, i, got, expected) in lexicographic order.  By Kunneth a
     summand's groups are products of factor groups, tabulated per coordinate."""
     space = T.space
-    d = d if isinstance(d, Polarization) else Polarization(d)
     space.degree(d.d)  # a polarization of the wrong length is refused, not truncated
     groups = [
         (mult, [{x: bott.factor_group(n, k * dj + x) for x in range(lo, hi + 1)}
@@ -325,7 +313,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
 
     safe = safe_region(space, d, window)
     safe_size = len(safe)
-    violations = _violations(table, safe)
+    violations = hypothesis_violations(table, safe)
     if violations:
         a, i = violations[0]
         return SplitVerdict(
@@ -378,7 +366,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
             )
 
     try:
-        ms = _descend(table, d, report)
+        ms = multiplicities(table, d, report)
     except SplitterError as exc:
         return inconclusive(
             str(exc),

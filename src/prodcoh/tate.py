@@ -234,12 +234,6 @@ def tate_term_dims(T, b):
     return TateTermProfile(T.space.degree(b), _gather(T, b))
 
 
-def tate_checksum(T, b):
-    """Alternating sum over the profile of internal degree b; exactness of
-    the resolution predicts 0 whenever the support box is covered."""
-    return tate_term_dims(T, b).checksum()
-
-
 def strand_is_guaranteed(space, I, J, K):
     """Exactness of the quadrant strand is guaranteed only when the three
     index sets do not exhaust the factors."""

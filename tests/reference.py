@@ -11,16 +11,21 @@ recomputes one depth deeper.  If the two answers disagree it raises
 TruncationInstability rather than reporting a wrong number.
 
 Beside it: the rank of a dense matrix, through the package's one sparse
-elimination, and intermediate_k_range, the per-twist scan over k that
-lattice.safe_region must agree with.
+elimination; intermediate_k_range, the per-twist scan over k that
+lattice.safe_region must agree with; the monomial basis of a multidegree
+(monomials, from compositions), which counts h^0 of a line bundle
+independently of bott; and Euler characteristics from polynomial
+binomials (euler_characteristic, poly_binom) with the Serre dual twist
+(serre_dual_twist), the closed forms bott's vectors are checked against.
 """
 
 import itertools
+import math
 from operator import add
 
 from prodcoh import bott, linalg, minmodel
 from prodcoh.cech import EngineCheckFailed
-from prodcoh.lattice import LatticeError, Polarization, vadd, vscale
+from prodcoh.lattice import LatticeError, Polarization, canonical_twist, vadd, vscale
 
 
 class TruncationInstability(EngineCheckFailed):
@@ -237,3 +242,60 @@ def intermediate_k_range(space, d, a):
         if bott.is_intermediate(space, bott.signature(space, vadd(vscale(k, dd), a))):
             ks.append(k)
     return tuple(ks)
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`, lex order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 0:
+            yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def monomials(space, degree):
+    """All exponent vectors of the given multidegree, lexicographic order.
+
+    An exponent vector is a tuple of per-factor exponent tuples.  Empty when
+    some coordinate of the degree is negative.
+    """
+    degree = space.degree(degree)
+    if any(dj < 0 for dj in degree):
+        return ()
+    per_factor = [
+        tuple(compositions(dj, nj + 1))
+        for dj, nj in zip(degree, space.factor_dims)
+    ]
+    return tuple(itertools.product(*per_factor))
+
+
+def poly_binom(x, n):
+    """C(x, n) as the degree-n polynomial x(x-1)...(x-n+1)/n!, any integer x.
+
+    Used for Euler characteristics, where the polynomial extension avoids
+    the sign ambiguity of negative-argument binomials.
+    """
+    num = 1
+    for i in range(n):
+        num *= x - i
+    return num // math.factorial(n)
+
+
+def euler_characteristic(space, a):
+    """chi(O(a)) = prod_j C(a_j + n_j, n_j), polynomial binomials."""
+    a = space.degree(a)
+    chi = 1
+    for nj, aj in zip(space.factor_dims, a):
+        chi *= poly_binom(aj + nj, nj)
+    return chi
+
+
+def serre_dual_twist(space, a):
+    """The twist paired with a under Serre duality: -a + canonical."""
+    return tuple(w - x for w, x in zip(canonical_twist(space), space.degree(a)))

@@ -12,7 +12,6 @@ from prodcoh.coxring import (
     LineBundleComplex,
     MultiHomogPoly,
     free_complex,
-    monomials,
     validate_complex,
 )
 from prodcoh.lattice import ProductSpace, Window, vadd
@@ -102,7 +101,7 @@ def test_ideal_sheaf_h0_oracle(p11):
     # x = (1:0), y = (1:0): evaluation is one linear condition.
     F = default_field()
     values = []
-    for e in monomials(p11, (1, 1)):
+    for e in reference.monomials(p11, (1, 1)):
         (e0, e1), (f0, f1) = e
         values.append(1 if (e1 == 0 and f1 == 0) else 0)
     r = reference.rank([values], len(values), F)
@@ -169,7 +168,7 @@ def test_euler_characteristic_of_hypercohomology():
             expected = 0
             for p in C.degrees:
                 for b in C.summands(p):
-                    expected += (-1) ** p * bott.euler_characteristic(sp, vadd(a, b))
+                    expected += (-1) ** p * reference.euler_characteristic(sp, vadd(a, b))
             assert chi == expected, (a, h)
 
 
@@ -215,7 +214,7 @@ def test_divisor_structure_sheaf(p11):
     C = LineBundleComplex(p11, F, {-1: [(-1, 0)], 0: [(0, 0)]}, {-1: [[x1]]})
     for a in itertools.product(range(-3, 4), repeat=2):
         h = cech.hypercohomology(C, a)
-        expected = bott.factor_h(1, a[1]) + (0,)
+        expected = bott.line_bundle_h(ProductSpace((1,)), (a[1],)) + (0,)
         assert h == expected, (a, h)
 
 
@@ -233,7 +232,7 @@ def test_rational_field_agrees():
 def test_serre_duality_spot_checks(p11):
     for a in [(-3, -1), (0, 0), (-2, -2), (1, -4)]:
         h = truncated_line_bundle_h(p11, (0, 0), a)
-        hd = truncated_line_bundle_h(p11, (0, 0), bott.serre_dual_twist(p11, a))
+        hd = truncated_line_bundle_h(p11, (0, 0), reference.serre_dual_twist(p11, a))
         assert h == tuple(reversed(hd))
 
 
@@ -268,7 +267,7 @@ def test_engine_matches_bott_and_serre_duality(case, field):
     h = truncated_line_bundle_h(sp, (0,) * sp.t, a, field)
     assert h == bott.line_bundle_h(sp, a)
     assert cech.hypercohomology(free_complex(sp, [(0,) * sp.t], field), a) == h
-    dual = truncated_line_bundle_h(sp, (0,) * sp.t, bott.serre_dual_twist(sp, a), field)
+    dual = truncated_line_bundle_h(sp, (0,) * sp.t, reference.serre_dual_twist(sp, a), field)
     assert h == tuple(reversed(dual))
 
 

@@ -150,6 +150,41 @@ def test_cohomology_empty_twist_or_window_is_named(capsys, tmp_path, flag, messa
     assert code == 2 and out == "" and "needs --twist or --window" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    pytest.param("regions --space 1,1,1 --window -1:1,-1:1,-1:1 --slice", "bad slice ''",
+                 id="regions-slice"),
+    pytest.param("regions --space 1,1 --window -1:1,-1:1 --mode safe --d",
+                 "bad polarization ''", id="regions-d"),
+    pytest.param("tate-profile --input {} --b 1,1 --window", "bad window component ''",
+                 id="tate-profile-window"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks corner --c", "bad corner degree ''",
+                 id="tate-profile-c-corner"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c", "bad strand degree ''",
+                 id="tate-profile-c-strand"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks", "unknown check ''",
+                 id="tate-profile-checks"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --I", "bad I ''",
+                 id="tate-profile-I"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --J", "bad J ''",
+                 id="tate-profile-J"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --K", "bad K ''",
+                 id="tate-profile-K"),
+    pytest.param("tate-profile --input {} --b 1,1 --field", "unrecognized field ''",
+                 id="tate-profile-field"),
+    pytest.param("tate-profile --b 1,1 --input", "cannot read :", id="tate-profile-input"),
+    pytest.param("tate-profile --b 1,1 --table", "table :", id="tate-profile-table"),
+    pytest.param("cohomology --input {} --twist 0,0 --field", "unrecognized field ''",
+                 id="cohomology-field"),
+    pytest.param("split-check --input {} --d 1,1 --window 0:1,0:1 --field",
+                 "unrecognized field ''", id="split-check-field"),
+])
+def test_empty_flag_value_is_named(capsys, tmp_path, command, message):
+    # An empty value is refused by name, never read as the flag left out.
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, command.format(path).split() + [""])
+    assert code == 2 and out == "" and message in err
+
+
 def test_cohomology_json_roundtrip(capsys, tmp_path):
     from prodcoh.tate import CohomologyTable
 

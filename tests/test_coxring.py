@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import koszul_point_complex
+from reference import monomials
 from prodcoh.coxring import (
     CoxError,
     LineBundleComplex,
     MultiHomogPoly,
     free_complex,
-    monomials,
     poly_mult,
     validate_complex,
 )
@@ -43,7 +43,7 @@ def test_poly_mult():
     assert prod.terms == {((1, 1),): 1}
     square = poly_mult(x0 + x1, x0 - x1)
     assert square.terms == {((2, 0),): 1, ((0, 2),): F.coerce(-1)}
-    zero = MultiHomogPoly.zero(sp, F, (1,))
+    zero = MultiHomogPoly(sp, F, (1,), {})
     assert poly_mult(x0, zero).is_zero()
 
 
@@ -140,7 +140,7 @@ def test_poly_exponents_accept_only_integers(p11, e):
 
 @pytest.mark.parametrize("degree", [(0.5, "x"), (True, 0), (1,)])
 def test_zero_poly_degree_is_validated(p11, degree):
-    # zero() once stored any degree as given, unlike every other constructor.
+    # A polynomial without terms keeps a declared degree, validated like any other.
     with pytest.raises(LatticeError):
-        MultiHomogPoly.zero(p11, default_field(), degree)
-    assert MultiHomogPoly.zero(p11, default_field(), [1, 2]).degree == (1, 2)
+        MultiHomogPoly(p11, default_field(), degree, {})
+    assert MultiHomogPoly(p11, default_field(), [1, 2], {}).degree == (1, 2)

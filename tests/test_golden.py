@@ -17,10 +17,12 @@ command still built the parsers of all four subcommands.
 """
 
 import hashlib
+import types
 
 import pytest
 
 from conftest import ideal_sheaf_complex, koszul_point_complex
+import prodcoh
 from prodcoh import cli
 from prodcoh.coxring import free_complex
 from prodcoh.lattice import ProductSpace
@@ -208,3 +210,24 @@ def test_golden_usage(capsys, monkeypatch, argv, code, digest):
     out = capsys.readouterr()
     text = out.out + "\0" + out.err
     assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
+
+
+# The names `import prodcoh` exports, its submodules aside.  Test-only
+# references live in tests/reference.py; one re-exported here fails.
+EXPORTS = {
+    "CohomologyTable", "ExtremalReport", "FreeSum", "LatticeError", "LineBundleComplex",
+    "MultiHomogPoly", "Polarization", "PrimeField", "ProductSpace", "RATIONALS",
+    "RationalField", "SplitVerdict", "StrandInconsistency", "TateCoverageError",
+    "TateTermProfile", "Window", "canonical_twist", "cohomology_table", "corner_checksum",
+    "default_field", "extremal_hm", "free_complex", "hm_monotonicity_check",
+    "hypercohomology", "hypothesis_violations", "leq", "line_bundle_h", "lt",
+    "multiplicities", "parse_field", "poly_mult", "render_region", "safe_region",
+    "signature", "split_check", "strand_checksum", "strand_propagate", "tate_term_dims",
+    "validate_complex", "verify_split",
+}
+
+
+def test_package_exports():
+    got = {name for name, value in vars(prodcoh).items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert got == EXPORTS

@@ -1,15 +1,16 @@
 import functools
 import itertools
 import operator
+import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from conftest import koszul_point_complex
 from prodcoh import bott, cech, minmodel, splitter
-from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex, monomials
+from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window, vadd
 from prodcoh.linalg import RATIONALS, default_field
 from prodcoh.tate import STATUS_COMPUTED
@@ -121,7 +122,7 @@ def mixed_koszul(draw):
         deg = draw(st.sampled_from(degrees))
         forms.append(functools.reduce(operator.add, [
             MultiHomogPoly.monomial(sp, field, draw(st.sampled_from([1, -1, 2, -3])), e)
-            for e in monomials(sp, deg)
+            for e in reference.monomials(sp, deg)
         ]))
     K = koszul_complex(sp, field, forms)
     if draw(st.booleans()):
@@ -423,8 +424,28 @@ def capped_cases(draw):
     return K, tuple(a)
 
 
+def dense_koszul(sp, degree, count, seed):
+    """The Koszul complex of count dense forms of one degree over F_p, with
+    coefficients random.Random(seed).randrange(1, p)."""
+    field = default_field()
+    rng = random.Random(seed)
+    return koszul_complex(sp, field, [functools.reduce(operator.add, [
+        MultiHomogPoly.monomial(sp, field, rng.randrange(1, field.p), e)
+        for e in reference.monomials(sp, degree)
+    ]) for _ in range(count)])
+
+
+# Four dense (1,1) forms on P^1 x P^2 have no common zero.  At (1,-4) some
+# series reach level 1 and at (-4,1) level 2, in terms where the sign of
+# the series is -1: a wrong sign or a series stopped one level early
+# changes their columns.  mixed_koszul's two forms never get that far.
+DENSE_P12 = dense_koszul(ProductSpace((1, 2)), (1, 1), 4, 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(capped_cases())
+@example((DENSE_P12, (1, -4)))
+@example((DENSE_P12, (-4, 1)))
 def test_capped_series_columns_equal_uncapped(case):
     check_columns(*case)
 

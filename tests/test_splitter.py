@@ -35,12 +35,12 @@ D11 = Polarization((1, 1))
 
 def test_hypothesis_violations_clean(p11):
     T = polarized_table(p11, [(1, 1), (0, 1)], (1, 1), Window((-5, -5), (5, 5)))
-    assert hypothesis_violations(T, D11) == []
+    assert hypothesis_violations(T, safe_region(p11, D11, T.window)) == []
 
 
 def test_hypothesis_violations_witness(p11):
     T = bott_table(p11, [((1, 0), 1)], Window((-5, -5), (5, 5)))
-    violations = hypothesis_violations(T, D11)
+    violations = hypothesis_violations(T, safe_region(p11, D11, T.window))
     assert ((-1, -2), 1) in violations
     assert violations[0] == ((-1, -2), 1)  # lexicographic twist, lowest index
 
@@ -131,23 +131,23 @@ def test_extremal_front_equals_quadratic(case):
 
 def test_multiplicities_two_summands(p11):
     T = polarized_table(p11, [(1, 1), (-1, 1)], (1, 1), Window((-5, -5), (5, 5)))
-    assert multiplicities(T, D11) == ((1, 1), (-1, 1))
+    assert multiplicities(T, D11, extremal_hm(T, D11)) == ((1, 1), (-1, 1))
 
 
 def test_multiplicities_double_summand(p11):
     T = polarized_table(p11, [(2, 2)], (1, 1), Window((-6, -6), (6, 6)))
-    assert multiplicities(T, D11) == ((2, 2),)
+    assert multiplicities(T, D11, extremal_hm(T, D11)) == ((2, 2),)
 
 
 def test_multiplicities_gap(p11):
     T = polarized_table(p11, [(2, 1), (0, 1)], (1, 1), Window((-6, -6), (6, 6)))
-    assert multiplicities(T, D11) == ((2, 1), (0, 1))
+    assert multiplicities(T, D11, extremal_hm(T, D11)) == ((2, 1), (0, 1))
 
 
 def test_multiplicities_single_polarized(p11):
     d = Polarization((1, 2))
     T = polarized_table(p11, [(1, 1)], (1, 2), Window((-7, -7), (5, 5)))
-    assert multiplicities(T, d) == ((1, 1),)
+    assert multiplicities(T, d, extremal_hm(T, d)) == ((1, 1),)
 
 
 def test_multiplicities_negative_residual(p11):
@@ -159,7 +159,7 @@ def test_multiplicities_negative_residual(p11):
     T = polarized_table(p11, [(1, 1), (-1, 1)], (1, 1), Window((-5, -5), (5, 5)))
     T.set_cell((1, 1), 0, 5, COMPUTED)  # h^0(F(H)) is really 10
     with pytest.raises(SplitterError, match="negative residual"):
-        multiplicities(T, D11)
+        multiplicities(T, D11, extremal_hm(T, D11))
 
 
 def test_verify_split(p11):

@@ -21,7 +21,6 @@ from prodcoh.tate import (
     strand_is_guaranteed,
     strand_propagate,
     support_box,
-    tate_checksum,
     tate_term_dims,
 )
 from test_cech import koszul_complex, koszul_points
@@ -38,7 +37,7 @@ def test_profile_structure_sheaf(p11):
     T = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (3, 3)))
     prof = tate_term_dims(T, (0, 0))
     assert prof.dims == {-2: 1, -1: 2, 0: 1}
-    assert tate_checksum(T, (0, 0)) == 0
+    assert tate_term_dims(T, (0, 0)).checksum() == 0
 
 
 def test_profile_negative_degree(p11):
@@ -55,7 +54,7 @@ def test_profile_zero_sheaf(p11):
     T = bott_table(p11, [], Window((-3, -3), (3, 3)))
     prof = tate_term_dims(T, (0, 0))
     assert prof.dims == {}
-    assert tate_checksum(T, (0, 0)) == 0
+    assert tate_term_dims(T, (0, 0)).checksum() == 0
 
 
 def test_checksums_vanish_for_test_sheaves(p11):
@@ -69,14 +68,14 @@ def test_checksums_vanish_for_test_sheaves(p11):
     ]
     for T in tables:
         for b in all_covered_degrees(p11, window):
-            assert tate_checksum(T, b) == 0, (T, b)
+            assert tate_term_dims(T, b).checksum() == 0, (T, b)
 
 
 def test_checksum_detects_corruption(p11):
     window = Window((-4, -4), (3, 3))
     T = bott_table(p11, [((0, 0), 1)], window)
     T.set_cell((-1, -1), 1, T.known_dim((-1, -1), 1) + 1, STATUS_COMPUTED)
-    assert tate_checksum(T, (-1, -1)) != 0
+    assert tate_term_dims(T, (-1, -1)).checksum() != 0
 
 
 def test_strand_checksums(p11):
@@ -126,7 +125,7 @@ def test_checksums_three_factors():
     window = Window((-4, -4, -4), (3, 3, 3))
     T = bott_table(sp, [((0, 0, 0), 1), ((1, 0, -1), 1)], window)
     for b in [(0, 0, 0), (1, 1, 1), (-1, 0, 1)]:
-        assert tate_checksum(T, b) == 0
+        assert tate_term_dims(T, b).checksum() == 0
         assert strand_checksum(T, (0, 0, 0), {0}, {1}, set(), b) == 0
         assert strand_checksum(T, (-1, 1, 0), set(), set(), {2}, b) == 0
         assert corner_checksum(T, (0, 0, 0), b) == 0
@@ -494,7 +493,7 @@ def test_checksums_vanish_on_engine_tables(T, data):
     parts = [data.draw(st.sampled_from("IJK-")) for _ in range(sp.t)]
     I, J, K = ({j for j, x in enumerate(parts) if x == name} for name in "IJK")
     for b in all_covered_degrees(sp, T.window):
-        assert tate_checksum(T, b) == 0, b
+        assert tate_term_dims(T, b).checksum() == 0, b
         assert corner_checksum(T, c, b) == 0, (c, b)
         if strand_is_guaranteed(sp, I, J, K):
             assert strand_checksum(T, c, I, J, K, b) == 0, (c, I, J, K, b)
