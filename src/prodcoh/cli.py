@@ -2,9 +2,12 @@
 
 Subcommands: regions (cohomology-region grids), cohomology (tables of a
 line-bundle complex), split-check (splitting verdict), tate-profile
-(Tate term dimensions and exactness checksums).  A command builds only
-its own subcommand's parser; the full parser is built for help and for
-an argv that names no command.
+(Tate term dimensions and exactness checksums).  An argv that names a
+command is parsed by that command's parser alone, the one argparse would
+build as its subparser (prog "prodcoh <command>"), so its usage, errors and
+--help read the same.  The top-level parser is built only for top-level
+help, for an argv with no command or an unknown one, and to report
+unrecognized arguments, whose error shows the top-level usage line.
 
 Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
 3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
@@ -356,9 +359,19 @@ _COMMANDS = {
 }
 
 
+def _add_flags(parser, command):
+    """Give parser the flags and the handler of one subcommand."""
+    func, _, flags = _COMMANDS[command]
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser(command=None):
-    """The prodcoh parser.  Given a subcommand name, only that subcommand's
-    parser is built; otherwise (no command, -h, an unknown word) all are."""
+    """The top-level prodcoh parser.  Given a subcommand name, only that
+    subcommand's parser is built; otherwise (no command, -h, an unknown
+    word) all are."""
     parser = argparse.ArgumentParser(
         prog="prodcoh",
         description="Exact multigraded sheaf cohomology on products of "
@@ -371,11 +384,7 @@ def build_parser(command=None):
     metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        func, help_, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+        _add_flags(sub.add_parser(name, help=_COMMANDS[name][1]), name)
     return parser
 
 
@@ -402,11 +411,24 @@ def _join_values(argv):
     return out
 
 
+def parse_args(argv):
+    """The parsed flags of argv, whose first word is the command; usage
+    errors and help exit through SystemExit, as argparse does."""
+    argv = _join_values(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    command = argv[0]
+    parser = argparse.ArgumentParser(prog="prodcoh " + command)
+    args, extras = _add_flags(parser, command).parse_known_args(argv[1:])
+    if extras:
+        build_parser(command).error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_join_values(argv))
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -13,6 +13,7 @@ The represented sheaf is the degree-0 cohomology sheaf of the complex;
 exactness away from degree 0 is asserted by the caller, not verified.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,24 @@ def expvec_degree(space, e):
     return tuple(sum(block) for block in e)
 
 
+def _check_term(space, e, degree):
+    """Refuse the exponent vector e, a tuple of int tuples, as a term of a
+    polynomial of the declared degree."""
+    got = expvec_degree(space, e)
+    if got != degree:
+        raise CoxError("term %r has degree %r, declared %r" % (e, got, degree))
+
+
+def _check_sign(degree, terms):
+    if terms and any(dj < 0 for dj in degree):
+        raise CoxError("nonzero polynomial with negative degree %r" % (degree,))
+
+
+# The coefficient strings of the JSON format: an optional minus sign, ASCII
+# digits, and an optional denominator of ASCII digits.
+_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 class MultiHomogPoly:
     """A multihomogeneous polynomial: a declared multidegree plus a term map
     exponent-vector -> nonzero coefficient.  The zero polynomial keeps its
@@ -54,19 +73,14 @@ class MultiHomogPoly:
         clean = {}
         for e, c in terms.items():
             e = tuple(tuple(block) for block in e)
-            if expvec_degree(space, e) != degree:
-                raise CoxError(
-                    "term %r has degree %r, declared %r"
-                    % (e, expvec_degree(space, e), degree)
-                )
+            _check_term(space, e, degree)
             c = field.coerce(c)
-            if c == field.coerce(0):
+            if not c:
                 continue
             if e in clean:
                 raise CoxError("duplicate exponent vector %r" % (e,))
             clean[e] = c
-        if clean and any(dj < 0 for dj in degree):
-            raise CoxError("nonzero polynomial with negative degree %r" % (degree,))
+        _check_sign(degree, clean)
         self.space = space
         self.field = field
         self.degree = degree
@@ -129,18 +143,7 @@ class MultiHomogPoly:
         )
 
     def __repr__(self):
-        if not self.terms:
-            return "0[deg=%r]" % (self.degree,)
-        bits = []
-        for e in sorted(self.terms):
-            mono = "*".join(
-                "x%d_%d%s" % (j, i, "" if p == 1 else "^%d" % p)
-                for j, block in enumerate(e)
-                for i, p in enumerate(block)
-                if p
-            ) or "1"
-            bits.append("%s*%s" % (self.terms[e], mono))
-        return " + ".join(bits)
+        return _terms_repr(self.terms) if self.terms else "0[deg=%r]" % (self.degree,)
 
     def to_json(self):
         return {
@@ -153,11 +156,18 @@ class MultiHomogPoly:
 
     @classmethod
     def from_json(cls, space, field, obj, path="poly"):
+        """Read a polynomial object in one pass over its terms.  The checks
+        are the constructor's and the format's, reported in a fixed order:
+        each term's entries, repetition and coefficient, in term order; then
+        the declared degree; then the first term the constructor would
+        refuse (block shape, sign, degree); then a nonzero polynomial of
+        negative degree."""
         if not isinstance(obj, dict):
             raise SchemaError("%s: %r is neither 0, null nor a polynomial object" % (path, obj))
+        terms = {}
+        refused = None  # the first term's CoxError, raised once the degree is read
         try:
             degree = tuple(obj["degree"])
-            terms = {}
             for k, term in enumerate(obj.get("terms", [])):
                 e = tuple(tuple(block) for block in term["e"])
                 if any(type(x) is not int for block in e for x in block):
@@ -167,7 +177,7 @@ class MultiHomogPoly:
                     raise SchemaError("%s.terms[%d].e: exponent vector %r is given twice"
                                       % (path, k, e))
                 c = term["c"]
-                if type(c) not in (int, str):
+                if type(c) is not int and not (type(c) is str and _COEFF.fullmatch(c)):
                     raise SchemaError("%s.terms[%d].c: %r is neither an integer nor a "
                                       "'num/den' string" % (path, k, c))
                 try:
@@ -175,12 +185,38 @@ class MultiHomogPoly:
                 except (ValueError, ZeroDivisionError) as exc:  # FieldError is a ValueError
                     raise SchemaError("%s.terms[%d].c: %r is not a coefficient in %r (%s)"
                                       % (path, k, c, field, exc)) from exc
+                if refused is None:
+                    try:
+                        _check_term(space, e, degree)
+                    except CoxError as exc:
+                        refused = exc
         except (KeyError, TypeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
         try:
-            return cls(space, field, degree, terms)
+            degree = space.degree(degree)
+            if refused is not None:
+                raise refused
+            terms = {e: c for e, c in terms.items() if c}
+            _check_sign(degree, terms)
         except (CoxError, LatticeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
+        f = object.__new__(cls)  # every check of __init__ is done
+        f.space, f.field, f.degree, f.terms = space, field, degree, terms
+        return f
+
+
+def _terms_repr(terms):
+    """A term map as text, terms in exponent order: "3*x0_1^2*x1_0 + ..."."""
+    bits = []
+    for e in sorted(terms):
+        mono = "*".join(
+            "x%d_%d%s" % (j, i, "" if p == 1 else "^%d" % p)
+            for j, block in enumerate(e)
+            for i, p in enumerate(block)
+            if p
+        ) or "1"
+        bits.append("%s*%s" % (terms[e], mono))
+    return " + ".join(bits)
 
 
 def _coeff_to_json(c, field):
@@ -299,17 +335,17 @@ class LineBundleComplex:
         except (KeyError, TypeError) as exc:
             raise SchemaError("complex.terms: %s" % exc) from exc
         diffs = {}
-        for d, dent in enumerate(body.get("diffs", [])):
+        for d, dent in enumerate(_list(body.get("diffs", []), "complex.diffs")):
             path = "complex.diffs[%d]" % d
             try:
                 p = _once(_integer(dent["p"], path + ".p"), diffs, path)
-                rows = dent["entries"]
+                rows = _list(dent["entries"], path + ".entries")
             except (KeyError, TypeError) as exc:
                 raise SchemaError("%s: %s" % (path, exc)) from exc
             mat = []
             for r, row in enumerate(rows):
                 out = []
-                for c, e in enumerate(row):
+                for c, e in enumerate(_list(row, "%s.entries[%d]" % (path, r))):
                     if e is None or (type(e) is int and e == 0):
                         out.append(None)
                     else:
@@ -333,6 +369,12 @@ def _degree_key(p):
 def _integer(x, path):
     if type(x) is not int:  # no bool, float or str
         raise SchemaError("%s: %r is not an integer" % (path, x))
+    return x
+
+
+def _list(x, path):
+    if type(x) is not list:
+        raise SchemaError("%s: %r is not a list" % (path, x))
     return x
 
 
@@ -386,7 +428,8 @@ def validate_complex(C):
                 elif any(x < 0 for x in want):
                     out.append((p, r, c, "degree",
                                 "nonzero entry where twist step %r is negative" % (want,)))
-    # d o d = 0, symbolically.
+    # d o d = 0, symbolically: each composite's products summed in one
+    # {exponent vector: coefficient} dict.
     for p in sorted(C.diffs):
         if p + 1 not in C.diffs:
             continue
@@ -394,20 +437,27 @@ def validate_complex(C):
         src = C.summands(p)
         mid = C.summands(p + 1)
         tgt = C.summands(p + 2)
-        if len(d1) != len(mid) or len(d2) != len(tgt):
+        if (len(d1) != len(mid) or len(d2) != len(tgt)
+                or any(len(row) < len(src) for row in d1)
+                or any(len(row) < len(mid) for row in d2)):
             continue  # shape violation already recorded
+        add, mul = C.field.add, C.field.mul
         for r in range(len(tgt)):
             for c in range(len(src)):
-                acc = None
+                acc = {}
                 for s in range(len(mid)):
-                    e2 = C.entry(p + 1, r, s)
-                    e1 = C.entry(p, s, c)
-                    if e1 is None or e2 is None:
+                    f2, f1 = d2[r][s], d1[s][c]
+                    if f1 is None or f2 is None:
                         continue
-                    prod = poly_mult(e2, e1)
-                    acc = prod if acc is None else acc + prod
-                if acc is not None and not acc.is_zero():
-                    out.append((p, r, c, "dd", "composite %r is nonzero" % (acc,)))
+                    for e2, c2 in f2.terms.items():
+                        for e1, c1 in f1.terms.items():
+                            e = tuple(tuple(x + y for x, y in zip(b2, b1))
+                                      for b2, b1 in zip(e2, e1))
+                            acc[e] = add(acc.get(e, 0), mul(c2, c1))
+                composite = {e: x for e, x in acc.items() if x}
+                if composite:
+                    out.append((p, r, c, "dd",
+                                "composite %s is nonzero" % _terms_repr(composite)))
     C._validated = out
     return out
 

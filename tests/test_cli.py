@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import ideal_sheaf_complex, koszul_point_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
 from prodcoh import cech, cli, minmodel
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
@@ -280,15 +280,7 @@ def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
 
 
 def test_cohomology_invalid_complex(capsys, tmp_path):
-    sp = ProductSpace((1, 1))
-    F = default_field()
-    x1 = MultiHomogPoly.variable(sp, F, 0, 1)
-    y1 = MultiHomogPoly.variable(sp, F, 1, 1)
-    bad = LineBundleComplex(  # the Koszul point with a sign flipped: d o d != 0
-        sp, F, {-2: [(-1, -1)], -1: [(-1, 0), (0, -1)], 0: [(0, 0)]},
-        {-2: [[y1], [x1]], -1: [[x1, y1]]},
-    )
-    path = write_complex(tmp_path, bad)
+    path = write_complex(tmp_path, koszul_sign_flip_complex())
     for args in (["--twist", "0,0"], ["--window", "0:1,0:1"]):
         code, out, err = run(capsys, ["cohomology", "--input", path] + args)
         assert code == 2 and "invalid complex" in err and out == ""
@@ -415,6 +407,47 @@ def test_non_integer_is_refused(capsys, tmp_path, where, value, path):
     # for the zero map and a bad coefficient string would end in a traceback;
     # the refusal names where each sits.
     _refused(capsys, tmp_path, _koszul_json_with(where, value), path)
+
+
+@pytest.mark.parametrize("where, path", [
+    (("complex", "diffs"), "complex.diffs:"),
+    (("complex", "diffs", 0, "entries"), "complex.diffs[0].entries:"),
+    (("complex", "diffs", 0, "entries", 0), "complex.diffs[0].entries[0]:"),
+], ids=["diffs", "entries", "row"])
+def test_non_list_matrix_is_refused(capsys, tmp_path, where, path):
+    # Iterating the integer 5 used to end in a TypeError traceback.
+    _refused(capsys, tmp_path, _koszul_json_with(where, 5), path)
+
+
+X00 = [[1, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "q"]], ids=["fp", "q"])
+@pytest.mark.parametrize("coeff", ["0.5", "1e5", "1_0", " 1/2 ", "+1", "1/-2", "1.0/2"])
+def test_coefficient_outside_the_grammar_is_refused(capsys, tmp_path, field, coeff):
+    # Fraction() reads every one of the first four; the format allows only
+    # [-]digits[/digits].
+    obj = _zero_map({"degree": [1, 0], "terms": [{"c": coeff, "e": X00}]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["cohomology", "--input", str(path), "--twist", "1,0"] + field)
+    assert (code, out) == (2, "")
+    assert err == ("error: complex.diffs[0].entries[0][0].terms[0].c: %r is neither an "
+                   "integer nor a 'num/den' string\n" % coeff)
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "q"]], ids=["fp", "q"])
+@pytest.mark.parametrize("coeff", [-3, "-3", "3", "-03", "6/2", "-6/2", "-0", "0/5"])
+def test_coefficient_grammar_reads_as_before(capsys, tmp_path, field, coeff):
+    # -3 x_{0,0}: the divisor x_{0,0} = 0, h^0 at (1,0) is 1; a zero
+    # coefficient is the zero map, h^0 is 2.
+    obj = _zero_map({"degree": [1, 0], "terms": [{"c": coeff, "e": X00}]})
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["cohomology", "--input", str(path), "--twist", "1,0",
+                                  "--format", "json"] + field)
+    h0 = 2 if coeff in ("-0", "0/5") else 1
+    assert (code, err, json.loads(out)["h"]) == (0, "", [h0, 0, 0])
 
 
 def test_split_check_exit_codes(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import koszul_point_complex
+from conftest import koszul_point_complex, koszul_sign_flip_complex
 from reference import monomials
 from prodcoh.coxring import (
     CoxError,
@@ -63,19 +64,51 @@ def test_validate_koszul_ok():
     assert validate_complex(koszul_point_complex()) == []
 
 
+KOSZUL_TERMS = {-2: [(-1, -1)], -1: [(-1, 0), (0, -1)], 0: [(0, 0)]}
+
+
 def test_validate_sign_flip():
+    # The whole violation tuple, detail included, as recorded before the
+    # d o d check summed its products in a term dict.
+    for F in (default_field(), RATIONALS):
+        assert validate_complex(koszul_sign_flip_complex(F)) == [
+            (-2, 0, 0, "dd", "composite 2*x0_1*x1_1 is nonzero"),
+        ]
+
+
+@pytest.mark.parametrize("F", [default_field(), RATIONALS], ids=["fp", "q"])
+def test_validate_partial_cancellation(F):
+    # x1*(y1 + y0) + y1*(-x1): the x1*y1 terms of the two products cancel,
+    # the x1*y0 term is left over.
+    sp = ProductSpace((1, 1))
+    x1, y0, y1 = var(sp, F, 0, 1), var(sp, F, 1, 0), var(sp, F, 1, 1)
+    bad = LineBundleComplex(
+        sp, F, KOSZUL_TERMS, {-2: [[y1 + y0], [x1.scale(-1)]], -1: [[x1, y1]]},
+    )
+    assert validate_complex(bad) == [(-2, 0, 0, "dd", "composite 1*x0_1*x1_0 is nonzero")]
+
+
+def test_validate_composite_of_mixed_degrees():
+    # x_{0,0} where a degree-(0,1) entry belongs: the two products of the
+    # composite have degrees (2,0) and (1,1).  Adding them as polynomials
+    # raised CoxError, a traceback through the command line.
     sp = ProductSpace((1, 1))
     F = default_field()
-    x1 = var(sp, F, 0, 1)
-    y1 = var(sp, F, 1, 1)
-    bad = LineBundleComplex(
-        sp,
-        F,
-        {-2: [(-1, -1)], -1: [(-1, 0), (0, -1)], 0: [(0, 0)]},
-        {-2: [[y1], [x1]], -1: [[x1, y1]]},  # sign flip: d o d = 2*x1*y1
-    )
-    violations = validate_complex(bad)
-    assert any(kind == "dd" for (_, _, _, kind, _) in violations)
+    x0, x1, y1 = var(sp, F, 0, 0), var(sp, F, 0, 1), var(sp, F, 1, 1)
+    bad = LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[x0], [x1.scale(-1)]], -1: [[x1, y1]]})
+    assert validate_complex(bad) == [
+        (-2, 0, 0, "degree", "entry degree (1, 0), expected (0, 1)"),
+        (-2, 0, 0, "dd", "composite 65520*x0_1*x1_1 + 1*x0_0*x0_1 is nonzero"),
+    ]
+
+
+def test_validate_short_row_is_a_shape_violation_only():
+    # A row of the second map one entry short: composing it raised IndexError.
+    sp = ProductSpace((1, 1))
+    F = default_field()
+    x1, y1 = var(sp, F, 0, 1), var(sp, F, 1, 1)
+    bad = LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[y1], [x1.scale(-1)]], -1: [[x1]]})
+    assert validate_complex(bad) == [(-1, -1, -1, "shape", "matrix is 1x1, expected 1x2")]
 
 
 def test_validate_degree_violation():
@@ -144,3 +177,38 @@ def test_zero_poly_degree_is_validated(p11, degree):
     with pytest.raises(LatticeError):
         MultiHomogPoly(p11, default_field(), degree, {})
     assert MultiHomogPoly(p11, default_field(), [1, 2], {}).degree == (1, 2)
+
+
+P12 = ProductSpace((1, 2))
+PRIME = default_field().p
+
+
+@st.composite
+def json_polys(draw):
+    """A field and a polynomial object on P^1 x P^2 as the JSON format
+    spells it: distinct exponent vectors of the declared degree, whose
+    coefficients are integers (zero and multiples of p among them) or
+    "num/den" strings."""
+    field = draw(st.sampled_from([default_field(), RATIONALS]))
+    degree = (draw(st.integers(-1, 2)), draw(st.integers(-1, 2)))
+    basis = monomials(P12, degree)
+    es = draw(st.lists(st.sampled_from(basis), unique=True)) if basis else []
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-2, 2).map(lambda k: k * PRIME),
+        st.tuples(st.integers(-40, 40), st.integers(1, 40)).map(lambda nd: "%d/%d" % nd),
+    )
+    terms = [{"c": draw(coeff), "e": [list(block) for block in e]} for e in es]
+    return field, {"degree": list(degree), "terms": terms}
+
+
+@settings(max_examples=80, deadline=None)
+@given(json_polys())
+def test_one_pass_reader_agrees_with_constructor(case):
+    field, obj = case
+    read = MultiHomogPoly.from_json(P12, field, obj)
+    built = MultiHomogPoly(P12, field, obj["degree"],
+                           {tuple(map(tuple, t["e"])): t["c"] for t in obj["terms"]})
+    assert (read.terms, read.degree) == (built.terms, built.degree)
+    assert len(read.terms) == sum(1 for t in obj["terms"] if field.coerce(t["c"]))
+    assert MultiHomogPoly.from_json(P12, field, built.to_json()) == built

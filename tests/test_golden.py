@@ -13,7 +13,10 @@ run the capped series and its level-0 multiplication at scale.  The
 single-twist cohomology cases and the regions grids were recorded before the
 truncated Cech reference moved out of the package.  The help and usage-error
 cases pin stdout, stderr and the exit code; they were recorded while every
-command still built the parsers of all four subcommands.
+command still built the parsers of all four subcommands, and the unrecognized,
+missing, invalid and abbreviated flag cases and the invalid complex (whose
+stderr lists its d o d violation) while every command still parsed through a
+top-level parser.
 """
 
 import hashlib
@@ -21,7 +24,7 @@ import types
 
 import pytest
 
-from conftest import ideal_sheaf_complex, koszul_point_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
 import prodcoh
 from prodcoh import cli
 from prodcoh.coxring import free_complex
@@ -46,10 +49,11 @@ COMPLEXES = {
     "ideal": ideal_sheaf_complex,
     "koszul-p12": lambda: koszul_point(P12, default_field()),
     "ideal-p111-q": lambda: ideal_of(koszul_point(P111, RATIONALS)),
+    "koszul-sign-flip": koszul_sign_flip_complex,
 }
 
 # name, complex, command and its flags (--input is added), exit code, and the
-# sha256 of stdout.
+# sha256 of stdout, followed by "\0" and stderr when stderr is not empty.
 CASES = [
     ("split-p11", "p11-split", "split-check --d 1,1 --window -4:3,-4:3", 0,
      "cfeb1ecc2230db7f88939ea87ed12d0c9b85cd9e50e8e1478b30e4d05591a52e"),
@@ -119,6 +123,8 @@ CASES = [
     ("twist-check-prime-json", "koszul",
      "cohomology --twist 1,1 --check-prime 3 --format json", 0,
      "43437b00ae3958e08d4f91834404d009a89413976c58f887bd15796fcfc2b5f1"),
+    ("twist-invalid-complex", "koszul-sign-flip", "cohomology --twist 0,0", 2,
+     "30578e2115c943b07d0288e174c86200943ab93cd6beff7aed95139d04c8dc74"),
 ]
 
 # regions reads no complex: name, command, exit code, sha256 of stdout.
@@ -164,8 +170,9 @@ def test_golden_output(tmp_path, capsys, complex_name, command, code, digest):
     path = write_complex(tmp_path, COMPLEXES[complex_name]())
     argv = command.split()
     got = cli.main(argv[:1] + ["--input", path] + argv[1:])
-    out = capsys.readouterr().out
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    out = capsys.readouterr()
+    text = out.out + "\0" + out.err if out.err else out.out
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
 
 
 @pytest.mark.parametrize("command, code, digest",
@@ -199,6 +206,23 @@ USAGE_CASES = [
      "c9a14357e4f045f64a1e02ca1e75cf33615cf18b456d42bc343eb236c787dc02"),
     ("regions --space 1,1", 2,
      "c7a70576ff78b80c1a31d8de16fc25d0c56e9084c16842d42959cf3b3cc06d40"),
+    ("regions --space 1,1 --window 0:1,0:1 --bogus", 2,
+     "cdd96eecc7a7f13fa55355f169ed6df41d5fceb14bb90dd75d532384c0ae0a62"),
+    ("split-check --input x --d 1,1 --window 0:1,0:1 --bogus", 2,
+     "cdd96eecc7a7f13fa55355f169ed6df41d5fceb14bb90dd75d532384c0ae0a62"),
+    ("tate-profile --b 0,0 --bogus", 2,
+     "cdd96eecc7a7f13fa55355f169ed6df41d5fceb14bb90dd75d532384c0ae0a62"),
+    ("split-check --input x --d 1,1", 2,
+     "561398de3724777868777fa520ab934ab4901370f6632fb16d5f2abe5d9f8f1a"),
+    ("tate-profile --input x", 2,
+     "3600e3b4f13e0c6cd1396c2316f0233319063e360523a1bd602c319e17e353d5"),
+    ("regions --space 1,1 --window 0:1,0:1 --mode bogus", 2,
+     "e8197376f6ad98d5de3496e59ba7a1488149b1220a8e86ce226f82f4e1a97b95"),
+    ("cohomology --input x --help", 0,
+     "f7942d498f892fef9e00cab6261bbc678f5d85f4a6e9ae23f0802ee1d12a3471"),
+    # An abbreviated flag: argparse's allow_abbrev reads --inp as --input.
+    ("cohomology --inp x --twist 1,1", 2,
+     "4042eb2c49e24e8e3f08d67a6bf83dcde4e109eea35de90f9fd1048d843840ed"),
 ]
 
 
