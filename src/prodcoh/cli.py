@@ -368,23 +368,16 @@ def _add_flags(parser, command):
     return parser
 
 
-def build_parser(command=None):
-    """The top-level prodcoh parser.  Given a subcommand name, only that
-    subcommand's parser is built; otherwise (no command, -h, an unknown
-    word) all are."""
+def build_parser():
+    """The top-level prodcoh parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="prodcoh",
         description="Exact multigraded sheaf cohomology on products of "
         "projective spaces, and the splitting test for sums of O(kH).",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # A lone subparser still lists every command in the usage line of a
-    # top-level error; with all of them argparse's own listing is kept, so
-    # the "required" and "invalid choice" messages read as they always have.
-    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _add_flags(sub.add_parser(name, help=_COMMANDS[name][1]), name)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -421,7 +414,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(prog="prodcoh " + command)
     args, extras = _add_flags(parser, command).parse_known_args(argv[1:])
     if extras:
-        build_parser(command).error("unrecognized arguments: %s" % " ".join(extras))
+        build_parser().error("unrecognized arguments: %s" % " ".join(extras))
     return args
 
 

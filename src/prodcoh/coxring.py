@@ -234,15 +234,20 @@ def poly_mult(f, g):
     if f.space != g.space:
         raise CoxError("polynomials live on different spaces")
     degree = vadd(f.degree, g.degree)
-    terms = {}
-    zero = f.field.coerce(0)
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    terms = _mult_into({}, f.terms, g.terms, f.field)
+    return MultiHomogPoly(f.space, f.field, degree, terms)
+
+
+def _mult_into(acc, f_terms, g_terms, field):
+    """Add the product of two {exponent: coefficient} term maps into acc."""
+    add, mul = field.add, field.mul
+    for e1, c1 in f_terms.items():
+        for e2, c2 in g_terms.items():
             e = tuple(
                 tuple(x + y for x, y in zip(b1, b2)) for b1, b2 in zip(e1, e2)
             )
-            terms[e] = f.field.add(terms.get(e, zero), f.field.mul(c1, c2))
-    return MultiHomogPoly(f.space, f.field, degree, terms)
+            acc[e] = add(acc.get(e, 0), mul(c1, c2))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -409,6 +414,7 @@ def validate_complex(C):
     if C._validated is not None:
         return C._validated
     out = []
+    misshapen = set()
     for p, mat in sorted(C.diffs.items()):
         src = C.summands(p)
         tgt = C.summands(p + 1)
@@ -416,6 +422,7 @@ def validate_complex(C):
             out.append((p, -1, -1, "shape",
                         "matrix is %dx%d, expected %dx%d"
                         % (len(mat), len(mat[0]) if mat else 0, len(tgt), len(src))))
+            misshapen.add(p)
             continue
         for r, row in enumerate(mat):
             for c, e in enumerate(row):
@@ -431,29 +438,19 @@ def validate_complex(C):
     # d o d = 0, symbolically: each composite's products summed in one
     # {exponent vector: coefficient} dict.
     for p in sorted(C.diffs):
-        if p + 1 not in C.diffs:
+        if p + 1 not in C.diffs or p in misshapen or p + 1 in misshapen:
             continue
         d1, d2 = C.diffs[p], C.diffs[p + 1]
         src = C.summands(p)
         mid = C.summands(p + 1)
         tgt = C.summands(p + 2)
-        if (len(d1) != len(mid) or len(d2) != len(tgt)
-                or any(len(row) < len(src) for row in d1)
-                or any(len(row) < len(mid) for row in d2)):
-            continue  # shape violation already recorded
-        add, mul = C.field.add, C.field.mul
         for r in range(len(tgt)):
             for c in range(len(src)):
                 acc = {}
                 for s in range(len(mid)):
                     f2, f1 = d2[r][s], d1[s][c]
-                    if f1 is None or f2 is None:
-                        continue
-                    for e2, c2 in f2.terms.items():
-                        for e1, c1 in f1.terms.items():
-                            e = tuple(tuple(x + y for x, y in zip(b2, b1))
-                                      for b2, b1 in zip(e2, e1))
-                            acc[e] = add(acc.get(e, 0), mul(c2, c1))
+                    if f1 is not None and f2 is not None:
+                        _mult_into(acc, f2.terms, f1.terms, C.field)
                 composite = {e: x for e, x in acc.items() if x}
                 if composite:
                     out.append((p, r, c, "dd",

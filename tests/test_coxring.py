@@ -102,13 +102,21 @@ def test_validate_composite_of_mixed_degrees():
     ]
 
 
-def test_validate_short_row_is_a_shape_violation_only():
-    # A row of the second map one entry short: composing it raised IndexError.
+@pytest.mark.parametrize("row, shape", [
+    # One entry short: composing it raised IndexError.
+    ("short", "1x1"),
+    # One entry long, and the first two do not compose to zero: a map whose
+    # shape is wrong is not composed, however its rows are wrong.
+    ("long", "1x3"),
+])
+def test_validate_misshapen_row_is_a_shape_violation_only(row, shape):
     sp = ProductSpace((1, 1))
     F = default_field()
-    x1, y1 = var(sp, F, 0, 1), var(sp, F, 1, 1)
-    bad = LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[y1], [x1.scale(-1)]], -1: [[x1]]})
-    assert validate_complex(bad) == [(-1, -1, -1, "shape", "matrix is 1x1, expected 1x2")]
+    x1, y0, y1 = var(sp, F, 0, 1), var(sp, F, 1, 0), var(sp, F, 1, 1)
+    d = [x1] if row == "short" else [x1, y0, x1]
+    bad = LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[y1], [x1.scale(-1)]], -1: [d]})
+    assert validate_complex(bad) == [
+        (-1, -1, -1, "shape", "matrix is %s, expected 1x2" % shape)]
 
 
 def test_validate_degree_violation():
