@@ -44,6 +44,26 @@ def line_bundle_h(space, a):
     return tuple(h)
 
 
+def kunneth_window(space, window, terms):
+    """{a: [h^0, ..., h^m]} over the window, in its twist order, of the sum of
+    O(b)^mult placed in degree shift over the entries (shift, b, mult) of
+    terms.  Each term's factor groups are tabulated once per window
+    coordinate, and only the twists where every factor has a group are
+    multiplied out; an index outside 0..m is dropped."""
+    space.degree(window.lo)  # a window of the wrong length is refused, not truncated
+    m = space.m
+    out = {a: [0] * (m + 1) for a in window.twists()}
+    for shift, b, mult in terms:
+        cells = [((), shift, mult)]  # (twist prefix, degree, dimension)
+        for n, bj, lo, hi in zip(space.factor_dims, space.degree(b), window.lo, window.hi):
+            col = [(x,) + group for x in range(lo, hi + 1) if (group := factor_group(n, x + bj))]
+            cells = [(a + (x,), i + q, h * dim) for a, i, h in cells for x, q, dim in col]
+        for a, i, h in cells:
+            if 0 <= i <= m:
+                out[a][i] += h
+    return out
+
+
 def signature(space, a):
     """Sparse view of line-bundle cohomology.
 

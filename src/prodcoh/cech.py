@@ -17,6 +17,7 @@ complex the tests cross the engine against is in tests/reference.py.
 
 from . import minmodel
 from .coxring import validate_complex
+from .lattice import Window
 from .tate import CohomologyTable
 
 
@@ -35,9 +36,11 @@ def _check_valid(C):
 
 def hypercohomology(C, a):
     """Dimensions of H^i(F(a)), i = 0..m, for the degree-0 cohomology sheaf
-    F of a validated line-bundle complex."""
+    F of a validated line-bundle complex: the engine on the window {a}."""
     _check_valid(C)
-    return minmodel.engine(C)(C.space.degree(a))
+    a = C.space.degree(a)
+    [(_, h)] = minmodel.engine(C)(Window(a, a))
+    return h
 
 
 def cohomology_table(C, window):
@@ -45,7 +48,6 @@ def cohomology_table(C, window):
     complex is validated and the engine set up once for the whole window."""
     _check_valid(C)
     table = CohomologyTable(C.space, window)
-    h = minmodel.engine(C)
-    for a in window.twists():
-        table.set_h(a, h(a))
+    for a, h in minmodel.engine(C)(window):
+        table.set_h(a, h)
     return table

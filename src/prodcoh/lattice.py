@@ -45,14 +45,10 @@ class ProductSpace:
         if any(n < 1 for n in dims):
             raise LatticeError("factor dimensions must be >= 1, got %r" % (dims,))
         object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def t(self):
-        return len(self.factor_dims)
-
-    @property
-    def m(self):
-        return sum(self.factor_dims)
+        # The number of factors t and the dimension m, set once; they are not
+        # fields, so eq and hash read factor_dims only.
+        object.__setattr__(self, "t", len(dims))
+        object.__setattr__(self, "m", sum(dims))
 
     def degree(self, a):
         """Validate a multidegree of ints and return it as a tuple."""

@@ -48,6 +48,15 @@ def _is_prime(p):
     return True
 
 
+def _exact(x):
+    """x, unless it is a float or a bool, which a field would misread: int(2.7)
+    is 2, Fraction(2.7) a binary approximation, and True the integer 1."""
+    if isinstance(x, (float, bool)):
+        raise FieldError("coefficient %r is a %s, not an exact field element"
+                         % (x, type(x).__name__))
+    return x
+
+
 class PrimeField:
     """Arithmetic in Z/p for an odd prime p; elements are ints in [0, p)."""
 
@@ -75,7 +84,7 @@ class PrimeField:
             if den == 0:
                 raise FieldError("denominator divisible by %d" % self.p)
             return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
-        return int(x) % self.p
+        return int(_exact(x)) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -107,7 +116,7 @@ class RationalField:
     name = "q"
 
     def coerce(self, x):
-        return Fraction(x)
+        return Fraction(_exact(x))
 
     def add(self, a, b):
         return a + b

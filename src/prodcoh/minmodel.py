@@ -16,13 +16,14 @@ that can reach a class; at level 0, D_H = p delta i is local cohomology
 multiplication.  An exponent vector is one int of biased fields, wide enough
 that no sum carries: a product is an add, N_j is read off the top bits, and
 the level-0 filter is one AND.  Columns are indexed by a class's position in
-its total degree.  engine(C) sets up what depends on C once for every twist;
-untouched terms, as in every free sum, are Kunneth products of Bott values.
+its total degree.  engine(C) sets up what depends on C once for every window;
+untouched terms, as in every free sum, come from one bott.kunneth_window call
+per window, the Kunneth products of their Bott values.
 """
 
 import itertools
 from collections import defaultdict
-from operator import mul
+from operator import add, mul
 
 from . import bott, linalg
 from .lattice import vadd
@@ -159,35 +160,27 @@ def _transfer(space, poly, p, s, q, prime, blocks, where, width):
 
 
 def engine(C):
-    """The function a -> (h^0, ..., h^m) of the validated complex C, reading C
-    once and memoizing untouched terms' factor groups and the packed maps."""
+    """The function window -> (a, (h^0, ..., h^m)) pairs, in the window's
+    twist order, of the validated complex C, reading C once: untouched terms
+    come from one bott.kunneth_window call per window, touched ones from the
+    packed maps, per twist."""
     space = C.space
     prime = C.field.p if isinstance(C.field, linalg.PrimeField) else 0
     poly = polynomial_maps(C)
     touched = {p for p, _ in poly} | {p + 1 for p, _ in poly}
     terms = [(p, s, b) for p in C.degrees for s, b in enumerate(C.summands(p))]
-    free = [(p, tuple(zip(space.factor_dims, b))) for p, _, b in terms if p not in touched]
+    untouched = defaultdict(int)  # (p, b) -> multiplicity
+    for p, _, b in terms:
+        if p not in touched:
+            untouched[p, b] += 1
+    free = [(p, b, mult) for (p, b), mult in untouched.items()]  # kunneth_window's terms
     touched_terms = [term for term in terms if term[0] in touched]
     bs = zip(*[b for _, _, b in touched_terms])  # per factor, the touched summand degrees
     ends = [(n, max(x), min(x)) for n, x in zip(space.factor_dims, bs)]
-    groups, packed = {}, {}  # (n, c) -> O(c)'s factor group on P^n or (); width -> packed poly
+    packed = {}  # width -> packed poly
 
-    def hypercohomology(a):
-        counts = defaultdict(int)
-        for k, nb in free:
-            dim = 1
-            for (n, bj), aj in zip(nb, a):
-                group = groups.get((n, aj + bj))
-                if group is None:
-                    group = groups[(n, aj + bj)] = bott.factor_group(n, aj + bj) or ()
-                if not group:
-                    break
-                k += group[0]
-                dim *= group[1]
-            else:
-                counts[k] += dim
-        if not touched_terms:  # a free sum: no class to transfer or self-check
-            return tuple(counts[i] for i in range(space.m + 1))
+    def touched_h(a):
+        """The classes of the touched terms at twist a, less the ranks of D_H."""
         # An exponent is a class's, in [c_j+n_j, -1] or [0, c_j] for c = a+b, plus at most the
         # spread hi_j - lo_j of the b_j: in [-top-1, top], so 2^bit_length(top) bias never carries.
         width = max(max(aj + hi, -aj - lo - n - 1, hi - lo - 1)
@@ -217,6 +210,10 @@ def engine(C):
                     raise EngineCheckFailed(
                         "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
         ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in cols.items()})
-        return tuple(counts[i] + sizes[i] - ranks[i] - ranks[i - 1] for i in range(space.m + 1))
+        return [sizes[i] - ranks[i] - ranks[i - 1] for i in range(space.m + 1)]
 
-    return hypercohomology
+    def table(window):
+        for a, h in bott.kunneth_window(space, window, free).items():
+            yield a, tuple(map(add, h, touched_h(a)) if touched_terms else h)
+
+    return table

@@ -5,9 +5,13 @@ of powers O(kH) of a very ample O(H) = O(d_1, ..., d_t) exactly when F has
 no intermediate cohomology at any twist where the bundles O(kH) themselves
 have none (the safe region).  The procedure works window-by-window:
 
-1. compute/accept a cohomology table, close it under strand propagation,
-   and check the monotonicity of top cohomology (a failed check means the
-   table does not come from a sheaf);
+1. compute a cohomology table, check it against the strand rule, and
+   check the monotonicity of top cohomology (a failed check means the
+   table does not come from a sheaf).  Every window cell is computed, so
+   the strand check runs on the window only: a zero the rule derives in
+   the window rests on cells above it alone, so the clash it finds is the
+   one a run extended below the window finds, and no later stage reads a
+   cell below the window;
 2. scan the safe region for intermediate cohomology: a hit is a certified
    NonSplit witness;
 3. find the maximal twists with nonzero h^m; for a splitting candidate one
@@ -241,28 +245,13 @@ def multiplicities(T, d, report):
 
 def verify_split(T, ms, d):
     """Necessary-condition check: compare the table cell by cell with the
-    closed-form table of (+) O(kH)^mult.  Returns None or the first
-    mismatch (a, i, got, expected) in lexicographic order.  By Kunneth a
-    summand's groups are products of factor groups, tabulated per coordinate."""
+    closed-form table of (+) O(kH)^mult, bott.kunneth_window over the
+    window.  Returns None or the first mismatch (a, i, got, expected) in
+    lexicographic order."""
     space = T.space
     space.degree(d.d)  # a polarization of the wrong length is refused, not truncated
-    groups = [
-        (mult, [{x: bott.factor_group(n, k * dj + x) for x in range(lo, hi + 1)}
-                for n, dj, lo, hi in zip(space.factor_dims, d.d, T.window.lo, T.window.hi)])
-        for k, mult in ms
-    ]
-    for a in T.window.twists():
-        expected = [0] * (space.m + 1)
-        for dim, cols in groups:
-            q = 0
-            for col, x in zip(cols, a):
-                group = col[x]
-                if group is None:
-                    break
-                q += group[0]
-                dim *= group[1]
-            else:
-                expected[q] += dim
+    terms = [(0, vscale(k, d.d), mult) for k, mult in ms]
+    for a, expected in bott.kunneth_window(space, T.window, terms).items():
         for i, want in enumerate(expected):
             got = T.known_dim(a, i)
             if got != want:
@@ -273,10 +262,10 @@ def verify_split(T, ms, d):
 def split_check(C, d, window, torsion_free_asserted=False):
     """Run the full splitting pipeline on a line-bundle complex.
 
-    cohomology table -> strand propagation -> monotonicity -> hypothesis
-    scan (hit = NonSplit) -> extremal positions -> multiplicity extraction
-    -> verification (pass = Split).  Upstream failures and every condition
-    the window cannot certify yield Inconclusive with a reason.
+    cohomology table -> strand check on the window -> monotonicity ->
+    hypothesis scan (hit = NonSplit) -> extremal positions -> multiplicity
+    extraction -> verification (pass = Split).  Upstream failures and every
+    condition the window cannot certify yield Inconclusive with a reason.
     """
     space = C.space
     d = d if isinstance(d, Polarization) else Polarization(d)
@@ -300,7 +289,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
         return inconclusive("cohomology computation failed: %s" % exc)
 
     try:
-        table = tate.strand_propagate(table)
+        table = tate.strand_propagate(table, extend=0)
     except tate.StrandInconsistency as exc:
         return inconclusive("strand propagation inconsistency: %s" % exc)
 

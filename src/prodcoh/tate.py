@@ -55,6 +55,9 @@ class StrandInconsistency(ValueError):
         )
 
 
+_INT = {int}
+
+
 def _check_dim(a, i, dim):
     if not isinstance(dim, int):
         raise ValueError("dimension %r at %r is not an integer" % (dim, (a, i)))
@@ -91,13 +94,19 @@ class CohomologyTable:
         self.cells[(a, i)] = (dim, status)
 
     def set_h(self, a, h):
-        """Store a computed (h^0, ..., h^m) at twist a, each entry checked as by set_cell."""
+        """Store a computed (h^0, ..., h^m) at twist a, in index order.  The
+        twist, the length and the entries are checked once for the vector;
+        a vector of other than non-negative ints is checked entry by entry,
+        as by set_cell."""
         a = self.space.degree(a)
         if len(h) != self.space.m + 1:
             raise ValueError("vector %r at %r needs %d entries" % (h, a, self.space.m + 1))
+        if not ({*map(type, h)} <= _INT and min(h) >= 0):
+            for i, dim in enumerate(h):
+                _check_dim(a, i, dim)
+        cells = self.cells
         for i, dim in enumerate(h):
-            _check_dim(a, i, dim)
-        self.cells.update({(a, i): (dim, STATUS_COMPUTED) for i, dim in enumerate(h)})
+            cells[a, i] = (dim, STATUS_COMPUTED)
 
     def get(self, a, i):
         """(dim, status) or None if the cell is unknown."""

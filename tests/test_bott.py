@@ -1,8 +1,10 @@
 import itertools
 
+from hypothesis import example, given, settings, strategies as st
+
 import reference
 from prodcoh import bott
-from prodcoh.lattice import ProductSpace
+from prodcoh.lattice import ProductSpace, Window, vadd
 
 
 def convolve(vectors):
@@ -79,3 +81,35 @@ def test_at_most_one_nonzero_group(p23):
     for a in itertools.product(range(-6, 4), repeat=2):
         h = bott.line_bundle_h(p23, a)
         assert sum(1 for x in h if x) <= 1
+
+
+@st.composite
+def kunneth_cases(draw):
+    """A space, terms (shift, b, mult) with shifts from -m-1 to m+1, so that
+    some indices leave 0..m, and a window of up to 4 steps per factor."""
+    sp = ProductSpace(draw(st.sampled_from([(1, 1), (1, 2), (1, 1, 1), (2, 3)])))
+    twist = st.tuples(*[st.integers(-6, 4)] * sp.t)
+    shift = st.integers(-sp.m - 1, sp.m + 1)
+    terms = draw(st.lists(st.tuples(shift, twist, st.integers(1, 3)), max_size=4))
+    lo = draw(st.tuples(*[st.integers(-5, 2)] * sp.t))
+    window = Window(lo, tuple(x + draw(st.integers(0, 3)) for x in lo))
+    return sp, terms, window
+
+
+@settings(max_examples=80, deadline=None)
+@given(kunneth_cases())
+@example((ProductSpace((2, 3)), [(-2, (0, -4), 2), (3, (-3, 0), 1), (0, (1, 1), 3)],
+          Window((-5, -6), (1, 2))))
+def test_kunneth_window_equals_bott_sum(case):
+    """kunneth_window against sum mult * line_bundle_h(a + b), each vector
+    moved up by shift and cut to 0..m, at every twist of the window."""
+    sp, terms, window = case
+    got = bott.kunneth_window(sp, window, terms)
+    assert list(got) == list(window.twists())
+    for a, h in got.items():
+        want = [0] * (sp.m + 1)
+        for shift, b, mult in terms:
+            for q, dim in enumerate(bott.line_bundle_h(sp, vadd(a, b))):
+                if 0 <= q + shift <= sp.m:
+                    want[q + shift] += mult * dim
+        assert h == want, a

@@ -130,6 +130,28 @@ def test_free_sum_table_matches_closed_form(p11):
         assert table.h_vector(a) == expected, a
 
 
+@pytest.mark.parametrize("field", [default_field(), RATIONALS], ids=["F_p", "Q"])
+def test_untouched_terms_add_their_bott_table(field):
+    """The Koszul point with O(1,-2)^2 + O(-3,0) in degree 1, which no map
+    reaches: the window engine takes those from one Kunneth tabulation and
+    the point's terms twist by twist.  The table is the point's plus their
+    Bott vectors moved up one degree, where h^2 leaves 0..m and is dropped,
+    and its cells come twist by twist, then by index."""
+    K = koszul_point_complex(field)
+    sp, extra = K.space, [(1, -2), (-3, 0), (1, -2)]
+    C = LineBundleComplex(sp, field, {**{p: K.summands(p) for p in K.degrees}, 1: extra},
+                          K.diffs)
+    window = Window((-4, -3), (2, 1))
+    table = cech.cohomology_table(C, window)
+    point = cech.cohomology_table(K, window)
+    assert list(table.cells) == [(a, i) for a in window.twists() for i in range(sp.m + 1)]
+    for a in window.twists():
+        moved = [0] + [sum(bott.line_bundle_h(sp, vadd(a, b))[i - 1] for b in extra)
+                       for i in range(1, sp.m + 1)]
+        assert table.h_vector(a) == tuple(map(operator.add, point.h_vector(a), moved)), a
+        assert cech.hypercohomology(C, a) == table.h_vector(a), a
+
+
 def test_assembled_matches_blockwise(p11):
     C = free_complex(p11, [(1, 1), (-2, 0)])
     for a in itertools.product(range(-3, 3), repeat=2):

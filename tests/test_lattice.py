@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -18,6 +19,16 @@ from prodcoh.lattice import (
     vadd,
     vscale,
 )
+
+
+def test_product_space_m_and_t_are_set_once():
+    sp = ProductSpace([2, 3, 1])
+    assert (sp.m, sp.t) == (6, 3)
+    assert [f.name for f in dataclasses.fields(sp)] == ["factor_dims"]
+    assert sp == ProductSpace((2, 3, 1)) and hash(sp) == hash(ProductSpace((2, 3, 1)))
+    assert sp != ProductSpace((2, 4)) and repr(sp) == "ProductSpace(factor_dims=(2, 3, 1))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.m = 7
 
 
 def brute_k_range(space, d, a, bound=10):

@@ -8,6 +8,8 @@ from sympy.polys.matrices import DomainMatrix
 
 import reference
 from prodcoh import linalg
+from prodcoh.coxring import MultiHomogPoly
+from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import PrimeField, RATIONALS, parse_field
 
 BIG_PRIME = 4294967291  # the largest prime below 2**32
@@ -48,6 +50,25 @@ def test_prime_field_modulus_must_be_int(p):
     # int() once took 7.9 for 7 and the string "65521" for the prime.
     with pytest.raises(linalg.FieldError, match="not an integer"):
         PrimeField(p)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), RATIONALS], ids=["F_7", "Q"])
+@pytest.mark.parametrize("x", [2.7, True], ids=["float", "bool"])
+def test_coerce_refuses_float_and_bool(field, x):
+    # int(2.7) once read 2 in F_7, Fraction(2.7) a binary approximation in Q,
+    # and True the integer 1 in both.
+    with pytest.raises(linalg.FieldError, match="not an exact field element"):
+        field.coerce(x)
+    sp = ProductSpace((1, 1))
+    with pytest.raises(linalg.FieldError, match="not an exact field element"):
+        MultiHomogPoly(sp, field, (1, 0), {((1, 0), (0, 0)): x})
+
+
+def test_coerce_reads_int_fraction_and_string():
+    F = PrimeField(7)
+    assert [F.coerce(x) for x in (3, -1, 10, Fraction(3, 5), "3/5", "-2")] == [3, 6, 3, 2, 2, 5]
+    assert [RATIONALS.coerce(x) for x in (3, -1, Fraction(3, 5), "3/5", "-2")] == [
+        3, -1, Fraction(3, 5), Fraction(3, 5), -2]
 
 
 def test_rank_both_fields():

@@ -232,8 +232,8 @@ def test_packing_width_edges(field, dims, k):
 
 def per_twist_table(C, window):
     """The cells of cohomology_table, from one cech.hypercohomology call per
-    twist: the reference of the window engine, whose set-up and per-factor
-    memo are shared by every twist of the window."""
+    twist: the reference of the window engine, whose set-up and Kunneth
+    tabulation of untouched terms are shared by every twist of the window."""
     return {(a, i): (dim, STATUS_COMPUTED)
             for a in window.twists() for i, dim in enumerate(cech.hypercohomology(C, a))}
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bott_table, ideal_sheaf_complex, koszul_point_complex
 from prodcoh import bott, cech, tate
 from prodcoh.coxring import MultiHomogPoly, free_complex
-from prodcoh.lattice import ProductSpace, Window
+from prodcoh.lattice import LatticeError, ProductSpace, Window
 from prodcoh.linalg import default_field
 from prodcoh.tate import (
     STATUS_COMPUTED,
@@ -420,6 +421,57 @@ def test_propagation_sweep_equals_naive_fixed_point(case):
     got = propagation_outcome(strand_propagate, T, extend)
     assert list(T.cells.items()) == before
     assert got == propagation_outcome(naive_propagate, T, extend)
+
+
+@st.composite
+def computed_tables(draw):
+    """A table with every cell of a small window computed, nonzero at a
+    drawn rate, and no cell outside it: what split_check propagates."""
+    sp = ProductSpace(draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1), (2, 2)])))
+    lo = tuple(draw(st.integers(-3, 1)) for _ in range(sp.t))
+    hi = tuple(l + draw(st.integers(0, 3 if sp.t < 3 else 2)) for l in lo)
+    T = CohomologyTable(sp, Window(lo, hi))
+    rate = draw(st.integers(1, 5))  # a cell is nonzero when its code is below rate
+    for a in T.window.twists():
+        codes = draw(st.lists(st.integers(0, 9), min_size=sp.m + 1, max_size=sp.m + 1))
+        T.set_h(a, [draw(st.integers(1, 3)) if code < rate else 0 for code in codes])
+    return T
+
+
+def strand_clash(T, extend):
+    """What StrandInconsistency reports, message included, or None."""
+    try:
+        strand_propagate(T, extend)
+    except StrandInconsistency as exc:
+        return exc.cell, exc.dim, exc.antecedents, str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(computed_tables())
+def test_window_only_strand_check_finds_the_same_clash(T):
+    # split_check's claim: on a fully computed table, a derived zero in the
+    # window rests on cells above it alone, so forbidding extension below
+    # the window changes neither whether the rule clashes nor which clash.
+    assert strand_clash(T, 0) == strand_clash(T, None)
+
+
+def test_set_h_checks_the_vector_as_set_cell_does(p11):
+    T = CohomologyTable(p11, Window((0, 0), (1, 1)))
+    T.set_h((1, 0), (2, 0, 1))
+    T.set_h((0, 0), [0, 3, 0])
+    assert list(T.cells.items()) == [
+        (((1, 0), i), (dim, STATUS_COMPUTED)) for i, dim in enumerate((2, 0, 1))] + [
+        (((0, 0), i), (dim, STATUS_COMPUTED)) for i, dim in enumerate((0, 3, 0))]
+    for h, message in [((1, -1, 0), "negative dimension at ((0, 1), 1)"),
+                       ((1, 0, 2.0), "dimension 2.0 at ((0, 1), 2) is not an integer"),
+                       ((1, "1", 0), "dimension '1' at ((0, 1), 1) is not an integer"),
+                       ((1, 0), "vector (1, 0) at (0, 1) needs 3 entries")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            T.set_h((0, 1), h)
+    with pytest.raises(LatticeError):
+        T.set_h((0, 1.0), (1, 0, 0))
+    assert len(T.cells) == 6  # a refused vector stores nothing
 
 
 # ---------------------------------------------------------------------------
