@@ -44,10 +44,9 @@ def hypercohomology(C, a):
 
 
 def cohomology_table(C, window):
-    """h^i(F(a)) for every twist a in the window, every cell computed.  The
-    complex is validated and the engine set up once for the whole window."""
+    """h^i(F(a)) for every twist a in the window, every cell computed: the
+    engine's vectors, set up once for the validated complex, in twist order."""
     _check_valid(C)
     table = CohomologyTable(C.space, window)
-    for a, h in minmodel.engine(C)(window):
-        table.set_h(a, h)
+    table.set_vectors(minmodel.engine(C)(window))
     return table

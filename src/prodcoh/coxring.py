@@ -335,8 +335,8 @@ class LineBundleComplex:
             for k, entry in enumerate(body["terms"]):
                 path = "complex.terms[%d]" % k
                 p = _once(_integer(entry["p"], path + ".p"), terms, path)
-                terms[p] = [_degree(space, b, "%s.twists[%d]" % (path, t))
-                            for t, b in enumerate(entry["twists"])]
+                terms[p] = tuple(_degree(space, b, "%s.twists[%d]" % (path, t))
+                                 for t, b in enumerate(entry["twists"]))
         except (KeyError, TypeError) as exc:
             raise SchemaError("complex.terms: %s" % exc) from exc
         diffs = {}
@@ -362,7 +362,13 @@ class LineBundleComplex:
                         )
                 mat.append(tuple(out))
             diffs[p] = tuple(mat)
-        return cls(space, field, terms, diffs)
+        C = object.__new__(cls)  # every check of __init__ is done, and rows are tuples
+        C.space, C.field, C.diffs, C._validated = space, field, diffs, None
+        C.terms = {}
+        for p, twists in terms.items():
+            C.terms[p] = object.__new__(FreeSum)
+            object.__setattr__(C.terms[p], "twists", twists)
+        return C
 
 
 def _degree_key(p):

@@ -107,6 +107,9 @@ class Window:
         object.__setattr__(self, "hi", hi)
 
     def __contains__(self, a):
+        if len(a) != len(self.lo):
+            raise LatticeError("twist %r has length %d, the window's corners %d"
+                               % (a, len(a), len(self.lo)))
         return all(l <= x <= h for l, x, h in zip(self.lo, a, self.hi))
 
     def twists(self):

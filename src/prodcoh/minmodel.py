@@ -104,14 +104,18 @@ def contraction(space, neg, idx):
 
 
 def polynomial_maps(C):
-    """(p, s) -> [(target summand, [(exponent, field coefficient)])]."""
+    """(p, s) -> [(target summand, [(exponent, field coefficient)])], target
+    summands ascending, from one walk over the rows of each matrix of the
+    validated complex C.  An entry's coefficients are already elements of
+    its own field; they are coerced into C's field only when that differs."""
     poly = defaultdict(list)
     for p in C.degrees:
-        for s in range(len(C.summands(p))):
-            for r in range(len(C.summands(p + 1))):
-                f = C.entry(p, r, s)
-                if f is not None:
-                    poly[(p, s)].append((r, [(ev, C.field.coerce(c)) for ev, c in f.terms.items()]))
+        for r, row in enumerate(C.diffs.get(p, ())):
+            for s, f in enumerate(row):
+                if f is not None and f.terms:
+                    terms = f.terms.items()
+                    poly[(p, s)].append((r, list(terms) if f.field == C.field else
+                                         [(ev, C.field.coerce(c)) for ev, c in terms]))
     return poly
 
 

@@ -8,10 +8,10 @@ have none (the safe region).  The procedure works window-by-window:
 1. compute a cohomology table, check it against the strand rule, and
    check the monotonicity of top cohomology (a failed check means the
    table does not come from a sheaf).  Every window cell is computed, so
-   the strand check runs on the window only: a zero the rule derives in
-   the window rests on cells above it alone, so the clash it finds is the
-   one a run extended below the window finds, and no later stage reads a
-   cell below the window;
+   tate.strand_check looks for the rule's clashes in one pass over the
+   window: a zero derived there rests on cells above it alone, so the
+   clash is the one a run extended below the window finds.  The stages
+   read the window's vectors (CohomologyTable.rows), never a cell below;
 2. scan the safe region for intermediate cohomology: a hit is a certified
    NonSplit witness;
 3. find the maximal twists with nonzero h^m; for a splitting candidate one
@@ -101,25 +101,24 @@ def hypothesis_violations(T, safe):
     Returned in lexicographic twist order, lowest index first, so the first
     entry is the canonical witness.
     """
-    return [
-        (a, i) for a in sorted(safe) for i in range(1, T.space.m) if T.known_dim(a, i)
-    ]
+    rows, m = T.rows(), T.space.m
+    unknown = (None,) * (m + 1)
+    return [(a, i) for a in sorted(safe) for i, dim in enumerate(rows.get(a, unknown)[1:m], 1)
+            if dim]
 
 
 def hm_monotonicity_check(T):
     """Top cohomology can only grow downward: h^m(F(a)) != 0 forces
     h^m(F(b)) != 0 for every b <= a.  Checks every unit step in the window;
     returns None or the offending pair (lower twist, upper twist)."""
-    space = T.space
-    m = space.m
+    m, lo = T.space.m, T.window.lo
+    top = {a: h[m] for a, h in T.rows().items()}
     for a in T.window.twists():
-        upper = T.known_dim(a, m)
-        if not upper:
-            continue
-        for j in range(space.t):
-            b = tuple(x - (1 if jj == j else 0) for jj, x in enumerate(a))
-            if b in T.window and T.known_dim(b, m) == 0:
-                return (b, a)
+        if top.get(a):
+            for j, (x, l) in enumerate(zip(a, lo)):
+                b = a[:j] + (x - 1,) + a[j + 1:]
+                if x > l and top.get(b) == 0:
+                    return (b, a)
     return None
 
 
@@ -136,29 +135,21 @@ def extremal_hm(T, d):
     """
     space = T.space
     m = space.m
+    top = {a: h[m] for a, h in T.rows().items()}
     front = []
-    for a in sorted((a for (a, i), (dim, _) in T.cells.items() if i == m and dim > 0),
-                    reverse=True):
+    for a in sorted((a for a, dim in top.items() if dim), reverse=True):
         if not any(lt(a, c) for c in front):
             front.append(a)
     positions, notes = [], []
     for a in reversed(front):
-        ups = [tuple(x + (1 if jj == j else 0) for jj, x in enumerate(a)) for j in range(space.t)]
-        (positions if all(T.known_zero(u, m) for u in ups) else notes).append(a)
+        ups = [a[:j] + (x + 1,) + a[j + 1:] for j, x in enumerate(a)]
+        (positions if all(top.get(u) == 0 for u in ups) else notes).append(a)
     certified = not notes
     aligned = None
-    omega = canonical_twist(space)
-    for a in positions:
-        ks = set()
-        ok = True
-        for aj, wj, dj in zip(a, omega, d.d):
-            num = aj - wj
-            if num % dj:
-                ok = False
-                break
-            ks.add(num // dj)
-        if ok and len(ks) == 1:
-            aligned = ks.pop()
+    for a in positions:  # a = k*d + canonical twist in every factor, for one k
+        qr = [divmod(aj - wj, dj) for aj, wj, dj in zip(a, canonical_twist(space), d.d)]
+        if not any(r for _, r in qr) and len({q for q, _ in qr}) == 1:
+            aligned = qr[0][0]
             break
     return ExtremalReport(
         positions=tuple(positions),
@@ -244,18 +235,18 @@ def multiplicities(T, d, report):
 
 
 def verify_split(T, ms, d):
-    """Necessary-condition check: compare the table cell by cell with the
-    closed-form table of (+) O(kH)^mult, bott.kunneth_window over the
-    window.  Returns None or the first mismatch (a, i, got, expected) in
-    lexicographic order."""
+    """Necessary-condition check: compare the table's vector at each twist
+    with the closed-form one of (+) O(kH)^mult, bott.kunneth_window over
+    the window.  Returns None or the first mismatch (a, i, got, expected)
+    in lexicographic order."""
     space = T.space
     space.degree(d.d)  # a polarization of the wrong length is refused, not truncated
     terms = [(0, vscale(k, d.d), mult) for k, mult in ms]
+    rows, unknown = T.rows(), [None] * (space.m + 1)
     for a, expected in bott.kunneth_window(space, T.window, terms).items():
-        for i, want in enumerate(expected):
-            got = T.known_dim(a, i)
-            if got != want:
-                return (a, i, got, want)
+        got = rows.get(a, unknown)
+        if list(got) != expected:
+            return next((a, i, x, y) for i, (x, y) in enumerate(zip(got, expected)) if x != y)
     return None
 
 
@@ -271,17 +262,12 @@ def split_check(C, d, window, torsion_free_asserted=False):
     d = d if isinstance(d, Polarization) else Polarization(d)
     if len(d.d) != space.t:
         raise LatticeError("polarization length does not match space")
-    mode = "product" if space.t >= 2 else "single-factor-classical"
+    # What each verdict reports besides its kind, growing stage by stage.
+    found = dict(window=window, torsion_free_asserted=torsion_free_asserted,
+                 mode="product" if space.t >= 2 else "single-factor-classical")
 
-    def inconclusive(reason, **kw):
-        return SplitVerdict(
-            kind="inconclusive",
-            reason=reason,
-            window=window,
-            torsion_free_asserted=torsion_free_asserted,
-            mode=mode,
-            **kw,
-        )
+    def inconclusive(reason):
+        return SplitVerdict(kind="inconclusive", reason=reason, **found)
 
     try:
         table = cech.cohomology_table(C, window)
@@ -289,7 +275,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
         return inconclusive("cohomology computation failed: %s" % exc)
 
     try:
-        table = tate.strand_propagate(table, extend=0)
+        tate.strand_check(table)
     except tate.StrandInconsistency as exc:
         return inconclusive("strand propagation inconsistency: %s" % exc)
 
@@ -301,42 +287,24 @@ def split_check(C, d, window, torsion_free_asserted=False):
         )
 
     safe = safe_region(space, d, window)
-    safe_size = len(safe)
+    found["safe_region_size"] = len(safe)
     violations = hypothesis_violations(table, safe)
     if violations:
-        a, i = violations[0]
-        return SplitVerdict(
-            kind="nonsplit",
-            witness=(a, i),
-            window=window,
-            torsion_free_asserted=torsion_free_asserted,
-            safe_region_size=safe_size,
-            mode=mode,
-        )
+        return SplitVerdict(kind="nonsplit", witness=violations[0], **found)
 
-    if all(dim == 0 for (_, _), (dim, _) in table.cells.items()):
-        return SplitVerdict(
-            kind="split",
-            summands=(),
-            window=window,
-            torsion_free_asserted=torsion_free_asserted,
-            safe_region_size=safe_size,
-            mode=mode,
-        )
+    if not any(map(any, table.rows().values())):
+        return SplitVerdict(kind="split", summands=(), **found)
 
     report = extremal_hm(table, d)
     if not report.certified:
         return inconclusive(
-            "extremality uncertifiable: h^m locus touches the window at %r"
-            % (report.notes,),
-            safe_region_size=safe_size,
+            "extremality uncertifiable: h^m locus touches the window at %r" % (report.notes,)
         )
+    found.update(extremal_positions=report.positions, aligned_k=report.aligned_k)
     if report.aligned_k is None:
         return inconclusive(
             "no extremal position of the aligned form k*d + canonical; "
-            "window evidence cannot certify a splitting",
-            safe_region_size=safe_size,
-            extremal_positions=report.positions,
+            "window evidence cannot certify a splitting"
         )
 
     # Sections must dominate top cohomology at the aligned position.
@@ -348,40 +316,17 @@ def split_check(C, d, window, torsion_free_asserted=False):
         if h0 is not None and hm is not None and h0 < hm:
             return inconclusive(
                 "h^0(F(kH)) < h^m(F(kH + canonical)) at k=%d; table cannot "
-                "come from a torsion-free sheaf satisfying the hypothesis" % k,
-                safe_region_size=safe_size,
-                extremal_positions=report.positions,
-                aligned_k=k,
+                "come from a torsion-free sheaf satisfying the hypothesis" % k
             )
 
     try:
         ms = multiplicities(table, d, report)
     except SplitterError as exc:
-        return inconclusive(
-            str(exc),
-            safe_region_size=safe_size,
-            extremal_positions=report.positions,
-            aligned_k=report.aligned_k,
-        )
+        return inconclusive(str(exc))
 
     mismatch = verify_split(table, ms, d)
     if mismatch is not None:
-        a, i, got, expected = mismatch
         return inconclusive(
-            "candidate sum disagrees with the table at a=%r, i=%d (%s vs %s)"
-            % (a, i, got, expected),
-            safe_region_size=safe_size,
-            extremal_positions=report.positions,
-            aligned_k=report.aligned_k,
+            "candidate sum disagrees with the table at a=%r, i=%d (%s vs %s)" % mismatch
         )
-
-    return SplitVerdict(
-        kind="split",
-        summands=ms,
-        window=window,
-        torsion_free_asserted=torsion_free_asserted,
-        safe_region_size=safe_size,
-        extremal_positions=report.positions,
-        aligned_k=report.aligned_k,
-        mode=mode,
-    )
+    return SplitVerdict(kind="split", summands=ms, **found)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import koszul_point_complex, koszul_sign_flip_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
 from reference import monomials
 from prodcoh.coxring import (
     CoxError,
@@ -136,11 +136,15 @@ def test_validate_single_term():
 
 
 def test_complex_json_roundtrip():
-    K = koszul_point_complex()
-    obj = K.to_json()
-    K2 = LineBundleComplex.from_json(obj)
-    assert K2.to_json() == obj
-    assert K2.terms == K.terms
+    # from_json builds the instance itself; it must be the complex the
+    # constructor builds, and validate as it does.
+    for K in (koszul_point_complex(), koszul_point_complex(RATIONALS), ideal_sheaf_complex(),
+              free_complex(ProductSpace((1, 2)), [(1, -2), (0, 0), (1, -2)])):
+        obj = K.to_json()
+        K2 = LineBundleComplex.from_json(obj)
+        assert K2.to_json() == obj
+        assert (K2.space, K2.field, K2.terms, K2.diffs) == (K.space, K.field, K.terms, K.diffs)
+        assert validate_complex(K2) == validate_complex(K) == []
 
 
 def test_rational_coefficients():

@@ -93,6 +93,16 @@ def test_window_accepts_only_integers():
             Window(lo, hi)
 
 
+def test_window_contains_refuses_a_twist_of_another_length():
+    # zip used to truncate the twist: (1, 2, 3) and (1,) were both in the window.
+    w = Window((0, 0), (5, 5))
+    assert (1, 2) in w and (6, 2) not in w
+    for a in ((1, 2, 3), (1,), ()):
+        with pytest.raises(LatticeError, match=r"twist .* has length %d, the window's corners 2"
+                           % len(a)):
+            a in w
+
+
 @st.composite
 def polarized_windows(draw):
     """A space with t <= 4 factors of dimension <= 4, a polarization with

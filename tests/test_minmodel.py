@@ -12,9 +12,9 @@ from conftest import koszul_point_complex
 from prodcoh import bott, cech, minmodel, splitter
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window, vadd
-from prodcoh.linalg import RATIONALS, default_field
+from prodcoh.linalg import RATIONALS, PrimeField, default_field
 from prodcoh.tate import STATUS_COMPUTED
-from test_cech import koszul_complex
+from test_cech import koszul_complex, koszul_points
 
 FIELDS = [default_field(), RATIONALS]
 
@@ -136,6 +136,36 @@ def mixed_koszul(draw):
 def test_engine_matches_truncated_reference(case):
     K, a = case
     assert cech.hypercohomology(K, a) == reference.assembled_hypercohomology(K, a)
+
+
+def coerce_every_entry(C):
+    """polynomial_maps as one C.entry call per (row, column), every
+    coefficient coerced into C's field, each with its type: the reference
+    of the row walk that coerces only entries over another field."""
+    poly = defaultdict(list)
+    for p in C.degrees:
+        for s in range(len(C.summands(p))):
+            for r in range(len(C.summands(p + 1))):
+                f = C.entry(p, r, s)
+                if f is not None:
+                    poly[(p, s)].append((r, [(ev, C.field.coerce(c)) for ev, c in f.terms.items()]))
+    return poly
+
+
+def typed(poly):
+    return {key: [(r, [(ev, c, type(c)) for ev, c in terms]) for r, terms in maps]
+            for key, maps in poly.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(koszul_points(), mixed_koszul(), st.sampled_from([None, PrimeField(7), RATIONALS]))
+def test_polynomial_maps_equal_coercing_every_entry(point, dense, field):
+    # field, when drawn, replaces the complex's field and leaves its entries
+    # over theirs, as a library caller can: they are then coerced as before.
+    for K in (point[0], ideal_of(point[0]), dense[0]):
+        if field is not None:
+            K = LineBundleComplex(K.space, field, {p: K.summands(p) for p in K.degrees}, K.diffs)
+        assert typed(minmodel.polynomial_maps(K)) == typed(coerce_every_entry(K))
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -2,10 +2,12 @@ import itertools
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import bott_table, ideal_sheaf_complex, koszul_point_complex
 from prodcoh import bott, cech, tate
 from prodcoh.coxring import MultiHomogPoly, free_complex
@@ -456,6 +458,33 @@ def test_window_only_strand_check_finds_the_same_clash(T):
     assert strand_clash(T, 0) == strand_clash(T, None)
 
 
+def check_clash(T):
+    """What tate.strand_check reports, as strand_clash does, or None."""
+    try:
+        tate.strand_check(T)
+    except StrandInconsistency as exc:
+        return exc.cell, exc.dim, exc.antecedents, str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(computed_tables())
+def test_one_pass_strand_check_finds_the_same_clash(T):
+    # T holds its window's vectors, so strand_check must decide in its one
+    # pass, without strand_propagate, and find the clash a run extended
+    # below the window finds.
+    with mock.patch.object(tate, "strand_propagate", side_effect=AssertionError("propagated")):
+        got = check_clash(T)
+    assert got == strand_clash(T, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tables())
+def test_strand_check_on_other_tables_is_window_propagation(case):
+    T, _ = case
+    assert check_clash(T) == strand_clash(T, 0)
+
+
 def test_set_h_checks_the_vector_as_set_cell_does(p11):
     T = CohomologyTable(p11, Window((0, 0), (1, 1)))
     T.set_h((1, 0), (2, 0, 1))
@@ -549,3 +578,33 @@ def test_checksums_vanish_on_engine_tables(T, data):
         assert corner_checksum(T, c, b) == 0, (c, b)
         if strand_is_guaranteed(sp, I, J, K):
             assert strand_checksum(T, c, I, J, K, b) == 0, (c, I, J, K, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sheaf_tables(), st.data())
+def test_vector_table_reads_as_its_cells(T, data):
+    # T holds the engine's vectors until .cells is asked for; every read
+    # before and after must be that of the same cells stored one at a time.
+    U = reference.cell_table(T)
+    sp, window = T.space, T.window
+    near = st.tuples(*[st.integers(l - 2, h + 2) for l, h in zip(window.lo, window.hi)])
+    probes = list(window.twists()) + data.draw(st.lists(near, max_size=5))
+
+    def same_reads():
+        for a in probes:
+            assert T.h_vector(a) == U.h_vector(a), a
+            for i in range(-1, sp.m + 2):
+                assert T.get(a, i) == U.get(a, i), (a, i)
+                assert T.known_dim(a, i) == U.known_dim(a, i), (a, i)
+                assert T.known_zero(a, i) == U.known_zero(a, i), (a, i)
+
+    same_reads()
+    assert T.to_json() == U.to_json()
+    assert T.to_csv() == U.to_csv()
+    assert T.copy() == U and T == U.copy() and U == T
+    assert list(T.cells.items()) == list(U.cells.items())
+    key = data.draw(st.sampled_from(sorted(U.cells)))
+    del T.cells[key], U.cells[key]
+    assert T.known_dim(*key) is None and T.h_vector(key[0]) is None
+    same_reads()
+    assert T.to_json() == U.to_json()
