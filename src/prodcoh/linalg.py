@@ -14,10 +14,15 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 65521
 
-# Miller-Rabin with the first 13 primes as bases is exact below this bound
-# (Sorenson and Webster, 2015).
+# Miller-Rabin with the first k primes as bases is exact below psi_k, the
+# least odd composite that is a strong pseudoprime to all of them (OEIS
+# A014233; psi_10 to psi_13 by Sorenson and Webster, 2015).  _MR_PSI holds
+# each distinct psi_k with the least k that has it.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+_MR_PSI = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+           (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+           (318665857834031151167461, 12), (3317044064679887385961981, 13))
+_MR_LIMIT = _MR_PSI[-1][0]
 
 
 class FieldError(ValueError):
@@ -25,7 +30,8 @@ class FieldError(ValueError):
 
 
 def _is_prime(p):
-    """Deterministic Miller-Rabin; exact for p < _MR_LIMIT."""
+    """Deterministic Miller-Rabin with the fewest bases exact for p; exact
+    for p < _MR_LIMIT."""
     if p < 2:
         return False
     for b in _MR_BASES:
@@ -35,7 +41,7 @@ def _is_prime(p):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in _MR_BASES:
+    for b in _MR_BASES[:next((k for psi, k in _MR_PSI if p < psi), len(_MR_BASES))]:
         x = pow(b, d, p)
         if x == 1 or x == p - 1:
             continue

@@ -15,15 +15,28 @@ lies in term k+r+1 at Cech degree q-r, so the series stops at the last level
 that can reach a class; at level 0, D_H = p delta i is local cohomology
 multiplication.  An exponent vector is one int of biased fields, wide enough
 that no sum carries: a product is an add, N_j is read off the top bits, and
-the level-0 filter is one AND.  Columns are indexed by a class's position in
-its total degree.  engine(C) sets up what depends on C once for every window;
-untouched terms, as in every free sum, come from one bott.kunneth_window call
-per window, the Kunneth products of their Bott values.
+the level-0 filter is one AND.  Columns are labelled by a class: its position
+in its total degree on the per-twist route, its summand on the chamber route.
+
+engine(C) sets up what depends on C once for every window, and each term
+takes one route:
+- terms no differential touches, as in every free sum: one
+  bott.kunneth_window call per window, the Kunneth products of their Bott
+  values;
+- the touched terms of a monomial complex, whose every nonzero entry has one
+  term and whose summands take consistent fine shifts, at a twist where
+  every class takes level 0: chambers, which counts the fine degrees of each
+  chamber in closed form and ranks one small block per distinct chamber,
+  enumerating no class, so its cost does not grow with the twist;
+- the touched terms at every other (complex, twist): an entry with two or
+  more terms, clashing shifts, or a twist where some class needs the series:
+  per_twist, which enumerates the Bott classes and transfers them.
 """
 
 import itertools
+import math
 from collections import defaultdict
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import bott, linalg
 from .lattice import vadd
@@ -107,15 +120,18 @@ def polynomial_maps(C):
     """(p, s) -> [(target summand, [(exponent, field coefficient)])], target
     summands ascending, from one walk over the rows of each matrix of the
     validated complex C.  An entry's coefficients are already elements of
-    its own field; they are coerced into C's field only when that differs."""
+    its own field; they are coerced into C's field only when that differs,
+    and a term they make zero there is dropped, as is an entry left with
+    none."""
     poly = defaultdict(list)
     for p in C.degrees:
         for r, row in enumerate(C.diffs.get(p, ())):
             for s, f in enumerate(row):
                 if f is not None and f.terms:
-                    terms = f.terms.items()
-                    poly[(p, s)].append((r, list(terms) if f.field == C.field else
-                                         [(ev, C.field.coerce(c)) for ev, c in terms]))
+                    terms = list(f.terms.items()) if f.field == C.field else [
+                        (ev, x) for ev, c in f.terms.items() if (x := C.field.coerce(c))]
+                    if terms:
+                        poly[(p, s)].append((r, terms))
     return poly
 
 
@@ -163,28 +179,59 @@ def _transfer(space, poly, p, s, q, prime, blocks, where, width):
     return [_reduced(col, prime) for col in out]
 
 
-def engine(C):
-    """The function window -> (a, (h^0, ..., h^m)) pairs, in the window's
-    twist order, of the validated complex C, reading C once: untouched terms
-    come from one bott.kunneth_window call per window, touched ones from the
-    packed maps, per twist."""
-    space = C.space
-    prime = C.field.p if isinstance(C.field, linalg.PrimeField) else 0
-    poly = polynomial_maps(C)
+def _homology(space, field, prime, cols, a):
+    """(h^0, ..., h^m) of the differential whose columns out of total degree
+    k are cols[k], {class: {class of degree k+1: value}}, one per class,
+    after the D_H o D_H = 0 self-check.  The columns are consumed."""
+    ranks = defaultdict(int)
+    for k, col_k in cols.items():
+        above = cols.get(k + 1)
+        for col in col_k.values() if above else ():
+            square = defaultdict(int)
+            for y, v in col.items():
+                for z, u in above[y].items():
+                    square[z] += v * u
+            if _reduced(square, prime):
+                raise EngineCheckFailed(
+                    "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
+    for k, col_k in cols.items():
+        ranks[k] = _rank([col for col in col_k.values() if col], field)
+    return [len(cols.get(i, ())) - ranks[i] - ranks[i - 1] for i in range(space.m + 1)]
+
+
+def _rank(cols, field):
+    """The rank of the nonzero columns cols: their number when there is at
+    most one, their distinct entries' number when none has two, else
+    linalg.rank_sparse's, which consumes them."""
+    if len(cols) < 2:
+        return len(cols)
+    if all(len(col) == 1 for col in cols):
+        return len({y for col in cols for y in col})
+    return linalg.rank_sparse(cols, field)
+
+
+def _terms(C, poly):
+    """The terms no differential touches, as kunneth_window's (shift, b,
+    multiplicity) entries, and the touched summands as (p, s, b)."""
     touched = {p for p, _ in poly} | {p + 1 for p, _ in poly}
     terms = [(p, s, b) for p in C.degrees for s, b in enumerate(C.summands(p))]
     untouched = defaultdict(int)  # (p, b) -> multiplicity
     for p, _, b in terms:
         if p not in touched:
             untouched[p, b] += 1
-    free = [(p, b, mult) for (p, b), mult in untouched.items()]  # kunneth_window's terms
-    touched_terms = [term for term in terms if term[0] in touched]
-    bs = zip(*[b for _, _, b in touched_terms])  # per factor, the touched summand degrees
+    return ([(p, b, mult) for (p, b), mult in untouched.items()],
+            [term for term in terms if term[0] in touched])
+
+
+def per_twist(space, field, poly, terms):
+    """The per-twist route: a -> (h^0, ..., h^m) of the touched summands
+    terms, (p, s, b), from their Bott classes at a and the packed maps."""
+    prime = field.p if isinstance(field, linalg.PrimeField) else 0
+    bs = zip(*[b for _, _, b in terms])  # per factor, the touched summand degrees
     ends = [(n, max(x), min(x)) for n, x in zip(space.factor_dims, bs)]
     packed = {}  # width -> packed poly
 
     def touched_h(a):
-        """The classes of the touched terms at twist a, less the ranks of D_H."""
         # An exponent is a class's, in [c_j+n_j, -1] or [0, c_j] for c = a+b, plus at most the
         # spread hi_j - lo_j of the b_j: in [-top-1, top], so 2^bit_length(top) bias never carries.
         width = max(max(aj + hi, -aj - lo - n - 1, hi - lo - 1)
@@ -194,7 +241,7 @@ def engine(C):
             (r, [(sum(map(mul, itertools.chain(*ev), units)), c) for ev, c in terms])
             for r, terms in maps] for key, maps in poly.items()})
         where, blocks, sizes, order = {}, set(), defaultdict(int), []
-        for p, s, b in touched_terms:
+        for p, s, b in terms:
             q, classes = bott_classes(space, vadd(a, b), width)
             where[(p, s)] = dict(zip(classes, itertools.count(sizes[p + q])))
             if classes:
@@ -204,20 +251,189 @@ def engine(C):
         cols = defaultdict(list)  # total degree -> columns, by position
         for p, s, q in order:
             cols[p + q] += _transfer(space, pk, p, s, q, prime, blocks, where, width)
-        for k, col_k in cols.items():
-            for col in col_k:
-                square = defaultdict(int)
-                for y, v in col.items():
-                    for z, u in cols[k + 1][y].items():
-                        square[z] += v * u
-                if _reduced(square, prime):
-                    raise EngineCheckFailed(
-                        "engine self-check failed: D_H o D_H != 0 at twist %r" % (a,))
-        ranks = defaultdict(int, {k: linalg.rank_sparse(r, C.field) for k, r in cols.items()})
-        return [sizes[i] - ranks[i] - ranks[i - 1] for i in range(space.m + 1)]
+        return _homology(space, field, prime, {k: dict(enumerate(c)) for k, c in cols.items()}, a)
+
+    return touched_h
+
+
+def _compositions(n, top, caps):
+    """The number of integer vectors y >= 0 of length n+1 with sum top and
+    y_v < cap_v on len(caps) of their coordinates, which ones not changing
+    the count: by inclusion-exclusion over those, each term a count
+    C(N + n, n) of the compositions of N into n+1 parts."""
+    if top < 0:
+        return 0
+    terms = [(top, 1)]  # (N, (-1)^size) over the subsets of the capped variables
+    for cap in caps:
+        terms += [(N - cap, -k) for N, k in terms if N >= cap]
+    return sum(k * math.comb(N + n, n) for N, k in terms)
+
+
+def _total_degree(space, summands, s, negs):
+    """p + q of summand s, (p, entries), whose Cech degree q sums n_j over
+    the factors j in which its bit is set in negs[j], fully negative."""
+    return summands[s][0] + sum(n for n, N in zip(space.factor_dims, negs) if N >> s & 1)
+
+
+def _chamber_block(space, summands, mask, negs):
+    """The level-0 block of the chamber whose classes are the summands in
+    the bitmask mask, each (p, [(target, coefficient)]), fully negative in
+    factor j when its bit is set in negs[j]: per total degree, the columns
+    of D_H, {summand: {target: coefficient}}.  A target keeps its entry
+    when it is in mask with the same sign pattern, that is with the same
+    Cech degree, as its negative factors are among the source's."""
+    deg = {s: _total_degree(space, summands, s, negs)
+           for s in range(len(summands)) if mask >> s & 1}
+    cols = defaultdict(dict)
+    for s, k in deg.items():
+        cols[k][s] = {r: c for r, c in summands[s][1] if deg.get(r) == k + 1}
+    return cols
+
+
+def chambers(space, field, poly, terms):
+    """The chamber route of a monomial complex: a -> (h^0, ..., h^m) of the
+    touched summands terms, (p, s, b), or None at a twist where some class
+    needs the series.  None in place of the function when an entry has two
+    or more terms or the fine shifts clash.
+
+    The shifts psi put the entry x^ev from s to r at psi_r = psi_s + ev,
+    each connected piece rooted at a summand with b_j on the first variable
+    of factor j, so deg_j psi_s = b_{s,j}, and the Cech complexes of all
+    summands split by the fine degree u = e - psi_s, sum_{v in j} u_v = a_j.
+    Summand s has a class at u when in each factor j all u_v >= -psi_{s,v}
+    (G_j) or all u_v < -psi_{s,v} (L_j).  Per variable the thresholds
+    -psi_{s,v} cut Z into intervals; a factor's chamber, one interval per
+    variable, fixes the bitmasks G_j and L_j, and its count of u with sum
+    a_j is a number of bounded compositions.  A chamber of all factors has
+    classes mask = AND_j (G_j | L_j), Cech degrees by L_j, and the level-0
+    block those determine, so at a twist where every class takes level 0,
+    D_H is the direct sum of the blocks and h the sum over chambers of
+    their count times the h of their block.  Each distinct block is
+    self-checked and ranked once."""
+    prime = field.p if isinstance(field, linalg.PrimeField) else 0
+    dims = space.factor_dims
+    index = {(p, s): i for i, (p, s, _) in enumerate(terms)}
+    summands = [(p, []) for p, _, _ in terms]
+    adjacent = [[] for _ in terms]  # (summand, add or sub, ev) along each entry, both ways
+    for (p, s), maps in poly.items():
+        i = index[(p, s)]
+        for r, entry in maps:
+            if len(entry) != 1:
+                return None
+            [(ev, c)] = entry
+            k, ev = index[(p + 1, r)], sum(ev, ())
+            summands[i][1].append((k, c))
+            adjacent[i].append((k, add, ev))
+            adjacent[k].append((i, sub, ev))
+    firsts = list(itertools.accumulate([n + 1 for n in dims], initial=0))
+    psi = [None] * len(terms)
+    for root, (_, _, b) in enumerate(terms):
+        if psi[root] is None:
+            psi[root] = [0] * (space.m + space.t)
+            for v, bj in zip(firsts, b):
+                psi[root][v] = bj
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for k, op, ev in adjacent[i]:
+                    want = list(map(op, psi[i], ev))
+                    if psi[k] is None:
+                        psi[k] = want
+                        stack.append(k)
+                    elif psi[k] != want:
+                        return None
+    full = (1 << len(terms)) - 1
+    columns = list(zip(*psi))  # per variable, psi_{s,v} by summand
+    # Per factor, its chambers with a class: (G, L, sum of lower bounds, sum of
+    # upper bounds, caps: the number of values of each variable bounded on
+    # both sides), a sum None when a bound is.
+    factors = []
+    for n, first in zip(dims, firsts):
+        cells = [(full, full, 0, 0, ())]
+        for col in columns[first:first + n + 1]:
+            bits = {}  # threshold -> the summands that have it
+            for s, x in enumerate(col):
+                bits[-x] = bits.get(-x, 0) | 1 << s
+            ge, lo, intervals = 0, None, []  # (lo, hi, the summands with u_v >= threshold)
+            for t in sorted(bits):
+                intervals.append((lo, t - 1, ge))
+                ge, lo = ge | bits[t], t
+            intervals.append((lo, None, ge))
+            cells = [(G & ge, L & ~ge, None if lo is None or los is None else los + lo,
+                      None if hi is None or his is None else his + hi,
+                      caps if lo is None or hi is None else caps + (hi - lo + 1,))
+                     for G, L, los, his, caps in cells for lo, hi, ge in intervals
+                     if G & ge or L & ~ge]
+        factors.append(cells)
+    pb = [(p, b) for p, _, b in terms]
+    counts = {}  # (factor, a_j) -> [(G, L, count)] over its chambers with a u
+    memo = {}  # (mask, negs) -> h of the block
+
+    def touched_h(a):
+        blocks = set()  # the (term, Cech degree) pairs with classes, as _transfer reads them
+        for p, b in pb:
+            q = 0
+            for n, c in zip(dims, vadd(a, b)):
+                if c < 0:
+                    if c > -n - 1:
+                        break
+                    q += n
+            else:
+                blocks.add((p, q))
+        if any(p2 - p - 1 == q - q2 >= 1 for p, q in blocks for p2, q2 in blocks):
+            return None
+        weights = {(full, ()): 1}  # (mask, negs) -> count of u, over the factors so far
+        for j, (n, cells, aj) in enumerate(zip(dims, factors, a)):
+            if (j, aj) not in counts:
+                # With a class, no variable is unbounded below while another
+                # is unbounded above; when one is, u -> -u bounds all below.
+                counts[j, aj] = [(G, L, x) for G, L, los, his, caps in cells if (x := (
+                    _compositions(n, aj - los, caps) if los is not None else
+                    _compositions(n, his - aj, caps)))]
+            prod = defaultdict(int)
+            for G, L, x in counts[j, aj]:
+                for (mask, negs), y in weights.items():
+                    if mask & (G | L):
+                        prod[(mask & (G | L), negs + (L,))] += x * y
+            weights = prod
+        h = [0] * (space.m + 1)
+        for (mask, negs), x in weights.items():
+            if not mask & mask - 1:  # one class and no entry: 1 in its total degree
+                k = _total_degree(space, summands, mask.bit_length() - 1, negs)
+                if 0 <= k <= space.m:
+                    h[k] += x
+                continue
+            key = mask, tuple(N & mask for N in negs)
+            if key not in memo:
+                memo[key] = _homology(space, field, prime, _chamber_block(space, summands, *key), a)
+            for i, y in enumerate(memo[key]):
+                h[i] += x * y
+        return h
+
+    return touched_h
+
+
+def engine(C):
+    """The function window -> (a, (h^0, ..., h^m)) pairs, in the window's
+    twist order, of the validated complex C, reading C once: untouched terms
+    come from one bott.kunneth_window call per window, touched ones from the
+    chamber route where it applies, else the per-twist route."""
+    space = C.space
+    poly = polynomial_maps(C)
+    free, terms = _terms(C, poly)
+    chamber_h = terms and chambers(space, C.field, poly, terms)
+    series_h = None
+
+    def touched_h(a):
+        nonlocal series_h
+        h = chamber_h(a) if chamber_h else None
+        if h is None:
+            series_h = series_h or per_twist(space, C.field, poly, terms)
+            h = series_h(a)
+        return h
 
     def table(window):
         for a, h in bott.kunneth_window(space, window, free).items():
-            yield a, tuple(map(add, h, touched_h(a)) if touched_terms else h)
+            yield a, tuple(map(add, h, touched_h(a)) if terms else h)
 
     return table

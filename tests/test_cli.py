@@ -8,7 +8,7 @@ from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
-from test_minmodel import break_transfer, last_level, unpack
+from test_minmodel import break_transfer, last_level, per_twist_only, unpack
 
 
 def run(capsys, argv):
@@ -230,11 +230,17 @@ def test_cohomology_large_prime(capsys, tmp_path):
 
 def test_cohomology_truncation_exit(capsys, tmp_path, monkeypatch):
     # A transferred differential with D_H o D_H != 0 fails the engine's
-    # self-check: exit 3, nothing on stdout.
+    # self-check: exit 3, nothing on stdout, on the chamber route of the
+    # Koszul point and on the per-twist route.
     path = write_complex(tmp_path, koszul_point_complex())
-    break_transfer(monkeypatch)
-    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "1,1"])
-    assert code == 3 and "self-check" in err and out == ""
+    hits = break_transfer(monkeypatch)
+    for route in ("chambers", "per twist"):
+        if route == "per twist":
+            assert not hits["per twist"]  # the chamber route took every twist
+            per_twist_only(monkeypatch)
+        code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "1,1"])
+        assert code == 3 and "self-check" in err and out == ""
+        assert hits[route], route
 
 
 @pytest.mark.parametrize("args", [
@@ -243,20 +249,49 @@ def test_cohomology_truncation_exit(capsys, tmp_path, monkeypatch):
     ["tate-profile", "--b", "1,1", "--checks", "tate,corner", "--c", "0,0"],
 ])
 def test_window_self_check_exit(capsys, tmp_path, monkeypatch, args):
-    # The window engine keeps the self-check: exit 3, nothing on stdout.
+    # The window engine keeps the self-check on both routes: exit 3,
+    # nothing on stdout.
     path = write_complex(tmp_path, koszul_point_complex())
-    break_transfer(monkeypatch)
-    code, out, err = run(capsys, args[:1] + ["--input", path] + args[1:])
-    assert code == 3 and "self-check" in err and out == ""
+    hits = break_transfer(monkeypatch)
+    for route in ("chambers", "per twist"):
+        if route == "per twist":
+            assert not hits["per twist"]  # the chamber route took every twist
+            per_twist_only(monkeypatch)
+        code, out, err = run(capsys, args[:1] + ["--input", path] + args[1:])
+        assert code == 3 and "self-check" in err and out == ""
+        assert hits[route], route
 
 
 def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
     # At (-3,-3) every class of the Koszul point is fully negative in both
     # factors and its series stops at level 0, where D_H is multiplication.
     # Doubling one entry of a column out of the degree -2 term breaks
-    # D_H o D_H = 0: EngineCheckFailed, and exit 3 with nothing on stdout.
+    # D_H o D_H = 0: EngineCheckFailed, and exit 3 with nothing on stdout,
+    # first in the chamber blocks, then in the per-twist route's columns.
     K = koszul_point_complex()
+    path = write_complex(tmp_path, K)
     assert cech.hypercohomology(K, (-3, -3)) == (1, 0, 0)
+    block = minmodel._chamber_block
+    corrupted_blocks = []
+
+    def corrupted_block(space, summands, mask, negs):
+        cols = block(space, summands, mask, negs)
+        for col_k in cols.values():
+            for s, col in col_k.items():
+                if summands[s][0] == -2 and col and all(N >> s & 1 for N in negs):
+                    key = min(col)
+                    col[key] *= 2
+                    corrupted_blocks.append((mask, negs))
+        return cols
+
+    monkeypatch.setattr(minmodel, "_chamber_block", corrupted_block)
+    with pytest.raises(cech.EngineCheckFailed):
+        cech.hypercohomology(K, (-3, -3))
+    assert corrupted_blocks
+    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "-3,-3"])
+    assert code == 3 and "self-check" in err and out == ""
+
+    per_twist_only(monkeypatch)
     transfer = minmodel._transfer
     corrupted_classes = []
 
@@ -274,7 +309,6 @@ def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
     with pytest.raises(cech.EngineCheckFailed):
         cech.hypercohomology(K, (-3, -3))
     assert corrupted_classes
-    path = write_complex(tmp_path, K)
     code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "-3,-3"])
     assert code == 3 and "self-check" in err and out == ""
 

@@ -36,6 +36,55 @@ def test_primality_is_miller_rabin():
         parse_field("p:%d" % (2**89 - 1))
 
 
+# psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
+# to each of the first k prime bases, for k = 1..6, 7 (= psi_8) and 9.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051)
+
+
+def miller_rabin_13_bases(n):
+    """Trial division by the first 13 primes, then Miller-Rabin with all
+    of them as bases whatever n is: the reference of the base prefix."""
+    if n < 2:
+        return False
+    for b in linalg._MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in linalg._MR_BASES:
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def test_each_psi_k_is_refused():
+    # Each psi_k passes the first k bases, so a prefix one base too short
+    # at psi_k would call it prime.
+    for psi in PSI:
+        assert not linalg._is_prime(psi) and not miller_rabin_13_bases(psi)
+        with pytest.raises(linalg.FieldError, match="odd prime"):
+            PrimeField(psi)
+
+
+def test_base_prefix_agrees_with_all_13_bases():
+    for n in range(10**5):
+        assert linalg._is_prime(n) == miller_rabin_13_bases(n), n
+    rng = random.Random(13)
+    sample = [rng.randrange(2, 10 ** rng.randint(6, 24)) | 1 for _ in range(3000)]
+    sample += [psi + k for psi, _ in linalg._MR_PSI for k in range(-60, 61)]
+    sample += [2**61 - 1, BIG_PRIME, 2**31 - 1, 10**18 + 9, 10**24 + 7]
+    primes = 0
+    for n in sample:
+        if n < linalg._MR_LIMIT:
+            assert linalg._is_prime(n) == miller_rabin_13_bases(n), n
+            primes += linalg._is_prime(n)
+    assert primes > 100
+
+
 def test_prime_field_ops():
     F = PrimeField(7)
     assert F.coerce(-1) == 6

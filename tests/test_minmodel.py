@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 from conftest import koszul_point_complex
 from prodcoh import bott, cech, minmodel, splitter
-from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
+from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex, validate_complex
 from prodcoh.lattice import ProductSpace, Window, vadd
 from prodcoh.linalg import RATIONALS, PrimeField, default_field
 from prodcoh.tate import STATUS_COMPUTED
@@ -140,15 +140,17 @@ def test_engine_matches_truncated_reference(case):
 
 def coerce_every_entry(C):
     """polynomial_maps as one C.entry call per (row, column), every
-    coefficient coerced into C's field, each with its type: the reference
-    of the row walk that coerces only entries over another field."""
+    coefficient coerced into C's field, each with its type, and the terms
+    that makes zero dropped: the reference of the row walk that coerces
+    only entries over another field."""
     poly = defaultdict(list)
     for p in C.degrees:
         for s in range(len(C.summands(p))):
             for r in range(len(C.summands(p + 1))):
                 f = C.entry(p, r, s)
-                if f is not None:
-                    poly[(p, s)].append((r, [(ev, C.field.coerce(c)) for ev, c in f.terms.items()]))
+                terms = [(ev, C.field.coerce(c)) for ev, c in f.terms.items()] if f else []
+                if any(c for _, c in terms):
+                    poly[(p, s)].append((r, [(ev, c) for ev, c in terms if c]))
     return poly
 
 
@@ -166,6 +168,25 @@ def test_polynomial_maps_equal_coercing_every_entry(point, dense, field):
         if field is not None:
             K = LineBundleComplex(K.space, field, {p: K.summands(p) for p in K.degrees}, K.diffs)
         assert typed(minmodel.polynomial_maps(K)) == typed(coerce_every_entry(K))
+
+
+@pytest.mark.parametrize("coefficient", [7, 14])
+def test_an_entry_zero_in_the_complexs_field_is_no_map(coefficient):
+    # O(-1,0) -> O by 7 x_{0,1} over F_65521, read over F_7: the map is zero
+    # there, so h is that of O(-1,0)[1] + O.
+    sp = ProductSpace((1, 1))
+    f = MultiHomogPoly.variable(sp, default_field(), 0, 1, coefficient)
+    C = LineBundleComplex(sp, PrimeField(7), {-1: [(-1, 0)], 0: [(0, 0)]}, {-1: [[f]]})
+    assert not minmodel.polynomial_maps(C)
+    for a in [(0, 0), (2, 1), (-3, 1), (1, -3)]:
+        shifted = bott.line_bundle_h(sp, vadd(a, (-1, 0)))[1:] + (0,)
+        assert cech.hypercohomology(C, a) == tuple(map(operator.add, bott.line_bundle_h(sp, a),
+                                                       shifted)), a
+    K = LineBundleComplex(sp, PrimeField(7), {-1: [(-1, 0)], 0: [(0, 0)]},
+                          {-1: [[f + MultiHomogPoly.variable(sp, default_field(), 0, 0)]]})
+    assert minmodel.polynomial_maps(K)[(-1, 0)] == [(0, [(((1, 0), (0, 0)), 1)])]
+    for a in [(0, 0), (2, 1), (-3, 1)]:
+        assert cech.hypercohomology(K, a) == reference.assembled_hypercohomology(K, a), a
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -291,11 +312,15 @@ def test_window_engine_matches_per_twist_on_free_sums(dims, data):
 
 def break_transfer(monkeypatch):
     """Double one entry of each column of D_H out of the degree -2 term,
-    wherever it has one.  For the Koszul point at twist (1, 1) that breaks
-    D_H o D_H = 0."""
-    transfer = minmodel._transfer
+    wherever it has one, on both routes: in minmodel._transfer, and in
+    minmodel._chamber_block, whose columns are labelled by summand.  For the
+    Koszul point at twist (1, 1) that breaks D_H o D_H = 0.  Returns the
+    number of calls of each seam, by route."""
+    hits = defaultdict(int)
+    transfer, block = minmodel._transfer, minmodel._chamber_block
 
     def corrupted(space, poly, p, s, q, prime, blocks, where, width):
+        hits["per twist"] += 1
         cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
         for col in cols:
             if p == -2 and col:
@@ -303,18 +328,42 @@ def break_transfer(monkeypatch):
                 col[key] = 2 * col[key] % prime
         return cols
 
+    def corrupted_block(space, summands, mask, negs):
+        hits["chambers"] += 1
+        cols = block(space, summands, mask, negs)
+        for col_k in cols.values():
+            for s, col in col_k.items():
+                if summands[s][0] == -2 and col:
+                    key = min(col)
+                    col[key] *= 2
+        return cols
+
     monkeypatch.setattr(minmodel, "_transfer", corrupted)
+    monkeypatch.setattr(minmodel, "_chamber_block", corrupted_block)
+    return hits
+
+
+def per_twist_only(monkeypatch):
+    """Make the engine take the per-twist route at every twist, as it does
+    for a complex that is not monomial."""
+    monkeypatch.setattr(minmodel, "chambers", lambda *args: None)
 
 
 def test_failed_self_check_makes_split_check_inconclusive(monkeypatch):
+    # On the chamber route of the Koszul point, then on the per-twist route.
     K = koszul_point_complex()
     window = Window((0, 0), (1, 1))
     assert cech.hypercohomology(K, (1, 1)) == (1, 0, 0)
-    break_transfer(monkeypatch)
-    with pytest.raises(cech.EngineCheckFailed):
-        cech.hypercohomology(K, (1, 1))
-    verdict = splitter.split_check(K, (1, 1), window)
-    assert verdict.kind == "inconclusive" and "self-check" in verdict.reason
+    hits = break_transfer(monkeypatch)
+    for route in ("chambers", "per twist"):
+        if route == "per twist":
+            assert not hits["per twist"]  # the chamber route took every twist
+            per_twist_only(monkeypatch)
+        with pytest.raises(cech.EngineCheckFailed):
+            cech.hypercohomology(K, (1, 1))
+        verdict = splitter.split_check(K, (1, 1), window)
+        assert verdict.kind == "inconclusive" and "self-check" in verdict.reason
+        assert hits[route], route
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +434,17 @@ def last_level(space, p, e, blocks):
     return max((r for r in range(q + 1) if (p + r + 1, q - r) in blocks), default=None)
 
 
+def per_twist_h(C, a):
+    """h of the touched terms of C(a) by the per-twist route, which the
+    engine takes only where the chamber route does not apply."""
+    poly = minmodel.polynomial_maps(C)
+    return minmodel.per_twist(C.space, C.field, poly, minmodel._terms(C, poly)[1])(a)
+
+
 def engine_columns(C, a):
-    """The arguments of every minmodel._transfer call the engine makes for
-    C(a), with copies of the columns it returned, which rank_sparse consumes."""
+    """The arguments of every minmodel._transfer call the per-twist route
+    makes for C(a), with copies of the columns it returned, which
+    rank_sparse consumes."""
     calls = []
     transfer = minmodel._transfer
 
@@ -398,7 +455,7 @@ def engine_columns(C, a):
 
     minmodel._transfer = recording
     try:
-        cech.hypercohomology(C, a)
+        per_twist_h(C, a)
     finally:
         minmodel._transfer = transfer
     return calls
@@ -527,3 +584,175 @@ def test_serre_duality_for_complexes(case):
     C, a = case
     dual = cech.hypercohomology(dual_twisted(C), tuple(-x for x in a))
     assert cech.hypercohomology(C, a) == dual[::-1]
+
+
+# ---------------------------------------------------------------------------
+# The chamber route of monomial complexes against the per-twist route.
+
+CHAMBER_SPACES = [(1, 1), (1, 2), (2, 2), (1, 1, 1)]
+SIGNS = [1, -1, 2, -3]
+
+
+def direct_sum(C1, C2):
+    """C1 + C2 on one space and field: summands side by side in each
+    degree, block-diagonal maps."""
+    degrees = sorted(set(C1.degrees) | set(C2.degrees))
+    terms = {p: list(C1.summands(p)) + list(C2.summands(p)) for p in degrees}
+
+    def rows(C, p):
+        return C.diffs.get(p) or [[None] * len(C.summands(p)) for _ in C.summands(p + 1)]
+
+    diffs = {}
+    for p in sorted(set(C1.diffs) | set(C2.diffs)):
+        n1, n2 = len(C1.summands(p)), len(C2.summands(p))
+        diffs[p] = ([list(row) + [None] * n2 for row in rows(C1, p)]
+                    + [[None] * n1 + list(row) for row in rows(C2, p)])
+    return LineBundleComplex(C1.space, C1.field, terms, diffs)
+
+
+def euler_complex(sp, field, j, signs):
+    """O^{n_j+1} -> O(e_j) by the variables x_{j,0..n_j}, scaled by signs."""
+    e_j = tuple(int(k == j) for k in range(sp.t))
+    n = sp.factor_dims[j]
+    return LineBundleComplex(sp, field, {-1: [(0,) * sp.t] * (n + 1), 0: [e_j]}, {-1: [[
+        MultiHomogPoly.variable(sp, field, j, i, c) for i, c in enumerate(signs)]]})
+
+
+@st.composite
+def monomial_piece(draw, sp, field):
+    """A Koszul complex of random variables with random signs, of 1-3 random
+    monomials (such as x_{0,0} x_{1,1}, whose classes need the series at
+    some twists), or an Euler complex; the first two maybe as the ideal
+    sheaf presentation."""
+    kind = draw(st.sampled_from(["variables", "monomials", "euler"]))
+    if kind == "euler":
+        j = draw(st.integers(0, sp.t - 1))
+        size = sp.factor_dims[j] + 1
+        return euler_complex(sp, field, j, draw(st.lists(
+            st.sampled_from(SIGNS), min_size=size, max_size=size)))
+    variables = [(j, i) for j, n in enumerate(sp.factor_dims) for i in range(n + 1)]
+    if kind == "variables":
+        chosen = draw(st.lists(st.sampled_from(variables), min_size=1, max_size=4, unique=True))
+        forms = [MultiHomogPoly.variable(sp, field, j, i, draw(st.sampled_from(SIGNS)))
+                 for j, i in chosen]
+    else:
+        forms = []
+        for _ in range(draw(st.integers(1, 3))):
+            e = [[0] * (n + 1) for n in sp.factor_dims]
+            for j, i in draw(st.lists(st.sampled_from(variables), min_size=1, max_size=3)):
+                e[j][i] += 1
+            forms.append(MultiHomogPoly.monomial(sp, field, draw(st.sampled_from(SIGNS)), e))
+    K = koszul_complex(sp, field, forms)
+    return ideal_of(K) if len(forms) > 1 and draw(st.booleans()) else K
+
+
+@st.composite
+def monomial_complexes(draw):
+    """A monomial piece, maybe plus a second one (two disconnected pieces)
+    and maybe plus free terms: an isolated summand in a touched degree, or
+    a term no map touches; with a twist and a small window."""
+    sp = ProductSpace(draw(st.sampled_from(CHAMBER_SPACES)))
+    field = draw(st.sampled_from(FIELDS))
+    C = draw(monomial_piece(sp, field))
+    if draw(st.booleans()):
+        C = direct_sum(C, draw(monomial_piece(sp, field)))
+    twist = st.tuples(*[st.integers(-3, 2)] * sp.t)
+    for p in draw(st.lists(st.sampled_from([0, 2, -5]), max_size=2)):
+        C = direct_sum(C, LineBundleComplex(sp, field, {p: [draw(twist)]}))
+    span = 4 if sp.t == 2 and sp.m <= 3 else 2
+    a = tuple(draw(st.integers(-span, span - 1)) for _ in range(sp.t))
+    window = Window(a, tuple(x + draw(st.integers(0, 2)) for x in a))
+    return C, a, window
+
+
+def per_twist_engine(C, a):
+    """h of C(a) with every touched term by the per-twist route."""
+    poly = minmodel.polynomial_maps(C)
+    free, terms = minmodel._terms(C, poly)
+    [h] = bott.kunneth_window(C.space, Window(a, a), free).values()
+    return tuple(map(operator.add, h, per_twist_h(C, a) if terms else [0] * len(h)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_complexes())
+def test_chamber_route_matches_per_twist_route(case):
+    C, a, window = case
+    assert not validate_complex(C)
+    poly = minmodel.polynomial_maps(C)
+    _, terms = minmodel._terms(C, poly)
+    route = minmodel.chambers(C.space, C.field, poly, terms)
+    assert route is not None  # every entry is one monomial, and the shifts agree
+    h = route(a)
+    per_twist = per_twist_h(C, a)
+    assert h is None or h == per_twist, (a, h, per_twist)
+    assert cech.hypercohomology(C, a) == per_twist_engine(C, a)
+    assert cech.cohomology_table(C, window).cells == {
+        (b, i): (dim, STATUS_COMPUTED)
+        for b in window.twists() for i, dim in enumerate(per_twist_engine(C, b))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_complexes().filter(lambda case: case[0].space.factor_dims in ((1, 1), (1, 2))))
+def test_chamber_route_matches_truncated_reference(case):
+    # On a window of one or two twists in [-2,1]^2.
+    C, a, _ = case
+    lo = tuple(max(-2, min(1, x)) for x in a)
+    window = Window(lo, (min(lo[0] + 1, 1),) + lo[1:])
+    assert cech.cohomology_table(C, window).cells == {
+        (b, i): (dim, STATUS_COMPUTED)
+        for b in window.twists() for i, dim in enumerate(reference.assembled_hypercohomology(C, b))}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_monomial_generators_fall_back_where_the_series_is_needed(field):
+    # The Koszul complex of x_{0,0} x_{1,1} and x_{0,1}: at some twists a
+    # class of degree -2 needs the series, and the chamber route declines.
+    sp = ProductSpace((1, 1))
+    forms = [MultiHomogPoly.monomial(sp, field, 1, [[1, 0], [0, 1]]),
+             MultiHomogPoly.variable(sp, field, 0, 1)]
+    K = koszul_complex(sp, field, forms)
+    poly = minmodel.polynomial_maps(K)
+    route = minmodel.chambers(sp, field, poly, minmodel._terms(K, poly)[1])
+    answers = {a: route(a) for a in Window((-4, -4), (3, 3)).twists()}
+    declined = [a for a, h in answers.items() if h is None]
+    assert declined and len(declined) < len(answers)
+    for a, h in answers.items():
+        assert cech.hypercohomology(K, a) == tuple(per_twist_h(K, a)), a
+        assert h is None or h == per_twist_h(K, a), a
+
+
+class ClassEnumerated(AssertionError):
+    pass
+
+
+def no_classes(*args):
+    raise ClassEnumerated("bott_classes called")
+
+
+def clashing_complex(field):
+    """O(-1,0)^2 -> O^2 by [[x_{0,0}, x_{0,1}], [x_{0,1}, x_{0,0}]]: every
+    entry one monomial, but going round the square shifts x_{0,0} - x_{0,1}
+    twice, so no fine shifts exist."""
+    sp = ProductSpace((1, 1))
+    x0, x1 = (MultiHomogPoly.variable(sp, field, 0, i) for i in (0, 1))
+    return LineBundleComplex(sp, field, {-1: [(-1, 0)] * 2, 0: [(0, 0)] * 2},
+                             {-1: [[x0, x1], [x1, x0]]})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_chamber_route_enumerates_no_class(field, monkeypatch):
+    sp = ProductSpace((2, 3))
+    K = koszul_point(sp, field)
+    dense = dense_koszul(ProductSpace((1, 2)), (1, 1), 3, 7)
+    clash = clashing_complex(field)
+    expected = {a: cech.hypercohomology(clash, a) for a in [(1, -3), (-3, 1), (0, 0)]}
+    for a, h in expected.items():
+        assert h == reference.assembled_hypercohomology(clash, a), a
+    monkeypatch.setattr(minmodel, "bott_classes", no_classes)
+    for a in [(7, 8), (40, 40), (-40, -41), (1000, -1000)]:
+        assert cech.hypercohomology(K, a) == (1, 0, 0, 0, 0, 0), a
+    for C in (dense, clash):
+        poly = minmodel.polynomial_maps(C)
+        assert minmodel.chambers(C.space, C.field, poly, minmodel._terms(C, poly)[1]) is None
+        with pytest.raises(ClassEnumerated):
+            cech.hypercohomology(C, (0, 0))
