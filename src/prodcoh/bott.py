@@ -16,13 +16,6 @@ Dimensions of line-bundle cohomology do not depend on the base field.
 import math
 
 
-def binom(n, k):
-    """Combinatorial binomial coefficient, zero outside 0 <= k <= n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def factor_group(n, a):
     """(q, h^q) of the one group of O(a) on P^n that can be nonzero, q = 0 or
     n, or None when every group vanishes."""

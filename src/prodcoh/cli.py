@@ -202,8 +202,8 @@ def cmd_cohomology(args):
         raise UsageError("cohomology needs --twist or --window")
     window = parse_window(args.window)
     table = cech.cohomology_table(C, window)
-    cells2 = _at_check_prime(args, C, lambda other: cech.cohomology_table(other, window).cells)
-    if cells2 is not None and cells2 != table.cells:
+    table2 = _at_check_prime(args, C, lambda other: cech.cohomology_table(other, window))
+    if table2 is not None and table2 != table:
         raise PrimeDisagreement("tables differ between primes")
     if args.format == "json":
         dump_json(table.to_json())

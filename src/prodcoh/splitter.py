@@ -8,10 +8,11 @@ have none (the safe region).  The procedure works window-by-window:
 1. compute a cohomology table, check it against the strand rule, and
    check the monotonicity of top cohomology (a failed check means the
    table does not come from a sheaf).  Every window cell is computed, so
-   tate.strand_check looks for the rule's clashes in one pass over the
-   window: a zero derived there rests on cells above it alone, so the
-   clash is the one a run extended below the window finds.  The stages
-   read the window's vectors (CohomologyTable.rows), never a cell below;
+   tate.strand_propagate(table, extend=0) infers nothing and only looks
+   for the rule's clashes, in one pass over the window: a zero derived
+   there rests on cells above it alone, so the clash is the one a run
+   extended below the window finds.  The stages read the window's vectors
+   (CohomologyTable.rows), never a cell below;
 2. scan the safe region for intermediate cohomology: a hit is a certified
    NonSplit witness;
 3. find the maximal twists with nonzero h^m; for a splitting candidate one
@@ -275,7 +276,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
         return inconclusive("cohomology computation failed: %s" % exc)
 
     try:
-        tate.strand_check(table)
+        tate.strand_propagate(table, extend=0)
     except tate.StrandInconsistency as exc:
         return inconclusive("strand propagation inconsistency: %s" % exc)
 

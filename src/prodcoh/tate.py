@@ -14,19 +14,20 @@ one-factor strand: if H^n(F(a)), H^{n-1}(F(a+e_j)), ..., H^{n-n_j}(F(a+n_j e_j))
 all vanish, then H^n(F(a-e_j)) vanishes too.  Applied to a computed window
 it extends certified zeros in the decreasing directions and cross-checks
 the input table; it never defaults a cell to zero silently.  It runs on
-bit planes, one Python int per index n and kind of knowledge, so the rule
-fires on every twist at once by shifts and ANDs.  strand_propagate iterates
-it until it settles; strand_check, on a fully computed window where nothing
-can be inferred, only looks for its clashes, in one pass.
+planes of one byte per twist, one Python int per index n and kind of
+knowledge, so the rule fires on every twist at once by shifts and ANDs.
+strand_propagate iterates it until it settles and then looks for its
+clashes; on the engine's window with extend=0 nothing can be inferred, so
+that is one pass over the window's vectors.
 """
 
 import csv
+import functools
 import io
 import itertools
 import math
-import re
+import operator
 
-from .bott import binom
 from .lattice import LatticeError, ProductSpace, Window
 
 STATUS_COMPUTED = "computed"
@@ -73,10 +74,11 @@ class CohomologyTable:
     without being stored.
 
     A table starts as computed vectors, one (h^0, ..., h^m) per twist in the
-    order set_h stored them, and every read below takes them from there.
-    The (a, i) -> (dim, status) dict is built from them the first time
-    .cells is asked for (set_cell, copy, == and strand_propagate ask), and
-    from then on it is the table.
+    order set_h stored them, and every read below takes them from there;
+    copy keeps the store it has.  The (a, i) -> (dim, status) dict is built
+    from them the first time .cells is asked for (set_cell asks, and
+    strand_propagate when it infers a cell), and from then on it is the
+    table.
     """
 
     def __init__(self, space, window, cells=None):
@@ -90,10 +92,17 @@ class CohomologyTable:
     @property
     def cells(self):
         if self._cells is None:
-            self._cells = {(a, i): (dim, STATUS_COMPUTED)
-                           for a, h in self._rows.items() for i, dim in enumerate(h)}
+            self._cells = dict(self._items())
             self._rows = None
         return self._cells
+
+    def _items(self):
+        """The ((a, i), (dim, status)) cells in the order stored, read from
+        the store the table has."""
+        if self._cells is not None:
+            return self._cells.items()
+        return (((a, i), (dim, STATUS_COMPUTED))
+                for a, h in self._rows.items() for i, dim in enumerate(h))
 
     def rows(self):
         """{a: (h^0, ..., h^m)} over the twists with a stored cell, None at an
@@ -168,11 +177,16 @@ class CohomologyTable:
         return None if None in h else h
 
     def copy(self):
-        return CohomologyTable(self.space, self.window, self.cells)
+        """A new table with the same cells, in the same store."""
+        out = CohomologyTable(self.space, self.window, self._cells)
+        if self._cells is None:
+            out._rows = dict(self._rows)
+        return out
 
     def __eq__(self, other):
-        return isinstance(other, CohomologyTable) and (self.space, self.window, self.cells) == (
-            other.space, other.window, other.cells)
+        return isinstance(other, CohomologyTable) and (
+            self.space, self.window, self.sorted_cells()) == (
+            other.space, other.window, other.sorted_cells())
 
     def sorted_cells(self):
         if self._cells is None:
@@ -243,9 +257,7 @@ def _gather(T, b, keep=None):
     for a in support_box(space, b).twists():
         if keep is not None and not keep(a):
             continue
-        w = math.prod(binom(nj + 1, bj - aj) for nj, bj, aj in zip(space.factor_dims, b, a))
-        if w == 0:
-            continue
+        w = math.prod(math.comb(nj + 1, bj - aj) for nj, bj, aj in zip(space.factor_dims, b, a))
         for i in range(space.m + 1):
             cell = T.get(a, i)
             if cell is None:
@@ -317,58 +329,6 @@ def _derive(zero, n, nj, step, targets):
     return targets
 
 
-def _raise_first_clash(T, derives, computed, outside):
-    """The strand rule's clash step.  Take the first factor j for which
-    derives(j), the planes, or the antecedents of an (a, n) of outside,
-    looked up in T, derive h^n = 0 at a computed nonzero cell.  Raise
-    StrandInconsistency for its first such cell in computed, the computed
-    nonzero (a, n, dim) cells in the input's order."""
-    dims = T.space.factor_dims
-
-    def ante(a, n, j):
-        return [(a[:j] + (a[j] + k + 1,) + a[j + 1:], n - k) for k in range(dims[j] + 1)]
-
-    def clash(a, n, j):
-        return all(T.known_zero(*key) for key in ante(a, n, j)[:max(n + 1, 0)])
-
-    for j in range(len(dims)):
-        if derives(j) or any(clash(a, n, j) for a, n in outside):
-            a, n, dim = next(c for c in computed if clash(c[0], c[1], j))
-            raise StrandInconsistency((a, n), dim, ante(a, n, j))
-
-
-def strand_check(T):
-    """Raise StrandInconsistency where strand_propagate(T, extend=0) would.
-    On a table of computed vectors that are its window's, in twist order,
-    every window cell is known and nothing can be inferred, so one pass of
-    the clash step decides, with no fixpoint and no copy.  Its planes hold
-    a byte per twist, in twist order: a step up along factor j is
-    8*stride_j bits, and a target is kept only when its antecedents lie in
-    the window, so no shift wraps.  Other tables go to strand_propagate."""
-    rows = T._rows or {}
-    if list(rows) != list(T.window.twists()):
-        strand_propagate(T, extend=0)
-        return
-    sizes = [h - l + 1 for l, h in zip(T.window.lo, T.window.hi)]
-    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
-    zero = [int.from_bytes(bytes([not x for x in col]), "little") for col in zip(*rows.values())]
-    nonzero = [int.from_bytes(b"\x01" * len(rows), "little") ^ z for z in zero]
-
-    def below(j, c):
-        """The window twists with a_j + c <= hi_j."""
-        keep = min(c, sizes[j])
-        run = b"\x01" * (sizes[j] - keep) * strides[j] + bytes(keep * strides[j])
-        return int.from_bytes(run * (len(rows) // len(run)), "little")
-
-    def derives(j):
-        nj = T.space.factor_dims[j]
-        return any(_derive(zero, n, nj, 8 * strides[j], plane & below(j, min(n, nj) + 1))
-                   for n, plane in enumerate(nonzero))
-
-    computed = ((a, n, dim) for a, h in rows.items() for n, dim in enumerate(h) if dim)
-    _raise_first_clash(T, derives, computed, ())
-
-
 def strand_propagate(T, extend=None):
     """Close a table under the strand vanishing rule.
 
@@ -378,18 +338,23 @@ def strand_propagate(T, extend=None):
     `extend` steps per factor, a non-negative int or a tuple of t of them
     (default n_j + 1); pass 0 to forbid extension.
 
-    The rule runs on bit planes: the box lo - extend <= a <= hi is laid out
-    row-major, padded n_j + 1 above hi so that a shift by (k+1)*stride_j
-    never carries into the next coordinate, and each index n holds three
-    ints over it (known, known zero, computed nonzero).  The targets along
-    factor j at index n are _derive's, masked by the unknown cells and the
-    guard a_j < hi_j; the rule is monotone, so iterating it reaches its
-    least fixed point.  Inferred cells are stored in decreasing
-    lexicographic order.  A derived zero clashing with a computed nonzero
-    cell (one outside the box is looked up cell by cell) raises
-    StrandInconsistency for the first clashing factor and its first clash
-    in the input's order, by _raise_first_clash: the rule holds for every
-    coherent sheaf, so the table is invalid.  Returns a new table; the
+    The rule runs on planes of one byte per twist, one Python int per index
+    n and kind of knowledge (zero, nonzero), over the layout lo - extend <=
+    a <= top in twist order, so a step up along factor j is 8*stride_j
+    bits.  top is hi when the table stores no cell outside lo - extend ..
+    hi (the engine's window), and hi + n_j + 1 otherwise, so that every
+    stored antecedent of the box is laid out.  One pass over T.rows()
+    codes each cell unknown, zero or nonzero, a byte per cell in twist
+    order, and each index's planes are read off its slice.  The targets
+    along factor j at index n are _derive's, masked by the unknown cells of
+    the box, the guard a_j < hi_j and antecedents inside the layout, so no
+    shift wraps; the rule is monotone, so iterating it reaches its least
+    fixed point.  Inferred cells are stored in decreasing lexicographic
+    order.  A derived zero clashing with a computed nonzero cell (which may
+    sit at a_j = hi_j; one outside the box is looked up cell by cell)
+    raises StrandInconsistency for the first clashing factor and its first
+    clash in the input's order: the rule holds for every coherent sheaf, so
+    the table is invalid.  Returns a new table, in the input's store; the
     input is not modified.
     """
     space = T.space
@@ -402,54 +367,69 @@ def strand_propagate(T, extend=None):
                          "got %r" % (t, extend))
     lo = tuple(l - mg for l, mg in zip(T.window.lo, margins))
     hi = T.window.hi
-    sizes = [h - l + nj + 2 for l, h, nj in zip(lo, hi, dims)]
+    rows = T.rows()
+    stored = list(rows)
+
+    def in_box(a):
+        return all(l <= x <= h for l, x, h in zip(lo, a, hi))
+
+    top = hi
+    twists = list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, top))))
+    inside = stored == twists or all(map(in_box, stored))
+    if not inside:
+        top = tuple(h + nj + 1 for h, nj in zip(hi, dims))
+        twists = list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, top))))
+    sizes = [h - l + 1 for l, h in zip(lo, top)]
     strides = [math.prod(sizes[j + 1:]) for j in range(t)]
-    twists = list(itertools.product(*(range(l, l + z) for l, z in zip(lo, sizes))))
 
-    def block(tops):
-        """The layout positions with lo <= a <= tops."""
-        mask = 1
-        for j in range(t - 1, -1, -1):
-            mask = sum(mask << x * strides[j] for x in range(tops[j] - lo[j] + 1))
-        return mask
+    def under(j, c):
+        """The layout positions with a_j <= c."""
+        keep = min(max(c - lo[j] + 1, 0), sizes[j])
+        run = b"\x01" * keep * strides[j] + bytes((sizes[j] - keep) * strides[j])
+        return int.from_bytes(run * (len(twists) // len(run)), "little")
 
-    known, zero, nonzero = ([bytearray(b"0") * len(twists) for _ in range(m + 1)]
-                            for _ in range(3))
-    where = {a: p for p, a in enumerate(twists)}
-    box = block(hi)
-    computed, outside = [], []
-    for (a, n), (dim, status) in T.cells.items():
-        p = where.get(a) if 0 <= n <= m else None
-        if p is not None:  # bit p is byte ~p of the base-2 digits
-            known[n][~p] = 49
-            if not dim:
-                zero[n][~p] = 49
-        if dim and status == STATUS_COMPUTED:
-            if p is not None and box >> p & 1:
-                nonzero[n][~p] = 49
-            else:
-                outside.append((a, n))
-            computed.append((a, n, dim))
-    known, zero, nonzero = ([int(digits, 2) for digits in plane]
-                            for plane in (known, zero, nonzero))
-    guards = [block(hi[:j] + (hi[j] - 1,) + hi[j + 1:]) for j in range(t)]
-    unknown = [box & ~plane for plane in known]
+    ones = int.from_bytes(b"\x01" * len(twists), "little")
+    box = ones if inside else functools.reduce(operator.and_, map(under, range(t), hi))
+    # reach[j][k]: the box twists whose k+1 steps up along factor j stay in
+    # the layout, where the antecedents at an index n >= k lie.
+    reach = [[box & under(j, top[j] - k - 1) for k in range(nj + 1)]
+             for j, nj in enumerate(dims)]
+    vectors = (rows.values() if stored == twists
+               else map(rows.get, twists, itertools.repeat((None,) * (m + 1))))
+    coded = bytes([0 if x is None else 1 if x == 0 else 2 for vector in vectors for x in vector])
+    codes = [int.from_bytes(coded[n::m + 1], "little") for n in range(m + 1)]
+    zero = [c & ones for c in codes]
+    nonzero = [c >> 1 & ones for c in codes]
+    unknown = [box & ~(z | nz) for z, nz in zip(zero, nonzero)]
     todo = list(unknown)
-    changed = True
+    changed = any(todo)
     while changed:
         changed = False
         for n, j in itertools.product(range(m + 1), range(t)):
-            new = _derive(zero, n, dims[j], strides[j], guards[j] & todo[n])
+            new = _derive(zero, n, dims[j], 8 * strides[j],
+                          reach[j][min(n, dims[j])] & under(j, hi[j] - 1) & todo[n])
             if new:
                 zero[n] |= new
                 todo[n] ^= new
                 changed = True
     out = T.copy()
-    cells = out.cells
-    digits = [format(u ^ left, "0%db" % len(twists)) for u, left in zip(unknown, todo)]
-    hits = sorted((hit.start(), n) for n, s in enumerate(digits) for hit in re.finditer("1", s))
-    for i, n in hits:  # character i of the digits is bit ~i
-        cells[(twists[~i], n)] = (0, STATUS_INFERRED)
-    _raise_first_clash(out, lambda j: any(_derive(zero, n, dims[j], strides[j], nonzero[n])
-                                          for n in range(m + 1)), computed, outside)
+    inferred = [(-p, n) for n, (u, left) in enumerate(zip(unknown, todo)) if u != left
+                for p, bit in enumerate((u ^ left).to_bytes(len(twists), "little")) if bit]
+    for minus_p, n in sorted(inferred):  # decreasing twist order, then increasing n
+        out.cells[(twists[-minus_p], n)] = (0, STATUS_INFERRED)
+
+    def ante(a, n, j):
+        return [(a[:j] + (a[j] + k + 1,) + a[j + 1:], n - k) for k in range(dims[j] + 1)]
+
+    def clash(a, n, j):
+        return all(out.known_zero(*key) for key in ante(a, n, j)[:max(n + 1, 0)])
+
+    outside = [] if inside else [(a, n) for a, vector in rows.items() if not in_box(a)
+                                 for n, dim in enumerate(vector) if dim]
+    for j, nj in enumerate(dims):
+        if (any(_derive(zero, n, nj, 8 * strides[j], nonzero[n] & reach[j][min(n, nj)])
+                for n in range(m + 1)) or any(clash(a, n, j) for a, n in outside)):
+            a, n, dim = next((a, n, dim) for (a, n), (dim, status) in T._items()
+                             if dim and status == STATUS_COMPUTED and clash(a, n, j))
+            raise StrandInconsistency((a, n), dim, ante(a, n, j))
     return out

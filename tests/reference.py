@@ -318,8 +318,9 @@ def cell_table(T):
 
 def split_check_on_cells(C, d, window, torsion_free_asserted=False):
     """splitter.split_check on the cell_table of the engine's table: every
-    stage reads the (a, i) dict, and the strand check runs
-    strand_propagate(table, extend=0).  cech.cohomology_table is swapped
+    stage reads the (a, i) dict, and the strand check,
+    strand_propagate(table, extend=0), reads its rows from that dict and
+    returns a table with the dict store.  cech.cohomology_table is swapped
     for the call only."""
     table_of = cech.cohomology_table
     cech.cohomology_table = lambda C, window: cell_table(table_of(C, window))

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from conftest import bott_table, ideal_sheaf_complex, koszul_point_complex
-from prodcoh import bott, cech, tate
+from prodcoh import bott, cech, splitter
 from prodcoh.coxring import MultiHomogPoly, free_complex
-from prodcoh.lattice import LatticeError, ProductSpace, Window
+from prodcoh.lattice import LatticeError, Polarization, ProductSpace, Window
 from prodcoh.linalg import default_field
 from prodcoh.tate import (
     STATUS_COMPUTED,
@@ -458,31 +458,40 @@ def test_window_only_strand_check_finds_the_same_clash(T):
     assert strand_clash(T, 0) == strand_clash(T, None)
 
 
-def check_clash(T):
-    """What tate.strand_check reports, as strand_clash does, or None."""
-    try:
-        tate.strand_check(T)
-    except StrandInconsistency as exc:
-        return exc.cell, exc.dim, exc.antecedents, str(exc)
-    return None
-
-
 @settings(max_examples=200, deadline=None)
-@given(computed_tables())
-def test_one_pass_strand_check_finds_the_same_clash(T):
-    # T holds its window's vectors, so strand_check must decide in its one
-    # pass, without strand_propagate, and find the clash a run extended
-    # below the window finds.
-    with mock.patch.object(tate, "strand_propagate", side_effect=AssertionError("propagated")):
-        got = check_clash(T)
-    assert got == strand_clash(T, None)
+@given(computed_tables(), st.one_of(st.none(), st.integers(0, 3)))
+def test_propagation_equals_naive_on_computed_tables(T, extend):
+    # T holds its window's vectors, as the engine's tables do: with extend 0
+    # they are the planes' whole layout, else the window's top part of it.
+    got = propagation_outcome(strand_propagate, T, extend)
+    assert got == propagation_outcome(naive_propagate, T, extend)
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_tables())
-def test_strand_check_on_other_tables_is_window_propagation(case):
-    T, _ = case
-    assert check_clash(T) == strand_clash(T, 0)
+def test_reading_an_engine_table_keeps_its_store(p11):
+    # copy, ==, propagation within the window and split_check read the
+    # engine's vectors and never build the (a, i) dict.
+    window = Window((-4, -4), (3, 3))
+    d = Polarization((1, 1))
+    K = cech.cohomology_table(koszul_point_complex(), window)
+    cells = reference.cell_table(K)
+    cases = [
+        (free_complex(p11, [(1, 1), (0, 0), (-1, -1)]), window, "split"),
+        (free_complex(p11, [(1, 1), (1, -2)]), window, "nonsplit"),
+        (free_complex(p11, [(1, 1), (-1, -1)]), Window((-1, -1), (0, 0)), "inconclusive"),
+        (koszul_point_complex(), window, "inconclusive"),
+    ]
+
+    def no_dict(table):
+        raise AssertionError("the cell dict was built")
+
+    with mock.patch.object(CohomologyTable, "cells", property(no_dict)):
+        T = cech.cohomology_table(koszul_point_complex(), window)
+        U = T.copy()
+        assert U.rows() == T.rows() and U.rows() is not T.rows()
+        assert U == T and T == K and T == cells and not T != cells
+        assert strand_propagate(T, extend=0) == T
+        for C, w, kind in cases:
+            assert splitter.split_check(C, d, w).kind == kind
 
 
 def test_set_h_checks_the_vector_as_set_cell_does(p11):
