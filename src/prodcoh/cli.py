@@ -12,6 +12,9 @@ unrecognized arguments, whose error shows the top-level usage line.
 Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
 3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
 disagreement, 10 NonSplit, 11 Inconclusive.
+
+tate-profile refuses --input, --window and --field beside --table (exit 2):
+they say how to compute a table it reads instead.
 """
 
 import argparse
@@ -247,8 +250,10 @@ def cmd_split_check(args):
 
 
 def cmd_tate_profile(args):
-    b = None
     if args.table is not None:
+        for flag in ("input", "window", "field"):
+            if getattr(args, flag) is not None:
+                raise UsageError("--%s does not apply to --table" % flag)
         try:
             with open(args.table) as fh:
                 table = tate.CohomologyTable.from_json(json.load(fh))

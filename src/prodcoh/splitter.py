@@ -11,8 +11,8 @@ have none (the safe region).  The procedure works window-by-window:
    tate.strand_propagate(table, extend=0) infers nothing and only looks
    for the rule's clashes, in one pass over the window: a zero derived
    there rests on cells above it alone, so the clash is the one a run
-   extended below the window finds.  The stages read the window's vectors
-   (CohomologyTable.rows), never a cell below;
+   extended below the window finds.  Every stage reads the table's one
+   store, its vectors (CohomologyTable.rows);
 2. scan the safe region for intermediate cohomology: a hit is a certified
    NonSplit witness;
 3. find the maximal twists with nonzero h^m; for a splitting candidate one

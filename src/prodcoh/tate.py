@@ -8,6 +8,9 @@ twist a in the box 0 <= b_j - a_j <= n_j + 1, placed in homological degree
 d = |a| + i.  Exactness of the resolution -- and of its quadrant strands
 and corner cones -- forces every alternating sum of those dimensions to
 vanish, which turns a cohomology table into a pile of verifiable checksums.
+A CohomologyTable stores one vector (h^0, ..., h^m) per twist, None at an
+unknown index, and marks the zeros the strand rule inferred; the checksums
+and the rule read those vectors.
 
 The vanishing-propagation rule is the minimality consequence along a
 one-factor strand: if H^n(F(a)), H^{n-1}(F(a+e_j)), ..., H^{n-n_j}(F(a+n_j e_j))
@@ -27,6 +30,7 @@ import io
 import itertools
 import math
 import operator
+import types
 
 from .lattice import LatticeError, ProductSpace, Window
 
@@ -67,18 +71,15 @@ def _check_dim(a, i, dim):
 class CohomologyTable:
     """A window of cohomology dimensions h^i(F(a)) with per-cell provenance.
 
-    Cells are keyed (a, i); a stored cell is trusted knowledge, either
-    computed by an engine or inferred zero by the strand rule (cells may
-    sit outside the window after propagation).  Absent cells are unknown.
-    Indices outside [0, m] vanish for every sheaf and count as known zero
-    without being stored.
-
-    A table starts as computed vectors, one (h^0, ..., h^m) per twist in the
-    order set_h stored them, and every read below takes them from there;
-    copy keeps the store it has.  The (a, i) -> (dim, status) dict is built
-    from them the first time .cells is asked for (set_cell asks, and
-    strand_propagate when it infers a cell), and from then on it is the
-    table.
+    The store holds one (h^0, ..., h^m) tuple per twist with a stored cell,
+    None at an unknown index, and the set of (a, i) cells that are zeros
+    inferred by the strand rule; every other stored cell was computed by an
+    engine.  A stored cell is trusted knowledge and may sit outside the
+    window after propagation.  Indices outside [0, m] vanish for every
+    sheaf and count as known zero without being stored.  set_vectors and
+    set_h write whole vectors, set_cell (and the constructor's cells) one
+    entry; .cells, to_json, to_csv and == read the cells in sorted (a, i)
+    order, whatever order they were stored in.
     """
 
     def __init__(self, space, window, cells=None):
@@ -86,47 +87,33 @@ class CohomologyTable:
         self.window = window
         if len(window.lo) != space.t:
             raise LatticeError("window dimension does not match space")
-        self._rows = {} if cells is None else None
-        self._cells = None if cells is None else dict(cells)
+        self._rows, self._inferred = {}, set()
+        for (a, i), (dim, status) in (cells or {}).items():
+            self.set_cell(a, i, dim, status)
 
     @property
     def cells(self):
-        if self._cells is None:
-            self._cells = dict(self._items())
-            self._rows = None
-        return self._cells
-
-    def _items(self):
-        """The ((a, i), (dim, status)) cells in the order stored, read from
-        the store the table has."""
-        if self._cells is not None:
-            return self._cells.items()
-        return (((a, i), (dim, STATUS_COMPUTED))
-                for a, h in self._rows.items() for i, dim in enumerate(h))
+        """A read-only snapshot {(a, i): (dim, status)} of the stored cells."""
+        return types.MappingProxyType(dict(self.sorted_cells()))
 
     def rows(self):
         """{a: (h^0, ..., h^m)} over the twists with a stored cell, None at an
-        unknown index.  On a table of computed vectors this is the store
-        itself, to be read and not changed."""
-        if self._cells is None:
-            return self._rows
-        m = self.space.m
-        rows = {}
-        for (a, i), (dim, _) in self._cells.items():
-            if 0 <= i <= m:
-                rows.setdefault(a, [None] * (m + 1))[i] = dim
-        return rows
+        unknown index: the store itself, to be read and not changed."""
+        return self._rows
 
     def set_cell(self, a, i, dim, status=STATUS_COMPUTED):
-        a = self.space.degree(a)
-        if not (isinstance(i, int) and 0 <= i <= self.space.m):
-            raise ValueError("cohomological index %r is not one of 0..%d" % (i, self.space.m))
+        a, m = self.space.degree(a), self.space.m
+        if not (isinstance(i, int) and 0 <= i <= m):
+            raise ValueError("cohomological index %r is not one of 0..%d" % (i, m))
         if status not in (STATUS_COMPUTED, STATUS_INFERRED):
             raise ValueError("unknown cell status %r" % (status,))
         _check_dim(a, i, dim)
         if status == STATUS_INFERRED and dim != 0:
             raise ValueError("inferred cells must be zero")
-        self.cells[(a, i)] = (dim, status)
+        row = list(self._rows.get(a, (None,) * (m + 1)))
+        row[i] = dim
+        self._rows[a] = tuple(row)
+        (self._inferred.add if status == STATUS_INFERRED else self._inferred.discard)((a, i))
 
     def set_h(self, a, h):
         """Store a computed (h^0, ..., h^m) at twist a, in index order."""
@@ -149,20 +136,19 @@ class CohomologyTable:
                     raise ValueError("vector %r at %r needs %d entries" % (h, a, space.m + 1))
                 for i, dim in enumerate(h):
                     _check_dim(a, i, dim)
-        if self._cells is None:
-            self._rows.update((a, tuple(h)) for a, h in pairs)
-        else:
-            self._cells.update(((a, i), (dim, STATUS_COMPUTED))
-                               for a, h in pairs for i, dim in enumerate(h))
+        self._rows.update((a, tuple(h)) for a, h in pairs)
+        if self._inferred:
+            self._inferred -= {(a, i) for a, _ in pairs for i in range(space.m + 1)}
 
     def get(self, a, i):
         """(dim, status) or None if the cell is unknown."""
         if i < 0 or i > self.space.m:
             return (0, STATUS_COMPUTED)
-        if self._cells is None:
-            h = self._rows.get(tuple(a))
-            return None if h is None else (h[i], STATUS_COMPUTED)
-        return self._cells.get((tuple(a), i))
+        a = tuple(a)
+        h = self._rows.get(a)
+        if h is None or h[i] is None:
+            return None
+        return (h[i], STATUS_INFERRED if (a, i) in self._inferred else STATUS_COMPUTED)
 
     def known_dim(self, a, i):
         cell = self.get(a, i)
@@ -173,26 +159,25 @@ class CohomologyTable:
 
     def h_vector(self, a):
         """The full (h^0..h^m) vector at a, or None if any cell is unknown."""
-        h = tuple(self.known_dim(a, i) for i in range(self.space.m + 1))
-        return None if None in h else h
+        h = self._rows.get(tuple(a))
+        return None if h is None or None in h else h
 
     def copy(self):
-        """A new table with the same cells, in the same store."""
-        out = CohomologyTable(self.space, self.window, self._cells)
-        if self._cells is None:
-            out._rows = dict(self._rows)
+        """A new table with the same cells."""
+        out = CohomologyTable(self.space, self.window)
+        out._rows, out._inferred = dict(self._rows), set(self._inferred)
         return out
 
     def __eq__(self, other):
         return isinstance(other, CohomologyTable) and (
-            self.space, self.window, self.sorted_cells()) == (
-            other.space, other.window, other.sorted_cells())
+            self.space, self.window, self._rows, self._inferred) == (
+            other.space, other.window, other._rows, other._inferred)
 
     def sorted_cells(self):
-        if self._cells is None:
-            return [((a, i), (dim, STATUS_COMPUTED))
-                    for a, h in sorted(self._rows.items()) for i, dim in enumerate(h)]
-        return sorted(self._cells.items())
+        """The stored ((a, i), (dim, status)) cells in sorted (a, i) order."""
+        rows, inferred = self._rows, self._inferred
+        return [((a, i), (dim, STATUS_INFERRED if (a, i) in inferred else STATUS_COMPUTED))
+                for a in sorted(rows) for i, dim in enumerate(rows[a]) if dim is not None]
 
     def to_json(self):
         return {
@@ -257,15 +242,15 @@ def _gather(T, b, keep=None):
     for a in support_box(space, b).twists():
         if keep is not None and not keep(a):
             continue
+        h = T.h_vector(a)
+        if h is None:
+            missing.append(a)
+            continue
         w = math.prod(math.comb(nj + 1, bj - aj) for nj, bj, aj in zip(space.factor_dims, b, a))
-        for i in range(space.m + 1):
-            cell = T.get(a, i)
-            if cell is None:
-                missing.append(a)
-                break
-            if cell[0]:
+        for i, dim in enumerate(h):
+            if dim:
                 d = sum(a) + i
-                dims[d] = dims.get(d, 0) + w * cell[0]
+                dims[d] = dims.get(d, 0) + w * dim
     if missing:
         raise TateCoverageError(missing)
     return dims
@@ -276,10 +261,20 @@ def tate_term_dims(T, b):
     return TateTermProfile(T.space.degree(b), _gather(T, b))
 
 
+def _factor_sets(space, I, J, K):
+    """I, J, K as frozensets, refusing an index that names no factor."""
+    sets = tuple(map(frozenset, (I, J, K)))
+    bad = [j for js in sets for j in js if j not in range(space.t)]
+    if bad:
+        raise ValueError("factor index %r is not one of 0..%d" % (bad[0], space.t - 1))
+    return sets
+
+
 def strand_is_guaranteed(space, I, J, K):
     """Exactness of the quadrant strand is guaranteed only when the three
     index sets do not exhaust the factors."""
-    return len(set(I) | set(J) | set(K)) < space.t
+    I, J, K = _factor_sets(space, I, J, K)
+    return len(I | J | K) < space.t
 
 
 def strand_checksum(T, c, I, J, K, b):
@@ -290,7 +285,7 @@ def strand_checksum(T, c, I, J, K, b):
     """
     space = T.space
     c = space.degree(c)
-    I, J, K = frozenset(I), frozenset(J), frozenset(K)
+    I, J, K = _factor_sets(space, I, J, K)
     if (I & J) or (I & K) or (J & K):
         raise ValueError("I, J, K must be disjoint")
 
@@ -349,13 +344,11 @@ def strand_propagate(T, extend=None):
     along factor j at index n are _derive's, masked by the unknown cells of
     the box, the guard a_j < hi_j and antecedents inside the layout, so no
     shift wraps; the rule is monotone, so iterating it reaches its least
-    fixed point.  Inferred cells are stored in decreasing lexicographic
-    order.  A derived zero clashing with a computed nonzero cell (which may
-    sit at a_j = hi_j; one outside the box is looked up cell by cell)
-    raises StrandInconsistency for the first clashing factor and its first
-    clash in the input's order: the rule holds for every coherent sheaf, so
-    the table is invalid.  Returns a new table, in the input's store; the
-    input is not modified.
+    fixed point.  A derived zero clashing with a nonzero cell (which may sit
+    at a_j = hi_j; one outside the box is looked up cell by cell) raises
+    StrandInconsistency for the first clashing factor and its first clash
+    in sorted (a, n) order: the rule holds for every coherent sheaf, so the
+    table is invalid.  Returns a new table; the input is not modified.
     """
     space = T.space
     dims, m, t = space.factor_dims, space.m, space.t
@@ -413,10 +406,10 @@ def strand_propagate(T, extend=None):
                 todo[n] ^= new
                 changed = True
     out = T.copy()
-    inferred = [(-p, n) for n, (u, left) in enumerate(zip(unknown, todo)) if u != left
+    inferred = [(p, n) for n, (u, left) in enumerate(zip(unknown, todo)) if u != left
                 for p, bit in enumerate((u ^ left).to_bytes(len(twists), "little")) if bit]
-    for minus_p, n in sorted(inferred):  # decreasing twist order, then increasing n
-        out.cells[(twists[-minus_p], n)] = (0, STATUS_INFERRED)
+    for p, n in inferred:
+        out.set_cell(twists[p], n, 0, STATUS_INFERRED)
 
     def ante(a, n, j):
         return [(a[:j] + (a[j] + k + 1,) + a[j + 1:], n - k) for k in range(dims[j] + 1)]
@@ -429,7 +422,7 @@ def strand_propagate(T, extend=None):
     for j, nj in enumerate(dims):
         if (any(_derive(zero, n, nj, 8 * strides[j], nonzero[n] & reach[j][min(n, nj)])
                 for n in range(m + 1)) or any(clash(a, n, j) for a, n in outside)):
-            a, n, dim = next((a, n, dim) for (a, n), (dim, status) in T._items()
-                             if dim and status == STATUS_COMPUTED and clash(a, n, j))
+            a, n, dim = next((a, n, dim) for a in sorted(rows)
+                             for n, dim in enumerate(rows[a]) if dim and clash(a, n, j))
             raise StrandInconsistency((a, n), dim, ante(a, n, j))
     return out

@@ -10,9 +10,8 @@ sparse rows, eliminates it with linalg.rank_sparse over F_p or Q, and
 recomputes one depth deeper.  If the two answers disagree it raises
 TruncationInstability rather than reporting a wrong number.
 
-split_check_on_cells runs splitter.split_check on a table whose cells
-were all stored with set_cell (cell_table), the reference of the stages
-that read the window's vectors.
+cell_table stores a table's cells one at a time with set_cell, the
+reference of the tables the engine writes a vector at a time.
 
 Beside it: the rank of a dense matrix, through the package's one sparse
 elimination; intermediate_k_range, the per-twist scan over k that
@@ -27,7 +26,7 @@ import itertools
 import math
 from operator import add
 
-from prodcoh import bott, cech, linalg, minmodel, splitter
+from prodcoh import bott, linalg, minmodel
 from prodcoh.cech import EngineCheckFailed
 from prodcoh.lattice import LatticeError, Polarization, canonical_twist, vadd, vscale
 from prodcoh.tate import CohomologyTable
@@ -307,24 +306,9 @@ def serre_dual_twist(space, a):
 
 
 def cell_table(T):
-    """A table holding T's cells, stored one at a time with set_cell, so
-    that it holds the (a, i) dict from the start."""
-    U = CohomologyTable(T.space, T.window, {})
+    """A table holding T's cells, stored one at a time with set_cell."""
+    U = CohomologyTable(T.space, T.window)
     for a, h in T.rows().items():
         for i, dim in enumerate(h):
             U.set_cell(a, i, dim)
     return U
-
-
-def split_check_on_cells(C, d, window, torsion_free_asserted=False):
-    """splitter.split_check on the cell_table of the engine's table: every
-    stage reads the (a, i) dict, and the strand check,
-    strand_propagate(table, extend=0), reads its rows from that dict and
-    returns a table with the dict store.  cech.cohomology_table is swapped
-    for the call only."""
-    table_of = cech.cohomology_table
-    cech.cohomology_table = lambda C, window: cell_table(table_of(C, window))
-    try:
-        return splitter.split_check(C, d, window, torsion_free_asserted)
-    finally:
-        cech.cohomology_table = table_of

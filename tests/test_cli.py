@@ -674,6 +674,22 @@ def test_tate_profile_table_window_not_integer(capsys, tmp_path):
     assert code == 2 and "window corners must be integers" in err and out == ""
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--input", "nonexistent.json"), ("--window", "-3:1,-3:1"), ("--field", "q")])
+def test_tate_profile_table_refuses_complex_flags(capsys, tmp_path, flag, value):
+    # These flags say how to compute a table; with --table they were ignored.
+    from conftest import bott_table
+    from prodcoh.lattice import Window
+
+    obj = bott_table(ProductSpace((1, 1)), [((0, 0), 1)], Window((-3, -3), (1, 1))).to_json()
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    argv = ["tate-profile", "--table", str(path), "--b", "0,0"]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + [flag, value])
+    assert (code, out, err) == (2, "", "error: %s does not apply to --table\n" % flag)
+
+
 def test_bad_flags(capsys):
     code, _, _ = run(capsys, ["regions", "--space", "1,1"])
     assert code == 2

@@ -4,10 +4,9 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-import reference
 from conftest import bott_table, ideal_sheaf_complex, polarized_table
 from prodcoh import bott, cech, cli
-from prodcoh.coxring import MultiHomogPoly, free_complex
+from prodcoh.coxring import free_complex
 from prodcoh.lattice import (
     Polarization,
     ProductSpace,
@@ -27,11 +26,8 @@ from prodcoh.splitter import (
     split_check,
     verify_split,
 )
-from prodcoh.linalg import RATIONALS, default_field
 from prodcoh.tate import STATUS_COMPUTED, CohomologyTable
-from test_cech import koszul_complex
 from test_cli import write_complex
-from test_minmodel import ideal_of
 
 
 D11 = Polarization((1, 1))
@@ -220,7 +216,8 @@ def candidate_and_table(draw):
     i = draw(st.integers(0, sp.m))
     change = draw(st.sampled_from([None, 1, -1, "remove"]))
     if change == "remove":
-        del T.cells[(a, i)]
+        T = CohomologyTable(sp, window, {key: cell for key, cell in T.cells.items()
+                                         if key != (a, i)})
     elif change is not None and T.known_dim(a, i) + change >= 0:
         T.set_cell(a, i, T.known_dim(a, i) + change, STATUS_COMPUTED)
     return T, ms, d
@@ -389,45 +386,3 @@ def test_window_stability(p11):
         if expected == "split":
             assert v1.summands == v2.summands
 
-
-# Largest window side per space: for free sums, and for Koszul points and
-# their ideal sheaves, whose tables cost more per twist.
-SPLIT_SPACES = {(1, 1): (7, 4), (1, 2): (5, 3), (1, 1, 1): (4, 2), (2, 3): (5, 1)}
-
-
-@st.composite
-def split_cases(draw):
-    """A free sum (of O(kH) or of any line bundles), a Koszul point or its
-    ideal sheaf, over F_p or Q, with a polarization and a window, from one
-    twist to one wide enough to certify a splitting."""
-    sp = ProductSpace(draw(st.sampled_from(sorted(SPLIT_SPACES))))
-    field = draw(st.sampled_from([default_field(), RATIONALS]))
-    d = Polarization(tuple(draw(st.integers(1, 2)) for _ in range(sp.t)))
-    kind = draw(st.sampled_from(["polarized", "free", "point", "ideal"]))
-    if kind == "polarized":
-        ks = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=4))
-        C = free_complex(sp, [vscale(k, d.d) for k in ks], field)
-    elif kind == "free":
-        C = free_complex(sp, draw(st.lists(st.tuples(*[st.integers(-2, 2)] * sp.t),
-                                           min_size=1, max_size=4)), field)
-    else:  # the point x_{j,i} = 0 for i >= 1
-        C = koszul_complex(sp, field, [MultiHomogPoly.variable(sp, field, j, i)
-                                       for j, n in enumerate(sp.factor_dims)
-                                       for i in range(1, n + 1)])
-        C = ideal_of(C) if kind == "ideal" else C
-    side = SPLIT_SPACES[sp.factor_dims][kind in ("point", "ideal")]
-    lo = tuple(draw(st.integers(-side, 0)) for _ in range(sp.t))
-    window = Window(lo, tuple(l + draw(st.integers(0, side - 1)) for l in lo))
-    return C, d, window, draw(st.booleans())
-
-
-@settings(max_examples=80, deadline=None)
-@given(split_cases())
-def test_split_check_equals_the_stages_on_a_cell_table(case):
-    # The stages read the window's vectors; the reference stores every cell
-    # with set_cell first, so each stage reads the (a, i) dict instead.
-    C, d, window, asserted = case
-    got = split_check(C, d, window, asserted)
-    want = reference.split_check_on_cells(C, d, window, asserted)
-    assert got == want
-    assert json.dumps(got.to_json()) == json.dumps(want.to_json())

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+from collections.abc import Mapping
 from unittest import mock
 
 import pytest
@@ -236,7 +237,7 @@ def test_no_inference_at_window_top():
     out = strand_propagate(T)
     assert out.cells == naive_propagate(T).cells
     assert [key for key in out.cells if key not in T.cells] == [
-        ((-1,), 0), ((-1,), 1), ((-2,), 0), ((-2,), 1)]
+        ((-2,), 0), ((-2,), 1), ((-1,), 0), ((-1,), 1)]
 
 
 def test_clashes_at_the_window_top_and_outside_the_box(p11):
@@ -336,9 +337,7 @@ def naive_propagate(T, extend=None):
     m = space.m
 
     def known_zero(a, i):
-        if i < 0 or i > m:
-            return True
-        cell = out.cells.get((a, i))
+        cell = out.get(a, i)
         return cell is not None and cell[0] == 0
 
     changed = True
@@ -352,14 +351,14 @@ def naive_propagate(T, extend=None):
                 if target not in box:
                     continue
                 for n in range(m + 1):
-                    if (target, n) in out.cells:
+                    if out.get(target, n) is not None:
                         continue
                     ante = [
                         (tuple(x + k * s for x, s in zip(a, step)), n - k)
                         for k in range(nj + 1)
                     ]
                     if all(known_zero(aa, ii) for aa, ii in ante):
-                        out.cells[(target, n)] = (0, STATUS_INFERRED)
+                        out.set_cell(target, n, 0, STATUS_INFERRED)
                         changed = True
     for j in range(space.t):
         nj = space.factor_dims[j]
@@ -499,8 +498,8 @@ def test_set_h_checks_the_vector_as_set_cell_does(p11):
     T.set_h((1, 0), (2, 0, 1))
     T.set_h((0, 0), [0, 3, 0])
     assert list(T.cells.items()) == [
-        (((1, 0), i), (dim, STATUS_COMPUTED)) for i, dim in enumerate((2, 0, 1))] + [
-        (((0, 0), i), (dim, STATUS_COMPUTED)) for i, dim in enumerate((0, 3, 0))]
+        (((0, 0), i), (dim, STATUS_COMPUTED)) for i, dim in enumerate((0, 3, 0))] + [
+        (((1, 0), i), (dim, STATUS_COMPUTED)) for i, dim in enumerate((2, 0, 1))]
     for h, message in [((1, -1, 0), "negative dimension at ((0, 1), 1)"),
                        ((1, 0, 2.0), "dimension 2.0 at ((0, 1), 2) is not an integer"),
                        ((1, "1", 0), "dimension '1' at ((0, 1), 1) is not an integer"),
@@ -510,6 +509,61 @@ def test_set_h_checks_the_vector_as_set_cell_does(p11):
     with pytest.raises(LatticeError):
         T.set_h((0, 1.0), (1, 0, 0))
     assert len(T.cells) == 6  # a refused vector stores nothing
+
+
+def test_constructor_checks_cells_as_set_cell_does(p11):
+    window = Window((0, 0), (1, 1))
+    with pytest.raises(ValueError, match="index 7 is not one of 0..2"):
+        CohomologyTable(p11, window, {((0, 0), 7): (1, "computed"),
+                                      ((0, 0), 0): (-3, "bogus")})
+    for cell, message in [((-3, STATUS_COMPUTED), "negative dimension"),
+                          ((0, "bogus"), "unknown cell status 'bogus'"),
+                          ((1, STATUS_INFERRED), "inferred cells must be zero")]:
+        with pytest.raises(ValueError, match=message):
+            CohomologyTable(p11, window, {((0, 0), 0): cell})
+
+
+def test_cells_read_in_sorted_order_whatever_the_store_order(p11):
+    # h^0(O(a)) vanishes iff some a_j < 0.  Raised to 1, h^0 at (2,-2) and
+    # at (2,-1) each clash along factor 0 only; the first in sorted order
+    # is reported, whichever was stored first.
+    base = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (3, 3)))
+    cells = {**base.cells, ((2, -1), 0): (1, STATUS_COMPUTED), ((2, -2), 0): (1, STATUS_COMPUTED)}
+    T, U = (CohomologyTable(p11, base.window, dict(order))
+            for order in (cells.items(), reversed(cells.items())))
+    assert list(T.cells.items()) == list(U.cells.items()) == sorted(cells.items())
+    assert T.to_json() == U.to_json() and T.to_csv() == U.to_csv()
+    assert strand_clash(T, None) == strand_clash(U, None) == (
+        ((2, -2), 0), 1, (((3, -2), 0), ((4, -2), -1)),
+        "strand rule forces h^0(F((2, -2))) = 0 but the table has 1")
+    with pytest.raises(TypeError):
+        T.cells[((0, 0), 0)] = (5, STATUS_COMPUTED)
+    with pytest.raises(TypeError):
+        del T.cells[((0, 0), 0)]
+    assert T.get((0, 0), 0) == (1, STATUS_COMPUTED)
+
+
+def test_a_cell_keeps_the_status_it_was_last_written_with(p11):
+    T = CohomologyTable(p11, Window((0, 0), (1, 1)))
+    T.set_cell((0, 0), 1, 0, STATUS_INFERRED)
+    U = T.copy()
+    assert T.get((0, 0), 1) == (0, STATUS_INFERRED) and U == T
+    U.set_cell((0, 0), 1, 0)
+    assert U.get((0, 0), 1) == (0, STATUS_COMPUTED) and U != T
+    T.set_h((0, 0), (1, 0, 0))
+    assert T.get((0, 0), 1) == (0, STATUS_COMPUTED)
+    assert T.cells == {((0, 0), i): (dim, STATUS_COMPUTED) for i, dim in enumerate((1, 0, 0))}
+
+
+def test_factor_indices_outside_the_space_are_refused(p11):
+    T = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (3, 3)))
+    for (I, J, K), bad in [(({-1}, set(), set()), -1), (({5}, set(), set()), 5),
+                           (({0, 7}, (), ()), 7), ((set(), {0}, {2}), 2)]:
+        message = "factor index %d is not one of 0..1" % bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            strand_is_guaranteed(p11, I, J, K)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            strand_checksum(T, (0, 0), I, J, K, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +606,8 @@ def engine_tables_with_strays(draw):
 def test_propagation_equals_naive_on_engine_tables(T):
     got = propagation_outcome(strand_propagate, T, None)
     assert got == propagation_outcome(naive_propagate, T, None)
-    if isinstance(got, dict):  # inferred cells come in decreasing lexicographic order
-        inferred = [(a, n) for a, n in got if (a, n) not in T.cells]
-        assert inferred == sorted(inferred, key=lambda key: ([-x for x in key[0]], key[1]))
+    if isinstance(got, Mapping):  # the cells, inferred ones among them, in sorted order
+        assert list(got) == sorted(got)
 
 
 @st.composite
@@ -592,8 +645,8 @@ def test_checksums_vanish_on_engine_tables(T, data):
 @settings(max_examples=20, deadline=None)
 @given(sheaf_tables(), st.data())
 def test_vector_table_reads_as_its_cells(T, data):
-    # T holds the engine's vectors until .cells is asked for; every read
-    # before and after must be that of the same cells stored one at a time.
+    # T holds the engine's vectors, U the same cells stored one at a time
+    # with set_cell; every read must agree, and again with one cell left out.
     U = reference.cell_table(T)
     sp, window = T.space, T.window
     near = st.tuples(*[st.integers(l - 2, h + 2) for l, h in zip(window.lo, window.hi)])
@@ -613,7 +666,13 @@ def test_vector_table_reads_as_its_cells(T, data):
     assert T.copy() == U and T == U.copy() and U == T
     assert list(T.cells.items()) == list(U.cells.items())
     key = data.draw(st.sampled_from(sorted(U.cells)))
-    del T.cells[key], U.cells[key]
-    assert T.known_dim(*key) is None and T.h_vector(key[0]) is None
+    a, i = key
+    T = CohomologyTable(sp, window)
+    T.set_vectors((b, h) for b, h in U.rows().items() if b != a)
+    for n, dim in enumerate(U.rows()[a]):
+        if n != i:
+            T.set_cell(a, n, dim)
+    U = CohomologyTable(sp, window, {k: cell for k, cell in U.cells.items() if k != key})
+    assert T.known_dim(*key) is None and T.h_vector(a) is None
     same_reads()
     assert T.to_json() == U.to_json()
