@@ -12,7 +12,7 @@ from .lattice import (
     render_region,
     safe_region,
 )
-from .bott import line_bundle_h, signature
+from .bott import line_bundle_h
 from .linalg import PrimeField, RationalField, RATIONALS, default_field, parse_field
 from .coxring import (
     FreeSum,

@@ -1,14 +1,13 @@
 """Closed-form cohomology of line bundles on a product of projective spaces.
 
-On a single factor P^n only two groups of O(a) can be nonzero:
-
-    h^0 = C(a+n, n)   for a >= 0,
-    h^n = C(-a-1, n)  for a <= -n-1,
-
-and everything in between vanishes.  On a product the Kunneth formula
-multiplies the factor contributions, so O(a_1, ..., a_t) has at most one
-nonzero group, in degree sum(n_j) over the set S of factors whose twist is
-in the top range, and only when every factor outside S has a_j >= 0.
+On a single factor P^n only two groups of O(a) can be nonzero, h^0 for
+a >= 0 and h^n for a <= -n-1, and everything in between vanishes.
+factor_group is the one place that decides which: it returns (q, x), and
+h^q = C(x+n, n), the number of compositions of x into n+1 parts, which
+are the exponent vectors of the group's Bott classes.  On a product the
+Kunneth formula multiplies the factor contributions, so O(a_1, ..., a_t)
+has at most one nonzero group, in the sum of the factors' degrees q, and
+only when every factor has a group.
 
 Dimensions of line-bundle cohomology do not depend on the base field.
 """
@@ -17,12 +16,13 @@ import math
 
 
 def factor_group(n, a):
-    """(q, h^q) of the one group of O(a) on P^n that can be nonzero, q = 0 or
-    n, or None when every group vanishes."""
+    """(q, x) for the one group h^q = C(x+n, n) of O(a) on P^n that can be
+    nonzero: (0, a) when a >= 0, (n, -a-n-1) when a <= -n-1, and None in
+    between, where every group vanishes."""
     if a >= 0:
-        return 0, math.comb(a + n, n)
+        return 0, a
     if a <= -n - 1:
-        return n, math.comb(-a - 1, n)
+        return n, -a - n - 1
     return None
 
 
@@ -33,7 +33,8 @@ def line_bundle_h(space, a):
     h = [0] * (space.m + 1)
     groups = [factor_group(n, aj) for n, aj in zip(space.factor_dims, a)]
     if None not in groups:
-        h[sum(q for q, _ in groups)] = math.prod(dim for _, dim in groups)
+        h[sum(q for q, _ in groups)] = math.prod(
+            math.comb(x + n, n) for n, (_, x) in zip(space.factor_dims, groups))
     return tuple(h)
 
 
@@ -49,31 +50,10 @@ def kunneth_window(space, window, terms):
     for shift, b, mult in terms:
         cells = [((), shift, mult)]  # (twist prefix, degree, dimension)
         for n, bj, lo, hi in zip(space.factor_dims, space.degree(b), window.lo, window.hi):
-            col = [(x,) + group for x in range(lo, hi + 1) if (group := factor_group(n, x + bj))]
-            cells = [(a + (x,), i + q, h * dim) for a, i, h in cells for x, q, dim in col]
+            col = [(c, q, math.comb(x + n, n)) for c in range(lo, hi + 1)
+                   if (group := factor_group(n, c + bj)) for q, x in [group]]
+            cells = [(a + (c,), i + q, h * dim) for a, i, h in cells for c, q, dim in col]
         for a, i, h in cells:
             if 0 <= i <= m:
                 out[a][i] += h
     return out
-
-
-def signature(space, a):
-    """Sparse view of line-bundle cohomology.
-
-    Returns None when every group vanishes, otherwise (i, S) with i the
-    unique nonzero cohomological index and S the frozenset of factors whose
-    twist sits in the top range.  Intermediate means 0 < i < m.
-    """
-    a = space.degree(a)
-    neg = frozenset(
-        j for j, (nj, aj) in enumerate(zip(space.factor_dims, a)) if aj <= -nj - 1
-    )
-    for j, aj in enumerate(a):
-        if j not in neg and aj < 0:
-            return None
-    i = sum(space.factor_dims[j] for j in neg)
-    return (i, neg)
-
-
-def is_intermediate(space, sig):
-    return sig is not None and 0 < sig[0] < space.m

@@ -13,8 +13,13 @@ Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
 3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
 disagreement, 10 NonSplit, 11 Inconclusive.
 
-tate-profile refuses --input, --window and --field beside --table (exit 2):
-they say how to compute a table it reads instead.
+A flag the command would ignore is refused with exit 2, naming it:
+tate-profile's --input, --window and --field beside --table, which say how
+to compute a table it reads instead; its --c without --checks corner or
+strand, and --I/--J/--K without --checks strand; cohomology's --window
+beside --twist; regions' --d outside --mode safe, and --slice on a space of
+two factors.  A --slice value outside the window's range for its
+coordinate is refused too, where it would draw an empty grid.
 """
 
 import argparse
@@ -114,6 +119,12 @@ def cmd_regions(args):
         fixed = parse_ints(args.slice, "slice")
         if len(fixed) != space.t - 2:
             raise UsageError("--slice needs %d values" % (space.t - 2))
+        for j, (v, lo, hi) in enumerate(zip(fixed, window.lo[2:], window.hi[2:]), 3):
+            if not lo <= v <= hi:
+                raise UsageError("--slice puts a%d = %d outside the window's %d:%d"
+                                 % (j, v, lo, hi))
+    elif args.slice is not None:
+        raise UsageError("--slice does not apply to a space of two factors")
     else:
         fixed = ()
 
@@ -122,14 +133,11 @@ def cmd_regions(args):
             raise UsageError("--mode safe requires --d")
         d = Polarization(parse_ints(args.d, "polarization"))
         cells = safe_region(space, d, window)
-    else:
-        cells = set()
-        for a in window.twists():
-            sig = bott.signature(space, a)
-            if sig is None:
-                continue
-            if args.mode == "full" or bott.is_intermediate(space, sig):
-                cells.add(a)
+    elif args.d is not None:
+        raise UsageError("--d does not apply to --mode %s" % args.mode)
+    else:  # the twists of O with a nonzero group (full), or one at some 0 < i < m
+        h = bott.kunneth_window(space, window, [(0, (0,) * space.t, 1)])
+        cells = {a for a, v in h.items() if any(v if args.mode == "full" else v[1:space.m])}
 
     if fixed:
         cells = {a[:2] for a in cells if a[2:] == fixed}
@@ -183,6 +191,8 @@ def _at_check_prime(args, C, compute):
 
 
 def cmd_cohomology(args):
+    if args.twist is not None and args.window is not None:
+        raise UsageError("--window does not apply to --twist")
     C = load_complex(args.input, args.field)
     if args.twist is not None:
         a = C.space.degree(parse_ints(args.twist, "twist"))
@@ -250,6 +260,12 @@ def cmd_split_check(args):
 
 
 def cmd_tate_profile(args):
+    checks = [] if args.checks is None else args.checks.split(",")
+    if args.c is not None and not {"corner", "strand"} & set(checks):
+        raise UsageError("--c does not apply without --checks corner or strand")
+    for f in "IJK":
+        if getattr(args, f) is not None and "strand" not in checks:
+            raise UsageError("--%s does not apply without --checks strand" % f)
     if args.table is not None:
         for flag in ("input", "window", "field"):
             if getattr(args, flag) is not None:
@@ -278,7 +294,6 @@ def cmd_tate_profile(args):
         "profile": {str(d): v for d, v in sorted(profile.dims.items())},
         "checksum": profile.checksum(),
     }
-    checks = [] if args.checks is None else args.checks.split(",")
     for check in checks:
         if check == "tate":
             continue  # the headline checksum above

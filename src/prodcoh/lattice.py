@@ -157,7 +157,10 @@ def safe_region(space, d, window):
     factor j is in the h^0 range for k >= L_j, in the top range for k <= U_j
     and in neither in the gap U_j < k < L_j.  The twist is unsafe iff some k
     in [min L, max U] is in no gap; the least one is min L or follows a gap,
-    so only the L_j are tried.
+    so only the L_j are tried.  These are bott.factor_group's ranges, a >= 0
+    and a <= -n-1, solved for k in a = k*d_j + x: the one inverse of that
+    rule, which answers for every k at once where factor_group answers for
+    one twist.
     """
     space.degree(window.lo)  # a window of the wrong length is refused, not truncated
     dd = d.d if isinstance(d, Polarization) else Polarization(d).d

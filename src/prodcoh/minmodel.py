@@ -17,6 +17,9 @@ multiplication.  An exponent vector is one int of biased fields, wide enough
 that no sum carries: a product is an add, N_j is read off the top bits, and
 the level-0 filter is one AND.  Columns are labelled by a class: its position
 in its total degree on the per-twist route, its summand on the chamber route.
+Which factor group of a term is nonzero, if any, bott.factor_group alone
+decides: bott_classes enumerates the classes of its (q, x), and chambers
+reads a term's Cech degree at a twist as the sum of its q.
 
 engine(C) sets up what depends on C once for every window, and each term
 takes one route:
@@ -56,19 +59,20 @@ def _packed_compositions(total, u):
 def bott_classes(space, c, width):
     """Cech degree and packed exponent vectors of the Bott classes of O(c):
     variable k's exponent plus 2^(width-1) in bits [k*width, (k+1)*width),
-    so a top bit is set exactly for an exponent >= 0.  Per factor they are
-    the compositions of c_j into n_j+1 parts when c_j >= 0, in degree 0, or
-    minus one minus those of -c_j-n_j-1 when c_j <= -n_j-1, in degree n_j."""
-    pairs = list(zip(space.factor_dims, c))
-    if any(-n - 1 < cj < 0 for n, cj in pairs):
+    so a top bit is set exactly for an exponent >= 0.  Per factor, with
+    (q_j, x_j) = bott.factor_group(n_j, c_j), they are the compositions of
+    x_j into n_j+1 parts when q_j = 0, or minus one minus those when q_j =
+    n_j; the Cech degree is the sum of the q_j."""
+    groups = [bott.factor_group(n, cj) for n, cj in zip(space.factor_dims, c)]
+    if None in groups:
         return 0, ()
     classes, units = [0], [1 << k * width for k in range(space.m + space.t)]
-    for n, cj in pairs:  # sums of per-factor packed compositions x, or -1-x when cj < 0
+    for n, (q, x) in zip(space.factor_dims, groups):  # sums of packed y, or -1-y in degree n
         u, units = units[:n + 1], units[n + 1:]
-        base, sign = (sum(u) << width - 1, 1) if cj >= 0 else (sum(u) * ((1 << width - 1) - 1), -1)
-        block = [base + sign * y for y in _packed_compositions(cj if cj >= 0 else -cj - n - 1, u)]
-        classes = [x + y for x in classes for y in block]
-    return sum(n for n, cj in pairs if cj < 0), classes
+        base, sign = (sum(u) * ((1 << width - 1) - 1), -1) if q else (sum(u) << width - 1, 1)
+        block = [base + sign * y for y in _packed_compositions(x, u)]
+        classes = [z + y for z in classes for y in block]
+    return sum(q for q, _ in groups), classes
 
 
 def _negative_support(space, width, f):
@@ -371,15 +375,10 @@ def chambers(space, field, poly, terms):
 
     def touched_h(a):
         blocks = set()  # the (term, Cech degree) pairs with classes, as _transfer reads them
-        for p, b in pb:
-            q = 0
-            for n, c in zip(dims, vadd(a, b)):
-                if c < 0:
-                    if c > -n - 1:
-                        break
-                    q += n
-            else:
-                blocks.add((p, q))
+        for p, b in pb:  # every factor has a group, in the sum of their degrees
+            groups = [bott.factor_group(n, c) for n, c in zip(dims, vadd(a, b))]
+            if None not in groups:
+                blocks.add((p, sum(q for q, _ in groups)))
         if any(p2 - p - 1 == q - q2 >= 1 for p, q in blocks for p2, q2 in blocks):
             return None
         weights = {(full, ()): 1}  # (mask, negs) -> count of u, over the factors so far

@@ -243,7 +243,7 @@ def intermediate_k_range(space, d, a):
     hi = max((-aj - nj - 1) // dj for aj, nj, dj in zip(a, space.factor_dims, dd))
     ks = []
     for k in range(lo, hi + 1):
-        if bott.is_intermediate(space, bott.signature(space, vadd(vscale(k, dd), a))):
+        if any(bott.line_bundle_h(space, vadd(vscale(k, dd), a))[1:space.m]):
             ks.append(k)
     return tuple(ks)
 

@@ -25,6 +25,11 @@ def test_factor_h_values():
     assert bott.line_bundle_h(ProductSpace((2,)), (-4,)) == (0, 0, 3)
     assert bott.line_bundle_h(ProductSpace((2,)), (3,)) == (10, 0, 0)
     assert bott.line_bundle_h(ProductSpace((3,)), (-5,)) == (0, 0, 0, 4)
+    # (q, x): h^q counts the compositions of x into n+1 parts.
+    assert bott.factor_group(2, 3) == (0, 3)
+    assert bott.factor_group(2, -4) == (2, 1)
+    assert bott.factor_group(2, -3) == (2, 0)
+    assert bott.factor_group(2, -1) is None
 
 
 def test_line_bundle_values(p11, p23):
@@ -33,15 +38,6 @@ def test_line_bundle_values(p11, p23):
     assert bott.line_bundle_h(p23, (-1, 0)) == (0,) * 6
     assert bott.line_bundle_h(p11, (-2, -2)) == (0, 0, 1)
     assert bott.line_bundle_h(p23, (4, 2))[0] == 150
-
-
-def test_signature(p23):
-    assert bott.signature(p23, (-5, 0)) == (2, frozenset({0}))
-    assert bott.signature(p23, (0, -5)) == (3, frozenset({1}))
-    assert bott.signature(p23, (0, 0)) == (0, frozenset())
-    assert bott.signature(p23, (-1, 0)) is None
-    assert bott.is_intermediate(p23, bott.signature(p23, (-5, 0)))
-    assert not bott.is_intermediate(p23, bott.signature(p23, (0, 0)))
 
 
 def test_kunneth_consistency(p12):

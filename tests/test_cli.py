@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
+import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
-from prodcoh import cech, cli, minmodel
+from prodcoh import bott, cech, cli, minmodel
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
-from prodcoh.lattice import ProductSpace
+from prodcoh.lattice import ProductSpace, Window
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
 from test_minmodel import break_transfer, last_level, per_twist_only, unpack
@@ -89,6 +93,56 @@ def test_regions_slice_three_factors(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param("--space 1,1,1 --window -1:1,-1:1,-1:1 --slice 5",
+                 "--slice puts a3 = 5 outside the window's -1:1", id="outside"),
+    pytest.param("--space 1,1,1,2 --window -1:1,-1:1,-1:1,0:3 --slice 0,-1",
+                 "--slice puts a4 = -1 outside the window's 0:3", id="outside-a4"),
+    pytest.param("--space 1,1 --window -1:1,-1:1 --slice 5,6,7",
+                 "--slice does not apply to a space of two factors", id="two-factors"),
+])
+def test_regions_slice_outside_the_window_is_refused(capsys, argv, message):
+    # Such a slice drew an all-'.' grid, or was ignored, and exited 0.
+    for mode in ("full", "intermediate"):
+        code, out, err = run(capsys, ["regions", "--mode", mode] + argv.split())
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+    inside = ["regions", "--space", "1,1,1", "--window", "-1:1,-1:1,5:5", "--slice", "5"]
+    code, out, _ = run(capsys, inside)
+    assert code == 0 and "#" in out
+
+
+@st.composite
+def region_cases(draw):
+    """A space of two or three factors, a window, an in-window slice and a mode."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    lo = draw(st.tuples(*[st.integers(-6, 2)] * len(dims)))
+    hi = tuple(x + draw(st.integers(0, 4)) for x in lo)
+    fixed = tuple(draw(st.integers(l, h)) for l, h in zip(lo[2:], hi[2:]))
+    return ProductSpace(tuple(dims)), Window(lo, hi), fixed, draw(
+        st.sampled_from(["full", "intermediate"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(region_cases())
+def test_regions_cells_equal_a_line_bundle_scan(case):
+    space, window, fixed, mode = case
+    argv = ["regions", "--space", ",".join(map(str, space.factor_dims)), "--mode", mode,
+            "--window", ",".join("%d:%d" % w for w in zip(window.lo, window.hi)),
+            "--format", "json"]
+    if fixed:
+        argv += ["--slice", ",".join(map(str, fixed))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+
+    def member(h):
+        return any(h) if mode == "full" else any(h[1:space.m])
+
+    want = sorted(list(a[:2]) for a in window.twists()
+                  if a[2:] == fixed and member(bott.line_bundle_h(space, a)))
+    assert json.loads(out.getvalue())["cells"] == want
+
+
 def test_cohomology_single_twist(capsys, tmp_path):
     path = write_complex(tmp_path, free_complex(ProductSpace((1, 1)), [(0, 0)]))
     code, out, _ = run(
@@ -151,37 +205,50 @@ def test_cohomology_empty_twist_or_window_is_named(capsys, tmp_path, flag, messa
 
 
 @pytest.mark.parametrize("command, message", [
-    pytest.param("regions --space 1,1,1 --window -1:1,-1:1,-1:1 --slice", "bad slice ''",
+    pytest.param("regions --space 1,1,1 --window -1:1,-1:1,-1:1 --slice ''", "bad slice ''",
                  id="regions-slice"),
-    pytest.param("regions --space 1,1 --window -1:1,-1:1 --mode safe --d",
+    pytest.param("regions --space 1,1 --window -1:1,-1:1 --mode safe --d ''",
                  "bad polarization ''", id="regions-d"),
-    pytest.param("tate-profile --input {} --b 1,1 --window", "bad window component ''",
+    pytest.param("tate-profile --input {} --b 1,1 --window ''", "bad window component ''",
                  id="tate-profile-window"),
-    pytest.param("tate-profile --input {} --b 1,1 --checks corner --c", "bad corner degree ''",
-                 id="tate-profile-c-corner"),
-    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c", "bad strand degree ''",
-                 id="tate-profile-c-strand"),
-    pytest.param("tate-profile --input {} --b 1,1 --checks", "unknown check ''",
+    pytest.param("tate-profile --input {} --b 1,1 --checks corner --c ''",
+                 "bad corner degree ''", id="tate-profile-c-corner"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c ''",
+                 "bad strand degree ''", id="tate-profile-c-strand"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks ''", "unknown check ''",
                  id="tate-profile-checks"),
-    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --I", "bad I ''",
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --I ''", "bad I ''",
                  id="tate-profile-I"),
-    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --J", "bad J ''",
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --J ''", "bad J ''",
                  id="tate-profile-J"),
-    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --K", "bad K ''",
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand --c 0,0 --K ''", "bad K ''",
                  id="tate-profile-K"),
-    pytest.param("tate-profile --input {} --b 1,1 --field", "unrecognized field ''",
+    pytest.param("tate-profile --input {} --b 1,1 --field ''", "unrecognized field ''",
                  id="tate-profile-field"),
-    pytest.param("tate-profile --b 1,1 --input", "cannot read :", id="tate-profile-input"),
-    pytest.param("tate-profile --b 1,1 --table", "table :", id="tate-profile-table"),
-    pytest.param("cohomology --input {} --twist 0,0 --field", "unrecognized field ''",
+    pytest.param("tate-profile --b 1,1 --input ''", "cannot read :", id="tate-profile-input"),
+    pytest.param("tate-profile --b 1,1 --table ''", "table :", id="tate-profile-table"),
+    pytest.param("cohomology --input {} --twist 0,0 --field ''", "unrecognized field ''",
                  id="cohomology-field"),
-    pytest.param("split-check --input {} --d 1,1 --window 0:1,0:1 --field",
+    pytest.param("split-check --input {} --d 1,1 --window 0:1,0:1 --field ''",
                  "unrecognized field ''", id="split-check-field"),
+    pytest.param("regions --space 1,1,1 --window -1:1,-1:1,-1:1 --slice 0,0",
+                 "error: --slice needs 1 values\n", id="regions-slice-count"),
+    pytest.param("regions --space 1,1 --window -1:1", "error: window dimension does not match "
+                 "the space\n", id="regions-window-dimension"),
+    pytest.param("tate-profile --b 1,1", "error: tate-profile needs --input or --table\n",
+                 id="tate-profile-no-input"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks corner",
+                 "error: --checks corner requires --c\n", id="tate-profile-corner-no-c"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks strand",
+                 "error: --checks strand requires --c\n", id="tate-profile-strand-no-c"),
+    pytest.param("regions --space 1,1 --window", "error: argument --window: expected one "
+                 "argument\n", id="value-flag-last"),
 ])
 def test_empty_flag_value_is_named(capsys, tmp_path, command, message):
-    # An empty value is refused by name, never read as the flag left out.
+    # A usage error is refused by name with exit 2; an empty value ('') is
+    # never read as the flag left out.
     path = write_complex(tmp_path, koszul_point_complex())
-    code, out, err = run(capsys, command.format(path).split() + [""])
+    code, out, err = run(capsys, shlex.split(command.format(path)))
     assert code == 2 and out == "" and message in err
 
 
@@ -702,6 +769,32 @@ def test_bad_flags(capsys):
         capsys, ["cohomology", "--input", "x.json", "--twist", "0,0", "--depth", "1,1"]
     )
     assert code == 2 and "--depth" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    pytest.param("cohomology --input {} --twist 1,1 --window garbage",
+                 "--window does not apply to --twist", id="cohomology-window-with-twist"),
+    pytest.param("regions --space 1,1 --window -1:1,-1:1 --d 9,9,9",
+                 "--d does not apply to --mode full", id="regions-d-full"),
+    pytest.param("regions --space 1,1 --window -1:1,-1:1 --mode intermediate --d 1,1",
+                 "--d does not apply to --mode intermediate", id="regions-d-intermediate"),
+    pytest.param("tate-profile --input {} --b 1,1 --c 0,0",
+                 "--c does not apply without --checks corner or strand", id="tate-profile-c"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks tate --c 0,0",
+                 "--c does not apply without --checks corner or strand",
+                 id="tate-profile-c-tate"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks corner --c 0,0 --I 0",
+                 "--I does not apply without --checks strand", id="tate-profile-I"),
+    pytest.param("tate-profile --input {} --b 1,1 --J 0",
+                 "--J does not apply without --checks strand", id="tate-profile-J"),
+    pytest.param("tate-profile --input {} --b 1,1 --checks tate --K 0",
+                 "--K does not apply without --checks strand", id="tate-profile-K"),
+])
+def test_ignored_flag_is_refused(capsys, tmp_path, command, message):
+    # Each flag was ignored, and the command exited 0.
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, command.format(path).split())
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("args", [["--twist", "1,1"], ["--window", "0:1,0:1"]])

@@ -246,7 +246,7 @@ EXPORTS = {
     "default_field", "extremal_hm", "free_complex", "hm_monotonicity_check",
     "hypercohomology", "hypothesis_violations", "leq", "line_bundle_h", "lt",
     "multiplicities", "parse_field", "poly_mult", "render_region", "safe_region",
-    "signature", "split_check", "strand_checksum", "strand_propagate", "tate_term_dims",
+    "split_check", "strand_checksum", "strand_propagate", "tate_term_dims",
     "validate_complex", "verify_split",
 }
 

@@ -157,8 +157,7 @@ def test_safe_region_band(p11):
     # On safe twists every O(kH)(a) is zero or concentrated at 0 or m.
     for a in region:
         for k in range(-10, 11):
-            sig = bott.signature(p11, vadd(vscale(k, d.d), a))
-            assert sig is None or sig[0] in (0, p11.m)
+            assert not any(bott.line_bundle_h(p11, vadd(vscale(k, d.d), a))[1:p11.m])
 
 
 def test_safe_region_p2p3(p23):
@@ -211,14 +210,8 @@ REFERENCE_INTERMEDIATE_GRID = "\n".join(
 
 def test_render_region_reference_grids(p23):
     window = Window((-5, -5), (1, 2))
-    full = {
-        a for a in window.twists() if bott.signature(p23, a) is not None
-    }
-    inter = {
-        a
-        for a in window.twists()
-        if bott.is_intermediate(p23, bott.signature(p23, a))
-    }
+    full = {a for a in window.twists() if any(bott.line_bundle_h(p23, a))}
+    inter = {a for a in window.twists() if any(bott.line_bundle_h(p23, a)[1:p23.m])}
     assert render_region(full, window) == REFERENCE_FULL_GRID
     assert render_region(inter, window) == REFERENCE_INTERMEDIATE_GRID
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import bott_table, ideal_sheaf_complex, polarized_table
@@ -19,6 +20,7 @@ from prodcoh.lattice import (
 )
 from prodcoh.splitter import (
     ExtremalReport,
+    SplitterError,
     extremal_hm,
     hm_monotonicity_check,
     hypothesis_violations,
@@ -167,6 +169,16 @@ def test_multiplicities_negative_residual(p11):
         multiplicities(T, D11, extremal_hm(T, D11))
 
 
+def test_multiplicities_vanishing_at_the_aligned_k(p11):
+    # split_check never gets here: h^0(F(kH)) = 0 under the nonzero aligned
+    # h^m(F(kH + canonical)) already fails the sections check before it.
+    T = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (1, 1)))
+    T.set_cell((0, 0), 0, 0)
+    with pytest.raises(SplitterError) as exc:
+        multiplicities(T, D11, extremal_hm(T, D11))
+    assert str(exc.value) == "h^0(F(-kH)) vanishes at the aligned k; table inconsistent"
+
+
 def test_verify_split(p11):
     window = Window((-5, -5), (5, 5))
     T = polarized_table(p11, [(1, 1), (-1, 1)], (1, 1), window)
@@ -285,6 +297,41 @@ def test_split_check_strand_inconsistency(p11, monkeypatch, tmp_path, capsys):
     head, body = capsys.readouterr().out.split("\n", 1)
     assert (code, head) == (cli.EXIT_INCONCLUSIVE, "INCONCLUSIVE: " + reason)
     assert json.loads(body)["reason"] == reason
+
+
+@pytest.mark.parametrize("summands, edits, reason", [
+    pytest.param([(0, 0)], {((-3, -3), 2): 0},
+                 "top-cohomology monotonicity fails between (-3, -3) and (-3, -2); "
+                 "the table cannot come from a sheaf", id="monotonicity"),
+    pytest.param([(0, 0)], {((-2, -2), 2): 2},
+                 "h^0(F(kH)) < h^m(F(kH + canonical)) at k=0; table cannot come from "
+                 "a torsion-free sheaf satisfying the hypothesis", id="sections-below-top"),
+    pytest.param([(0, 0)], {((1, 0), 0): 3},
+                 "candidate sum disagrees with the table at a=(1, 0), i=0 (3 vs 2)",
+                 id="candidate-mismatch"),
+    pytest.param([(1, 1), (0, 0)], {((0, 0), 0): 4},
+                 "aligned extremal position predicts a summand at k=0 but the h^0 "
+                 "descent found none", id="no-summand-at-the-aligned-k"),
+    pytest.param([(0, 0)], {((1, 1), 0): 5},
+                 "nonzero residual 1 below the smallest summand twist", id="residual-below"),
+])
+def test_split_check_inconclusive_on_an_edited_table(p11, monkeypatch, summands, edits,
+                                                     reason):
+    # A free sum that splits, its engine table edited cell by cell, where
+    # the strand check finds no clash: each edit stops a later stage.
+    C, window = free_complex(p11, summands), Window((-3, -3), (1, 1))
+    assert split_check(C, D11, window).kind == "split"
+    real = cech.cohomology_table
+
+    def edited(C, window):
+        T = real(C, window)
+        for (a, i), dim in edits.items():
+            T.set_cell(a, i, dim)
+        return T
+
+    monkeypatch.setattr(cech, "cohomology_table", edited)
+    v = split_check(C, D11, window)
+    assert (v.kind, v.reason) == ("inconclusive", reason)
 
 
 def test_split_check_uncertifiable_extremality(p11):
