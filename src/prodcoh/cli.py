@@ -123,6 +123,7 @@ def cmd_regions(args):
             if not lo <= v <= hi:
                 raise UsageError("--slice puts a%d = %d outside the window's %d:%d"
                                  % (j, v, lo, hi))
+        window = Window(window.lo[:2] + fixed, window.hi[:2] + fixed)  # compute the slice alone
     elif args.slice is not None:
         raise UsageError("--slice does not apply to a space of two factors")
     else:
@@ -139,25 +140,19 @@ def cmd_regions(args):
         h = bott.kunneth_window(space, window, [(0, (0,) * space.t, 1)])
         cells = {a for a, v in h.items() if any(v if args.mode == "full" else v[1:space.m])}
 
-    if fixed:
-        cells = {a[:2] for a in cells if a[2:] == fixed}
-        window = Window(window.lo[:2], window.hi[:2])
+    cells = {a[:2] for a in cells}
+    window = Window(window.lo[:2], window.hi[:2])
 
     if args.format == "ascii":
         emit(render_region(cells, window))
     elif args.format == "json":
-        dump_json(
-            {
-                "space": space.to_json(),
-                "window": window.to_json(),
-                "mode": args.mode,
-                "cells": sorted([list(a) for a in cells]),
-            }
-        )
+        named = {"slice": list(fixed)} if fixed else {}  # a sliced output names its slice
+        dump_json({"space": space.to_json(), "window": window.to_json(), "mode": args.mode,
+                   "cells": sorted([list(a) for a in cells]), **named})
     else:
-        lines = ["a1,a2,member"]
+        lines = [",".join("a%d" % j for j in range(1, space.t + 1)) + ",member"]
         for a in window.twists():
-            lines.append("%d,%d,%d" % (a[0], a[1], 1 if a in cells else 0))
+            lines.append(",".join(map(str, a + fixed + (int(a in cells),))))
         emit("\n".join(lines))
     return EXIT_OK
 

@@ -21,19 +21,17 @@ Which factor group of a term is nonzero, if any, bott.factor_group alone
 decides: bott_classes enumerates the classes of its (q, x), and chambers
 reads a term's Cech degree at a twist as the sum of its q.
 
-engine(C) sets up what depends on C once for every window, and each term
-takes one route:
-- terms no differential touches, as in every free sum: one
-  bott.kunneth_window call per window, the Kunneth products of their Bott
-  values;
-- the touched terms of a monomial complex, whose every nonzero entry has one
-  term and whose summands take consistent fine shifts, at a twist where
-  every class takes level 0: chambers, which counts the fine degrees of each
-  chamber in closed form and ranks one small block per distinct chamber,
-  enumerating no class, so its cost does not grow with the twist;
-- the touched terms at every other (complex, twist): an entry with two or
-  more terms, clashing shifts, or a twist where some class needs the series:
-  per_twist, which enumerates the Bott classes and transfers them.
+engine(C) sets up what depends on C once for every window.  Terms no
+differential touches, as in every free sum, come from one
+bott.kunneth_window call per window, the Kunneth products of their Bott
+values.  The touched terms take one of two routes, chosen per complex:
+- a monomial complex, whose every nonzero entry has one term and whose
+  summands take consistent fine shifts: chambers, which counts the fine
+  degrees of each chamber in closed form and builds one small block per
+  distinct chamber with _transfer, the series included, enumerating no
+  class, so its cost does not grow with the twist;
+- any other complex, with an entry of two or more terms or clashing
+  shifts: per_twist, which enumerates the Bott classes and transfers them.
 """
 
 import itertools
@@ -146,18 +144,24 @@ def _reduced(vec, prime):
 
 
 def _transfer(space, poly, p, s, q, prime, blocks, where, width):
-    """The columns D_H(x), {position: value}, of the classes x of summand s
-    of term p, at Cech degree q, in the order of where[(p, s)]: where[(p', r)]
-    maps a packed class to its position in its total degree, poly holds
-    unbiased packed exponents, blocks the (term, Cech degree) pairs with
-    classes.  At level 0, e+ev stays when every fully negative factor of e
-    stays so, that is when no top bit clear in e is set in e+ev."""
+    """The columns D_H(x), {label: value}, of the classes x of summand s of
+    term p, at Cech degree q, in the order of where[(p, s)]: where[(p', r)]
+    maps a packed class to its label, unique in its total degree, and may
+    leave out a summand without classes; poly holds unbiased packed
+    exponents, blocks the (term, Cech degree) pairs with classes.  At level
+    0, e+ev stays when every fully negative factor of e stays so, that is
+    when no top bit clear in e is set in e+ev."""
     classes = where[(p, s)]
-    last = next((r for r in range(q, -1, -1) if (p + r + 1, q - r) in blocks), None)
-    if not last:  # None too: then no e+ev passes the filter
-        tops = sum(1 << k * width for k in range(space.m + space.t)) << width - 1
+    last = 0
+    for r in range(q, 0, -1):
+        if (p + r + 1, q - r) in blocks:
+            last = r
+            break
+    if not last:  # or no level at all: then no e+ev passes the filter
+        # The top bit of every field: sum_k 2^(k width) = (2^((m+t) width) - 1) / (2^width - 1).
+        tops = ((1 << (space.m + space.t) * width) - 1) // ((1 << width) - 1) << width - 1
         mask = tops & ~next(iter(classes))
-        targets = [(where[(p + 1, r)], terms) for r, terms in poly.get((p, s), ())]
+        targets = [(where.get((p + 1, r), {}), terms) for r, terms in poly.get((p, s), ())]
         return [{at[f]: c for at, terms in targets for ev, c in terms if not (f := e + ev) & mask}
                 for e in classes]
     neg = _negative_support(space, width, next(iter(classes)))
@@ -273,32 +277,11 @@ def _compositions(n, top, caps):
     return sum(k * math.comb(N + n, n) for N, k in terms)
 
 
-def _total_degree(space, summands, s, negs):
-    """p + q of summand s, (p, entries), whose Cech degree q sums n_j over
-    the factors j in which its bit is set in negs[j], fully negative."""
-    return summands[s][0] + sum(n for n, N in zip(space.factor_dims, negs) if N >> s & 1)
-
-
-def _chamber_block(space, summands, mask, negs):
-    """The level-0 block of the chamber whose classes are the summands in
-    the bitmask mask, each (p, [(target, coefficient)]), fully negative in
-    factor j when its bit is set in negs[j]: per total degree, the columns
-    of D_H, {summand: {target: coefficient}}.  A target keeps its entry
-    when it is in mask with the same sign pattern, that is with the same
-    Cech degree, as its negative factors are among the source's."""
-    deg = {s: _total_degree(space, summands, s, negs)
-           for s in range(len(summands)) if mask >> s & 1}
-    cols = defaultdict(dict)
-    for s, k in deg.items():
-        cols[k][s] = {r: c for r, c in summands[s][1] if deg.get(r) == k + 1}
-    return cols
-
-
 def chambers(space, field, poly, terms):
     """The chamber route of a monomial complex: a -> (h^0, ..., h^m) of the
-    touched summands terms, (p, s, b), or None at a twist where some class
-    needs the series.  None in place of the function when an entry has two
-    or more terms or the fine shifts clash.
+    touched summands terms, (p, s, b), at every twist.  None in place of
+    the function when an entry has two or more terms or the fine shifts
+    clash.
 
     The shifts psi put the entry x^ev from s to r at psi_r = psi_s + ev,
     each connected piece rooted at a summand with b_j on the first variable
@@ -309,16 +292,26 @@ def chambers(space, field, poly, terms):
     -psi_{s,v} cut Z into intervals; a factor's chamber, one interval per
     variable, fixes the bitmasks G_j and L_j, and its count of u with sum
     a_j is a number of bounded compositions.  A chamber of all factors has
-    classes mask = AND_j (G_j | L_j), Cech degrees by L_j, and the level-0
-    block those determine, so at a twist where every class takes level 0,
-    D_H is the direct sum of the blocks and h the sum over chambers of
-    their count times the h of their block.  Each distinct block is
-    self-checked and ranked once."""
+    classes mask = AND_j (G_j | L_j) and Cech degrees by L_j.  A series
+    state stays at its class's u, as delta adds ev to e and psi alike and h
+    keeps e, and its negative supports depend only on the chamber.  So D_H
+    is the direct sum of one block per chamber, and h the sum over chambers
+    of their count times the h of their block.
+
+    A block is built by _transfer on the classes at one representative u of
+    its chamber: per variable the lower end of its interval, or one below
+    the least threshold.  Every u + psi_s then lies in [-top-1, top], top
+    the largest spread of a variable's psi column, so the maps are packed at
+    one width for every twist.  A block none of whose classes needs the
+    series, no (p, q), (p2, q2) with p2 - p - 1 == q - q2 >= 1, is level 0
+    and a function of (mask, negs), its key; any other is keyed by its
+    chamber's full interval pattern, u.  Each distinct block is self-checked
+    and ranked once."""
     prime = field.p if isinstance(field, linalg.PrimeField) else 0
     dims = space.factor_dims
     index = {(p, s): i for i, (p, s, _) in enumerate(terms)}
-    summands = [(p, []) for p, _, _ in terms]
     adjacent = [[] for _ in terms]  # (summand, add or sub, ev) along each entry, both ways
+    links = []  # (p, s, r, summand of (p, s), summand of (p + 1, r), coefficient) per entry
     for (p, s), maps in poly.items():
         i = index[(p, s)]
         for r, entry in maps:
@@ -326,7 +319,7 @@ def chambers(space, field, poly, terms):
                 return None
             [(ev, c)] = entry
             k, ev = index[(p + 1, r)], sum(ev, ())
-            summands[i][1].append((k, c))
+            links.append((p, s, r, i, k, c))
             adjacent[i].append((k, add, ev))
             adjacent[k].append((i, sub, ev))
     firsts = list(itertools.accumulate([n + 1 for n in dims], initial=0))
@@ -348,13 +341,20 @@ def chambers(space, field, poly, terms):
                         return None
     full = (1 << len(terms)) - 1
     columns = list(zip(*psi))  # per variable, psi_{s,v} by summand
+    width = max(map(sub, map(max, columns), map(min, columns))).bit_length() + 1
+    units = [1 << k * width for k in range(space.m + space.t)]
+    bias = sum(units) << width - 1
+    at = [sum(map(mul, x, units)) + bias for x in psi]  # the packed class of s at u is at[s] + u
+    packed = defaultdict(list)  # poly at width, its ev = psi_r - psi_s
+    for p, s, r, i, k, c in links:
+        packed[(p, s)].append((r, [(at[k] - at[i], c)]))
     # Per factor, its chambers with a class: (G, L, sum of lower bounds, sum of
     # upper bounds, caps: the number of values of each variable bounded on
-    # both sides), a sum None when a bound is.
+    # both sides, u: the representative, packed), a sum None when a bound is.
     factors = []
     for n, first in zip(dims, firsts):
-        cells = [(full, full, 0, 0, ())]
-        for col in columns[first:first + n + 1]:
+        cells = [(full, full, 0, 0, (), 0)]
+        for col, unit in zip(columns[first:first + n + 1], units[first:]):
             bits = {}  # threshold -> the summands that have it
             for s, x in enumerate(col):
                 bits[-x] = bits.get(-x, 0) | 1 << s
@@ -365,46 +365,56 @@ def chambers(space, field, poly, terms):
             intervals.append((lo, None, ge))
             cells = [(G & ge, L & ~ge, None if lo is None or los is None else los + lo,
                       None if hi is None or his is None else his + hi,
-                      caps if lo is None or hi is None else caps + (hi - lo + 1,))
-                     for G, L, los, his, caps in cells for lo, hi, ge in intervals
+                      caps if lo is None or hi is None else caps + (hi - lo + 1,),
+                      u + (hi if lo is None else lo) * unit)
+                     for G, L, los, his, caps, u in cells for lo, hi, ge in intervals
                      if G & ge or L & ~ge]
         factors.append(cells)
-    pb = [(p, b) for p, _, b in terms]
-    counts = {}  # (factor, a_j) -> [(G, L, count)] over its chambers with a u
-    memo = {}  # (mask, negs) -> h of the block
+    counts = {}  # (factor, a_j) -> [(G, L, u, count)] over its chambers with a u
+    shapes = {}  # (mask, negs) -> shape(mask, negs)
+    memo = {}  # (mask, negs, packed u or None) -> h of the block
+
+    def shape(mask, negs):
+        """The classes (p, s, summand, q), their (p, q), and whether one needs the series."""
+        classes = [(p, s, i, sum(n for n, N in zip(dims, negs) if N >> i & 1))
+                   for i, (p, s, _) in enumerate(terms) if mask >> i & 1]
+        blocks = {(p, q) for p, _, _, q in classes}
+        return classes, blocks, any((p + r + 1, q - r) in blocks
+                                    for p, q in blocks for r in range(1, q + 1))
+
+    def block_h(classes, blocks, u, a):
+        where = {(p, s): {u + at[i]: i} for p, s, i, _ in classes}
+        cols = defaultdict(dict)  # total degree -> {summand: column}
+        for p, s, i, q in classes:
+            [cols[p + q][i]] = _transfer(space, packed, p, s, q, prime, blocks, where, width)
+        return _homology(space, field, prime, cols, a)
 
     def touched_h(a):
-        blocks = set()  # the (term, Cech degree) pairs with classes, as _transfer reads them
-        for p, b in pb:  # every factor has a group, in the sum of their degrees
-            groups = [bott.factor_group(n, c) for n, c in zip(dims, vadd(a, b))]
-            if None not in groups:
-                blocks.add((p, sum(q for q, _ in groups)))
-        if any(p2 - p - 1 == q - q2 >= 1 for p, q in blocks for p2, q2 in blocks):
-            return None
-        weights = {(full, ()): 1}  # (mask, negs) -> count of u, over the factors so far
+        weights = [(full, (), 0, 1)]  # (mask, negs, u, count of u) over the factors so far
         for j, (n, cells, aj) in enumerate(zip(dims, factors, a)):
             if (j, aj) not in counts:
                 # With a class, no variable is unbounded below while another
                 # is unbounded above; when one is, u -> -u bounds all below.
-                counts[j, aj] = [(G, L, x) for G, L, los, his, caps in cells if (x := (
+                counts[j, aj] = [(G, L, u, x) for G, L, los, his, caps, u in cells if (x := (
                     _compositions(n, aj - los, caps) if los is not None else
                     _compositions(n, his - aj, caps)))]
-            prod = defaultdict(int)
-            for G, L, x in counts[j, aj]:
-                for (mask, negs), y in weights.items():
-                    if mask & (G | L):
-                        prod[(mask & (G | L), negs + (L,))] += x * y
-            weights = prod
+            weights = [(mask & (G | L), negs + (L,), u + v, x * y) for G, L, v, x in counts[j, aj]
+                       for mask, negs, u, y in weights if mask & (G | L)]
         h = [0] * (space.m + 1)
-        for (mask, negs), x in weights.items():
+        for mask, negs, u, x in weights:
             if not mask & mask - 1:  # one class and no entry: 1 in its total degree
-                k = _total_degree(space, summands, mask.bit_length() - 1, negs)
+                i = mask.bit_length() - 1
+                k = terms[i][0] + sum(n for n, N in zip(dims, negs) if N >> i & 1)
                 if 0 <= k <= space.m:
                     h[k] += x
                 continue
-            key = mask, tuple(N & mask for N in negs)
+            negs = tuple(N & mask for N in negs)
+            if (mask, negs) not in shapes:
+                shapes[mask, negs] = shape(mask, negs)
+            classes, blocks, series = shapes[mask, negs]
+            key = mask, negs, u if series else None
             if key not in memo:
-                memo[key] = _homology(space, field, prime, _chamber_block(space, summands, *key), a)
+                memo[key] = block_h(classes, blocks, u, a)
             for i, y in enumerate(memo[key]):
                 h[i] += x * y
         return h
@@ -416,20 +426,13 @@ def engine(C):
     """The function window -> (a, (h^0, ..., h^m)) pairs, in the window's
     twist order, of the validated complex C, reading C once: untouched terms
     come from one bott.kunneth_window call per window, touched ones from the
-    chamber route where it applies, else the per-twist route."""
+    chamber route when C is a monomial complex with consistent shifts, else
+    from the per-twist route."""
     space = C.space
     poly = polynomial_maps(C)
     free, terms = _terms(C, poly)
-    chamber_h = terms and chambers(space, C.field, poly, terms)
-    series_h = None
-
-    def touched_h(a):
-        nonlocal series_h
-        h = chamber_h(a) if chamber_h else None
-        if h is None:
-            series_h = series_h or per_twist(space, C.field, poly, terms)
-            h = series_h(a)
-        return h
+    touched_h = terms and (chambers(space, C.field, poly, terms)
+                           or per_twist(space, C.field, poly, terms))
 
     def table(window):
         for a, h in bott.kunneth_window(space, window, free).items():

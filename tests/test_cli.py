@@ -12,7 +12,8 @@ from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
-from test_minmodel import break_transfer, last_level, per_twist_only, unpack
+from test_minmodel import (break_transfer, last_level, no_classes, per_twist_only,
+                           series_complex, unpack)
 
 
 def run(capsys, argv):
@@ -140,7 +141,44 @@ def test_regions_cells_equal_a_line_bundle_scan(case):
 
     want = sorted(list(a[:2]) for a in window.twists()
                   if a[2:] == fixed and member(bott.line_bundle_h(space, a)))
-    assert json.loads(out.getvalue())["cells"] == want
+    got = json.loads(out.getvalue())
+    assert got["cells"] == want
+    assert got.get("slice") == (list(fixed) if fixed else None)
+
+
+@pytest.mark.parametrize("mode", [["--mode", "full"], ["--mode", "safe", "--d", "1,1,1"]])
+def test_regions_slice_computes_its_slice_alone(capsys, monkeypatch, mode):
+    # The 61^3 window sliced at a3 = 0 and the 61^2 window of that slice
+    # print the same bytes in every format; each computes 61 x 61 twists.
+    sizes = []
+    kunneth_window, safe_region = bott.kunneth_window, cli.safe_region
+    monkeypatch.setattr(bott, "kunneth_window", lambda space, window, entries: sizes.append(
+        len(list(window.twists()))) or kunneth_window(space, window, entries))
+    monkeypatch.setattr(cli, "safe_region", lambda space, d, window: sizes.append(
+        len(list(window.twists()))) or safe_region(space, d, window))
+    for fmt in ("ascii", "json", "csv"):
+        outs = []
+        for window in ("-30:30,-30:30,-30:30", "-30:30,-30:30,0:0"):
+            code, out, _ = run(capsys, ["regions", "--space", "1,1,1", "--window", window,
+                                        "--slice", "0", "--format", fmt] + mode)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1], fmt
+    assert sizes == [61 * 61] * 6
+
+
+def test_sliced_regions_output_names_its_slice(capsys):
+    base = ["regions", "--space", "1,1,1,2", "--window", "-1:1,-1:1,-1:1,0:2"]
+    outs = {}
+    for fixed in ("0,1", "1,1", "0,2"):
+        code, out, _ = run(capsys, base + ["--slice", fixed, "--format", "json"])
+        assert code == 0 and json.loads(out)["slice"] == [int(x) for x in fixed.split(",")]
+        outs[fixed] = out
+        code, out, _ = run(capsys, base + ["--slice", fixed, "--format", "csv"])
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "a1,a2,a3,a4,member" and len(lines) == 10
+        assert all(line.split(",")[2:4] == fixed.split(",") for line in lines[1:])
+    assert len(set(outs.values())) == 3
 
 
 def test_cohomology_single_twist(capsys, tmp_path):
@@ -329,36 +367,10 @@ def test_window_self_check_exit(capsys, tmp_path, monkeypatch, args):
         assert hits[route], route
 
 
-def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
-    # At (-3,-3) every class of the Koszul point is fully negative in both
-    # factors and its series stops at level 0, where D_H is multiplication.
-    # Doubling one entry of a column out of the degree -2 term breaks
-    # D_H o D_H = 0: EngineCheckFailed, and exit 3 with nothing on stdout,
-    # first in the chamber blocks, then in the per-twist route's columns.
-    K = koszul_point_complex()
-    path = write_complex(tmp_path, K)
-    assert cech.hypercohomology(K, (-3, -3)) == (1, 0, 0)
-    block = minmodel._chamber_block
-    corrupted_blocks = []
-
-    def corrupted_block(space, summands, mask, negs):
-        cols = block(space, summands, mask, negs)
-        for col_k in cols.values():
-            for s, col in col_k.items():
-                if summands[s][0] == -2 and col and all(N >> s & 1 for N in negs):
-                    key = min(col)
-                    col[key] *= 2
-                    corrupted_blocks.append((mask, negs))
-        return cols
-
-    monkeypatch.setattr(minmodel, "_chamber_block", corrupted_block)
-    with pytest.raises(cech.EngineCheckFailed):
-        cech.hypercohomology(K, (-3, -3))
-    assert corrupted_blocks
-    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "-3,-3"])
-    assert code == 3 and "self-check" in err and out == ""
-
-    per_twist_only(monkeypatch)
+def corrupt_transfer(monkeypatch, wanted):
+    """Double one entry of the column of each class (p, e) of D_H with
+    wanted(p, e, its last level) in minmodel._transfer, the seam of both
+    routes.  Returns the list of corrupted classes."""
     transfer = minmodel._transfer
     corrupted_classes = []
 
@@ -366,17 +378,52 @@ def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
         cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
         for f, col in zip(where[(p, s)], cols):
             e = unpack(space, width, f)
-            if p == -2 and col and max(map(max, e)) < 0 and last_level(space, p, e, blocks) == 0:
+            if col and wanted(p, e, last_level(space, p, e, blocks)):
                 key = min(col)
                 col[key] = 2 * col[key] % prime
                 corrupted_classes.append(e)
         return cols
 
     monkeypatch.setattr(minmodel, "_transfer", corrupted)
-    with pytest.raises(cech.EngineCheckFailed):
-        cech.hypercohomology(K, (-3, -3))
+    return corrupted_classes
+
+
+def test_level0_self_check_exit(capsys, tmp_path, monkeypatch):
+    # At (-3,-3) every class of the Koszul point is fully negative in both
+    # factors and its series stops at level 0, where D_H is multiplication.
+    # Doubling one entry of a column out of the degree -2 term breaks
+    # D_H o D_H = 0: EngineCheckFailed, and exit 3 with nothing on stdout,
+    # first in the chamber blocks, enumerating no class, then in the
+    # per-twist route's columns.
+    K = koszul_point_complex()
+    path = write_complex(tmp_path, K)
+    assert cech.hypercohomology(K, (-3, -3)) == (1, 0, 0)
+    corrupted_classes = corrupt_transfer(
+        monkeypatch, lambda p, e, last: p == -2 and max(map(max, e)) < 0 and last == 0)
+    bott_classes = minmodel.bott_classes
+    monkeypatch.setattr(minmodel, "bott_classes", no_classes)
+    for route in ("chambers", "per twist"):
+        if route == "per twist":
+            monkeypatch.setattr(minmodel, "bott_classes", bott_classes)
+            per_twist_only(monkeypatch)
+        corrupted_classes.clear()
+        with pytest.raises(cech.EngineCheckFailed):
+            cech.hypercohomology(K, (-3, -3))
+        assert corrupted_classes, route
+        code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "-3,-3"])
+        assert code == 3 and "self-check" in err and out == ""
+
+
+def test_series_self_check_exit_on_the_chamber_route(capsys, tmp_path, monkeypatch):
+    # The Koszul complex of x_{0,0}^2, x_{0,1}^2 and x_{1,0} x_{1,1} at
+    # (0,-2): a chamber block runs a class's series past level 0, and
+    # doubling one entry of that column breaks D_H o D_H = 0 there: exit 3,
+    # nothing on stdout, and no class enumerated.
+    path = write_complex(tmp_path, series_complex("x00^2,x01^2,x10x11", default_field()))
+    corrupted_classes = corrupt_transfer(monkeypatch, lambda p, e, last: last and last > 0)
+    monkeypatch.setattr(minmodel, "bott_classes", no_classes)
+    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "0,-2"])
     assert corrupted_classes
-    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "-3,-3"])
     assert code == 3 and "self-check" in err and out == ""
 
 

@@ -11,12 +11,13 @@ at scale.  The three windows of negative and mixed twists, recorded before
 the perturbation series stopped at the last level that can reach a class,
 run the capped series and its level-0 multiplication at scale.  The
 single-twist cohomology cases and the regions grids were recorded before the
-truncated Cech reference moved out of the package.  The help and usage-error
-cases pin stdout, stderr and the exit code; they were recorded while every
-command still built the parsers of all four subcommands, and the unrecognized,
-missing, invalid and abbreviated flag cases and the invalid complex (whose
-stderr lists its d o d violation) while every command still parsed through a
-top-level parser.
+truncated Cech reference moved out of the package; the sliced safe JSON grid
+was re-recorded when a sliced regions output began to name its slice.  The
+help and usage-error cases pin stdout, stderr and the exit code; they were
+recorded while every command still built the parsers of all four
+subcommands, and the unrecognized, missing, invalid and abbreviated flag
+cases and the invalid complex (whose stderr lists its d o d violation) while
+every command still parsed through a top-level parser.
 """
 
 import hashlib
@@ -157,7 +158,7 @@ REGION_CASES = [
     ("regions-slice-p111-safe-json",
      "regions --space 1,1,1 --window -3:3,-3:3,-3:3 --mode safe --d 1,1,1 --slice -1 "
      "--format json", 0,
-     "c0de66a8816b2e10f49ce8150f2915ff093ed1e9367a01bb036b939c6d2350d2"),
+     "2305f9f4dea8b1c343d47989b001f15460de3c0d7db5d249a368576ebafa01bb"),
     ("regions-slice-p111-full",
      "regions --space 1,1,1 --window -3:3,-3:3,-3:3 --mode full --slice -2", 0,
      "39d81b3164396fa549b905af5f176ec4de2949316c7a3dad65c700ed062e3305"),

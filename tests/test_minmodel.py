@@ -312,15 +312,20 @@ def test_window_engine_matches_per_twist_on_free_sums(dims, data):
 
 def break_transfer(monkeypatch):
     """Double one entry of each column of D_H out of the degree -2 term,
-    wherever it has one, on both routes: in minmodel._transfer, and in
-    minmodel._chamber_block, whose columns are labelled by summand.  For the
-    Koszul point at twist (1, 1) that breaks D_H o D_H = 0.  Returns the
-    number of calls of each seam, by route."""
+    wherever it has one, in minmodel._transfer: the one seam through which
+    both routes build D_H.  For the Koszul point at twist (1, 1) that breaks
+    D_H o D_H = 0.  Returns the number of _transfer calls by route: per
+    twist once bott_classes has enumerated a term's classes, chambers
+    before."""
     hits = defaultdict(int)
-    transfer, block = minmodel._transfer, minmodel._chamber_block
+    transfer, bott_classes = minmodel._transfer, minmodel.bott_classes
+
+    def enumerating(*args):
+        hits["enumerations"] += 1
+        return bott_classes(*args)
 
     def corrupted(space, poly, p, s, q, prime, blocks, where, width):
-        hits["per twist"] += 1
+        hits["per twist" if hits["enumerations"] else "chambers"] += 1
         cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
         for col in cols:
             if p == -2 and col:
@@ -328,18 +333,8 @@ def break_transfer(monkeypatch):
                 col[key] = 2 * col[key] % prime
         return cols
 
-    def corrupted_block(space, summands, mask, negs):
-        hits["chambers"] += 1
-        cols = block(space, summands, mask, negs)
-        for col_k in cols.values():
-            for s, col in col_k.items():
-                if summands[s][0] == -2 and col:
-                    key = min(col)
-                    col[key] *= 2
-        return cols
-
     monkeypatch.setattr(minmodel, "_transfer", corrupted)
-    monkeypatch.setattr(minmodel, "_chamber_block", corrupted_block)
+    monkeypatch.setattr(minmodel, "bott_classes", enumerating)
     return hits
 
 
@@ -684,7 +679,7 @@ def test_chamber_route_matches_per_twist_route(case):
     assert route is not None  # every entry is one monomial, and the shifts agree
     h = route(a)
     per_twist = per_twist_h(C, a)
-    assert h is None or h == per_twist, (a, h, per_twist)
+    assert h is not None and h == per_twist, (a, h, per_twist)
     assert cech.hypercohomology(C, a) == per_twist_engine(C, a)
     assert cech.cohomology_table(C, window).cells == {
         (b, i): (dim, STATUS_COMPUTED)
@@ -703,22 +698,93 @@ def test_chamber_route_matches_truncated_reference(case):
         for b in window.twists() for i, dim in enumerate(reference.assembled_hypercohomology(C, b))}
 
 
+def monomial_koszul(sp, field, exponents):
+    """The Koszul complex of the monomials x^e, e per factor, coefficient 1."""
+    return koszul_complex(sp, field, [MultiHomogPoly.monomial(sp, field, 1, e) for e in exponents])
+
+
+# Monomial Koszul complexes some of whose classes need the series on whole
+# lines of twists: name -> (space, exponents, window of the sweep).
+SERIES_COMPLEXES = {
+    "x00x11,x01": ((1, 1), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], Window((-6, -6), (5, 5))),
+    "x00^2,x01^2,x10x11": ((1, 1), [[[2, 0], [0, 0]], [[0, 2], [0, 0]], [[0, 0], [1, 1]]],
+                           Window((-6, -6), (5, 5))),
+    "x00x11,x01,x02,x12": ((2, 2), [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 0]],
+                                    [[0, 0, 1], [0, 0, 0]], [[0, 0, 0], [0, 0, 1]]],
+                           Window((-5, -5), (4, 4))),
+    # At (1,1) two chambers have the same classes and sign patterns but
+    # different series blocks: keyed by (mask, negs) alone, h^0 reads 3, not 4.
+    "x01^2x12,x00x01x12,x01^2x10,x00x11": ((1, 2), [[[0, 2], [0, 0, 1]], [[1, 1], [0, 0, 1]],
+                                                    [[0, 2], [1, 0, 0]], [[1, 0], [0, 1, 0]]],
+                                           Window((-3, -3), (3, 3))),
+}
+
+
+def series_complex(name, field):
+    dims, exponents, _ = SERIES_COMPLEXES[name]
+    return monomial_koszul(ProductSpace(dims), field, exponents)
+
+
+def series_levels(C, window):
+    """Per twist of the window, h by the chamber route and by the per-twist
+    route, and whether a chamber block ran some class's series past level 0."""
+    poly = minmodel.polynomial_maps(C)
+    _, terms = minmodel._terms(C, poly)
+    route = minmodel.chambers(C.space, C.field, poly, terms)
+    reference_h = minmodel.per_twist(C.space, C.field, poly, terms)
+    transfer, levels = minmodel._transfer, []
+
+    def recording(space, poly, p, s, q, prime, blocks, where, width):
+        levels.extend(last_level(space, p, unpack(space, width, f), blocks) for f in where[(p, s)])
+        return transfer(space, poly, p, s, q, prime, blocks, where, width)
+
+    out = {}
+    for a in window.twists():
+        levels.clear()
+        minmodel._transfer = recording
+        try:
+            h = route(a)
+        finally:
+            minmodel._transfer = transfer
+        out[a] = h, reference_h(a), any(level and level > 0 for level in levels)
+    return out
+
+
 @pytest.mark.parametrize("field", FIELDS)
-def test_monomial_generators_fall_back_where_the_series_is_needed(field):
+@pytest.mark.parametrize("name", sorted(SERIES_COMPLEXES))
+def test_chamber_route_matches_per_twist_on_series_complexes(name, field):
+    # Every twist of the window, the lines where the series is needed included.
+    C = series_complex(name, field)
+    answers = series_levels(C, SERIES_COMPLEXES[name][2])
+    assert any(series for _, _, series in answers.values())
+    for a, (h, per_twist, _) in answers.items():
+        assert h is not None and h == per_twist, (a, h, per_twist)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name, twists", [
+    ("x00x11,x01", list(Window((-2, -2), (1, 1)).twists())),
+    ("x00^2,x01^2,x10x11", list(Window((-2, -2), (1, 1)).twists())),
+    ("x00x11,x01,x02,x12", [(0, -2)]),  # the truncated reference takes 1-2 s per twist here
+    ("x01^2x12,x00x01x12,x01^2x10,x00x11", [(1, 1)]),
+])
+def test_series_complexes_match_truncated_reference(name, twists, field):
+    C = series_complex(name, field)
+    assert any(series_levels(C, Window(a, a))[a][2] for a in twists)
+    for a in twists:
+        assert cech.hypercohomology(C, a) == reference.assembled_hypercohomology(C, a), a
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_monomial_generators_take_the_chamber_route_where_the_series_is_needed(field):
     # The Koszul complex of x_{0,0} x_{1,1} and x_{0,1}: at some twists a
-    # class of degree -2 needs the series, and the chamber route declines.
-    sp = ProductSpace((1, 1))
-    forms = [MultiHomogPoly.monomial(sp, field, 1, [[1, 0], [0, 1]]),
-             MultiHomogPoly.variable(sp, field, 0, 1)]
-    K = koszul_complex(sp, field, forms)
-    poly = minmodel.polynomial_maps(K)
-    route = minmodel.chambers(sp, field, poly, minmodel._terms(K, poly)[1])
-    answers = {a: route(a) for a in Window((-4, -4), (3, 3)).twists()}
-    declined = [a for a, h in answers.items() if h is None]
-    assert declined and len(declined) < len(answers)
-    for a, h in answers.items():
-        assert cech.hypercohomology(K, a) == tuple(per_twist_h(K, a)), a
-        assert h is None or h == per_twist_h(K, a), a
+    # class of degree -2 needs the series, and its chamber block runs it.
+    K = series_complex("x00x11,x01", field)
+    answers = series_levels(K, Window((-4, -4), (3, 3)))
+    assert any(series for _, _, series in answers.values())
+    for a, (h, per_twist, _) in answers.items():
+        assert h is not None and h == per_twist, a
+        assert cech.hypercohomology(K, a) == tuple(per_twist), a
 
 
 class ClassEnumerated(AssertionError):
@@ -748,9 +814,12 @@ def test_chamber_route_enumerates_no_class(field, monkeypatch):
     expected = {a: cech.hypercohomology(clash, a) for a in [(1, -3), (-3, 1), (0, 0)]}
     for a, h in expected.items():
         assert h == reference.assembled_hypercohomology(clash, a), a
+    series = series_complex("x00x11,x01,x02,x12", field)
     monkeypatch.setattr(minmodel, "bott_classes", no_classes)
     for a in [(7, 8), (40, 40), (-40, -41), (1000, -1000)]:
         assert cech.hypercohomology(K, a) == (1, 0, 0, 0, 0, 0), a
+    for a in [(0, 12), (0, 30)]:  # a chamber block runs the series at both
+        assert cech.hypercohomology(series, a) == (1, 0, 0, 0, 0), a
     for C in (dense, clash):
         poly = minmodel.polynomial_maps(C)
         assert minmodel.chambers(C.space, C.field, poly, minmodel._terms(C, poly)[1]) is None
