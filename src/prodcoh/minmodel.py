@@ -15,8 +15,9 @@ lies in term k+r+1 at Cech degree q-r, so the series stops at the last level
 that can reach a class; at level 0, D_H = p delta i is local cohomology
 multiplication.  An exponent vector is one int of biased fields, wide enough
 that no sum carries: a product is an add, N_j is read off the top bits, and
-the level-0 filter is one AND.  Columns are labelled by a class: its position
-in its total degree on the per-twist route, its summand on the chamber route.
+the level-0 filter is one AND.  D_H is built one block at a time, a twist's
+classes on the per-twist route, a chamber's on the chamber route, and a
+column is labelled by its class's position in its total degree in the block.
 Which factor group of a term is nonzero, if any, bott.factor_group alone
 decides: bott_classes enumerates the classes of its (q, x), and chambers
 reads a term's Cech degree at a twist as the sum of its q.
@@ -28,8 +29,8 @@ values.  The touched terms take one of two routes, chosen per complex:
 - a monomial complex, whose every nonzero entry has one term and whose
   summands take consistent fine shifts: chambers, which counts the fine
   degrees of each chamber in closed form and builds one small block per
-  distinct chamber with _transfer, the series included, enumerating no
-  class, so its cost does not grow with the twist;
+  distinct chamber with one _transfer call, the series included,
+  enumerating no class, so its cost does not grow with the twist;
 - any other complex, with an entry of two or more terms or clashing
   shifts: per_twist, which enumerates the Bott classes and transfers them.
 """
@@ -143,54 +144,72 @@ def _reduced(vec, prime):
     return {k: x for k, x in vec.items() if x}
 
 
-def _transfer(space, poly, p, s, q, prime, blocks, where, width):
-    """The columns D_H(x), {label: value}, of the classes x of summand s of
-    term p, at Cech degree q, in the order of where[(p, s)]: where[(p', r)]
-    maps a packed class to its label, unique in its total degree, and may
-    leave out a summand without classes; poly holds unbiased packed
-    exponents, blocks the (term, Cech degree) pairs with classes.  At level
-    0, e+ev stays when every fully negative factor of e stays so, that is
-    when no top bit clear in e is set in e+ev."""
-    classes = where[(p, s)]
-    last = 0
-    for r in range(q, 0, -1):
-        if (p + r + 1, q - r) in blocks:
-            last = r
-            break
-    if not last:  # or no level at all: then no e+ev passes the filter
-        # The top bit of every field: sum_k 2^(k width) = (2^((m+t) width) - 1) / (2^width - 1).
-        tops = ((1 << (space.m + space.t) * width) - 1) // ((1 << width) - 1) << width - 1
-        mask = tops & ~next(iter(classes))
-        targets = [(where.get((p + 1, r), {}), terms) for r, terms in poly.get((p, s), ())]
-        return [{at[f]: c for at, terms in targets for ev, c in terms if not (f := e + ev) & mask}
-                for e in classes]
-    neg = _negative_support(space, width, next(iter(classes)))
-    v = {(i, s, e, idx): 1 for i, e in enumerate(classes) for idx in include(space, neg)}
-    out, k = [defaultdict(int) for _ in classes], p
-    for level in range(last + 1):
-        w = defaultdict(int)
-        for (i, r, f, idx), x in v.items():
-            for r2, terms in poly.get((k, r), ()):
-                for ev, c in terms:
-                    w[(i, r2, f + ev, idx)] += x * c
-        k += 1
-        sign_h = 1 if k % 2 else -1  # the (-1)^r of the series times the (-1)^p of h
-        v = defaultdict(int)
-        for (i, r, f, idx), x in _reduced(w, prime).items():
-            N = _negative_support(space, width, f)
-            if projects(space, N, idx):
-                out[i][where[(k, r)][f]] += x
-            if level < last:
-                for idx2, sign in contraction(space, N, idx):
-                    v[(i, r, f, idx2)] += sign_h * sign * x
-        v = _reduced(v, prime)
-    return [_reduced(col, prime) for col in out]
+def _transfer(space, poly, block, prime, width):
+    """D_H on one block, {(p, s): (q, packed classes)}: the classes of
+    summand s of term p, all at Cech degree q, a summand without classes
+    left out.  Returns {total degree: {label: column}}, a column being
+    {label of a class one total degree up: value}, and a class's label its
+    position among the classes of its total degree, in the block's order.
+    poly holds unbiased packed exponents.  The (term, Cech degree) pairs
+    with classes, the top-bit constant and each summand's last level are
+    worked out once per block.  At level 0, e+ev stays when every fully
+    negative factor of e stays so, that is when no top bit clear in e is
+    set in e+ev."""
+    where, sizes = {}, defaultdict(int)  # (p, s) -> {packed class: label}, total degree -> count
+    for (p, s), (q, classes) in block.items():
+        n = sizes[p + q]
+        where[(p, s)] = dict(zip(classes, range(n, n + len(classes))))
+        sizes[p + q] = n + len(classes)
+    blocks = {(p, q) for (p, _), (q, _) in block.items()}
+    # The top bit of every field: sum_k 2^(k width) = (2^((m+t) width) - 1) / (2^width - 1).
+    tops = ((1 << (space.m + space.t) * width) - 1) // ((1 << width) - 1) << width - 1
+    cols = defaultdict(dict)
+    for (p, s), (q, classes) in block.items():
+        labels, col_k = where[(p, s)], cols[p + q]
+        last = 0
+        for r in range(q, 0, -1):
+            if (p + r + 1, q - r) in blocks:
+                last = r
+                break
+        if not last:  # or no level at all: then no e+ev passes the filter
+            mask = tops & ~classes[0]
+            targets = [(where.get((p + 1, r), {}), terms) for r, terms in poly.get((p, s), ())]
+            for e, i in labels.items():
+                col_k[i] = {at[f]: c for at, terms in targets for ev, c in terms
+                            if not (f := e + ev) & mask}
+            continue
+        neg = _negative_support(space, width, classes[0])
+        v = {(i, s, e, idx): 1 for e, i in labels.items() for idx in include(space, neg)}
+        out, k = {i: defaultdict(int) for i in labels.values()}, p
+        for level in range(last + 1):
+            w = defaultdict(int)
+            for (i, r, f, idx), x in v.items():
+                for r2, terms in poly.get((k, r), ()):
+                    for ev, c in terms:
+                        w[(i, r2, f + ev, idx)] += x * c
+            k += 1
+            sign_h = 1 if k % 2 else -1  # the (-1)^r of the series times the (-1)^p of h
+            v = defaultdict(int)
+            for (i, r, f, idx), x in _reduced(w, prime).items():
+                N = _negative_support(space, width, f)
+                if projects(space, N, idx):
+                    out[i][where[(k, r)][f]] += x
+                if level < last:
+                    for idx2, sign in contraction(space, N, idx):
+                        v[(i, r, f, idx2)] += sign_h * sign * x
+            v = _reduced(v, prime)
+        col_k.update((i, _reduced(col, prime)) for i, col in out.items())
+    return cols
 
 
 def _homology(space, field, prime, cols, a):
     """(h^0, ..., h^m) of the differential whose columns out of total degree
     k are cols[k], {class: {class of degree k+1: value}}, one per class,
-    after the D_H o D_H = 0 self-check.  The columns are consumed."""
+    after the D_H o D_H = 0 self-check.  The columns are consumed.  The
+    check can fail only at a class with classes one and two total degrees
+    above it: in a block whose classes lie in two adjacent total degrees
+    alone, D_H o D_H = 0 whatever the columns hold, and a wrong column goes
+    unseen."""
     ranks = defaultdict(int)
     for k, col_k in cols.items():
         above = cols.get(k + 1)
@@ -233,7 +252,8 @@ def _terms(C, poly):
 
 def per_twist(space, field, poly, terms):
     """The per-twist route: a -> (h^0, ..., h^m) of the touched summands
-    terms, (p, s, b), from their Bott classes at a and the packed maps."""
+    terms, (p, s, b), from their Bott classes at a, transferred as one
+    block, and the packed maps."""
     prime = field.p if isinstance(field, linalg.PrimeField) else 0
     bs = zip(*[b for _, _, b in terms])  # per factor, the touched summand degrees
     ends = [(n, max(x), min(x)) for n, x in zip(space.factor_dims, bs)]
@@ -248,18 +268,12 @@ def per_twist(space, field, poly, terms):
         pk = packed.get(width) or packed.setdefault(width, {key: [
             (r, [(sum(map(mul, itertools.chain(*ev), units)), c) for ev, c in terms])
             for r, terms in maps] for key, maps in poly.items()})
-        where, blocks, sizes, order = {}, set(), defaultdict(int), []
+        block = {}
         for p, s, b in terms:
             q, classes = bott_classes(space, vadd(a, b), width)
-            where[(p, s)] = dict(zip(classes, itertools.count(sizes[p + q])))
             if classes:
-                blocks.add((p, q))
-                sizes[p + q] += len(classes)
-                order.append((p, s, q))
-        cols = defaultdict(list)  # total degree -> columns, by position
-        for p, s, q in order:
-            cols[p + q] += _transfer(space, pk, p, s, q, prime, blocks, where, width)
-        return _homology(space, field, prime, {k: dict(enumerate(c)) for k, c in cols.items()}, a)
+                block[(p, s)] = q, classes
+        return _homology(space, field, prime, _transfer(space, pk, block, prime, width), a)
 
     return touched_h
 
@@ -298,15 +312,14 @@ def chambers(space, field, poly, terms):
     is the direct sum of one block per chamber, and h the sum over chambers
     of their count times the h of their block.
 
-    A block is built by _transfer on the classes at one representative u of
-    its chamber: per variable the lower end of its interval, or one below
-    the least threshold.  Every u + psi_s then lies in [-top-1, top], top
-    the largest spread of a variable's psi column, so the maps are packed at
-    one width for every twist.  A block none of whose classes needs the
-    series, no (p, q), (p2, q2) with p2 - p - 1 == q - q2 >= 1, is level 0
-    and a function of (mask, negs), its key; any other is keyed by its
-    chamber's full interval pattern, u.  Each distinct block is self-checked
-    and ranked once."""
+    A block is built by one _transfer call on the classes at one
+    representative u of its chamber: per variable the lower end of its
+    interval, or one below the least threshold.  Every u + psi_s then lies
+    in [-top-1, top], top the largest spread of a variable's psi column, so
+    the maps are packed at one width for every twist.  The packed u is the
+    same at every twist and differs between chambers, so it keys the block,
+    at level 0 and with the series alike.  Each distinct block with two or
+    more classes is built, self-checked and ranked once."""
     prime = field.p if isinstance(field, linalg.PrimeField) else 0
     dims = space.factor_dims
     index = {(p, s): i for i, (p, s, _) in enumerate(terms)}
@@ -371,23 +384,7 @@ def chambers(space, field, poly, terms):
                      if G & ge or L & ~ge]
         factors.append(cells)
     counts = {}  # (factor, a_j) -> [(G, L, u, count)] over its chambers with a u
-    shapes = {}  # (mask, negs) -> shape(mask, negs)
-    memo = {}  # (mask, negs, packed u or None) -> h of the block
-
-    def shape(mask, negs):
-        """The classes (p, s, summand, q), their (p, q), and whether one needs the series."""
-        classes = [(p, s, i, sum(n for n, N in zip(dims, negs) if N >> i & 1))
-                   for i, (p, s, _) in enumerate(terms) if mask >> i & 1]
-        blocks = {(p, q) for p, _, _, q in classes}
-        return classes, blocks, any((p + r + 1, q - r) in blocks
-                                    for p, q in blocks for r in range(1, q + 1))
-
-    def block_h(classes, blocks, u, a):
-        where = {(p, s): {u + at[i]: i} for p, s, i, _ in classes}
-        cols = defaultdict(dict)  # total degree -> {summand: column}
-        for p, s, i, q in classes:
-            [cols[p + q][i]] = _transfer(space, packed, p, s, q, prime, blocks, where, width)
-        return _homology(space, field, prime, cols, a)
+    memo = {}  # the chamber's packed u -> h of its block
 
     def touched_h(a):
         weights = [(full, (), 0, 1)]  # (mask, negs, u, count of u) over the factors so far
@@ -408,14 +405,11 @@ def chambers(space, field, poly, terms):
                 if 0 <= k <= space.m:
                     h[k] += x
                 continue
-            negs = tuple(N & mask for N in negs)
-            if (mask, negs) not in shapes:
-                shapes[mask, negs] = shape(mask, negs)
-            classes, blocks, series = shapes[mask, negs]
-            key = mask, negs, u if series else None
-            if key not in memo:
-                memo[key] = block_h(classes, blocks, u, a)
-            for i, y in enumerate(memo[key]):
+            if u not in memo:
+                memo[u] = _homology(space, field, prime, _transfer(space, packed, {
+                    (p, s): (sum(n for n, N in zip(dims, negs) if N >> i & 1), [u + at[i]])
+                    for i, (p, s, _) in enumerate(terms) if mask >> i & 1}, prime, width), a)
+            for i, y in enumerate(memo[u]):
                 h[i] += x * y
         return h
 

@@ -176,18 +176,33 @@ def multiplicities(T, d, report):
     descent stops at the k pinned by the aligned extremal position (the
     smallest summand twist of any splitting) and is verified one step
     further down when the window allows.  report is extremal_hm(T, d).
-    Negative residuals, missing window coverage, an uncertified report or
-    a missing aligned position raise SplitterError.
+    An uncertified report, a missing aligned position, h^0(F(kH)) below
+    h^m(F(kH + canonical)) at the aligned k, negative residuals and missing
+    window coverage raise SplitterError, whose message is split_check's
+    Inconclusive reason.
     """
     space = T.space
     if not report.certified:
         raise SplitterError(
-            "extremality uncertifiable: h^m locus touches the window at %r"
-            % (report.notes,)
+            "extremality uncertifiable: h^m locus touches the window at %r" % (report.notes,)
         )
     if report.aligned_k is None:
-        raise SplitterError("no aligned extremal position of the form k*d + canonical")
-    k_low = -report.aligned_k
+        raise SplitterError(
+            "no extremal position of the aligned form k*d + canonical; "
+            "window evidence cannot certify a splitting"
+        )
+    # Sections must dominate top cohomology at the aligned position.
+    k = report.aligned_k
+    kd = vscale(k, d.d)
+    if kd in T.window:
+        h0 = T.known_dim(kd, 0)
+        hm = T.known_dim(vadd(kd, canonical_twist(space)), space.m)
+        if h0 is not None and hm is not None and h0 < hm:
+            raise SplitterError(
+                "h^0(F(kH)) < h^m(F(kH + canonical)) at k=%d; table cannot "
+                "come from a torsion-free sheaf satisfying the hypothesis" % k
+            )
+    k_low = -k
 
     def h0(k):
         a = vscale(-k, d.d)
@@ -210,8 +225,6 @@ def multiplicities(T, d, report):
             break
         k += 1
     k_max = k
-    if h0(k_max) == 0:
-        raise SplitterError("h^0(F(-kH)) vanishes at the aligned k; table inconsistent")
 
     mults = []
     for k in range(k_max, k_low - 1, -1):
@@ -297,29 +310,8 @@ def split_check(C, d, window, torsion_free_asserted=False):
         return SplitVerdict(kind="split", summands=(), **found)
 
     report = extremal_hm(table, d)
-    if not report.certified:
-        return inconclusive(
-            "extremality uncertifiable: h^m locus touches the window at %r" % (report.notes,)
-        )
-    found.update(extremal_positions=report.positions, aligned_k=report.aligned_k)
-    if report.aligned_k is None:
-        return inconclusive(
-            "no extremal position of the aligned form k*d + canonical; "
-            "window evidence cannot certify a splitting"
-        )
-
-    # Sections must dominate top cohomology at the aligned position.
-    k = report.aligned_k
-    kd = vscale(k, d.d)
-    if kd in window:
-        h0 = table.known_dim(kd, 0)
-        hm = table.known_dim(vadd(kd, canonical_twist(space)), space.m)
-        if h0 is not None and hm is not None and h0 < hm:
-            return inconclusive(
-                "h^0(F(kH)) < h^m(F(kH + canonical)) at k=%d; table cannot "
-                "come from a torsion-free sheaf satisfying the hypothesis" % k
-            )
-
+    if report.certified:
+        found.update(extremal_positions=report.positions, aligned_k=report.aligned_k)
     try:
         ms = multiplicities(table, d, report)
     except SplitterError as exc:

@@ -62,7 +62,7 @@ _INT = {int}
 
 
 def _check_dim(a, i, dim):
-    if not isinstance(dim, int):
+    if type(dim) is not int:  # no bool
         raise ValueError("dimension %r at %r is not an integer" % (dim, (a, i)))
     if dim < 0:
         raise ValueError("negative dimension at %r" % ((a, i),))
@@ -103,7 +103,7 @@ class CohomologyTable:
 
     def set_cell(self, a, i, dim, status=STATUS_COMPUTED):
         a, m = self.space.degree(a), self.space.m
-        if not (isinstance(i, int) and 0 <= i <= m):
+        if not (type(i) is int and 0 <= i <= m):
             raise ValueError("cohomological index %r is not one of 0..%d" % (i, m))
         if status not in (STATUS_COMPUTED, STATUS_INFERRED):
             raise ValueError("unknown cell status %r" % (status,))

@@ -12,8 +12,8 @@ from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window
 from prodcoh.linalg import default_field
 from test_lattice import REFERENCE_FULL_GRID, REFERENCE_INTERMEDIATE_GRID
-from test_minmodel import (break_transfer, last_level, no_classes, per_twist_only,
-                           series_complex, unpack)
+from test_minmodel import (block_pairs, break_transfer, last_level, named_classes, no_classes,
+                           per_twist_only, series_complex, unpack)
 
 
 def run(capsys, argv):
@@ -374,11 +374,11 @@ def corrupt_transfer(monkeypatch, wanted):
     transfer = minmodel._transfer
     corrupted_classes = []
 
-    def corrupted(space, poly, p, s, q, prime, blocks, where, width):
-        cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
-        for f, col in zip(where[(p, s)], cols):
-            e = unpack(space, width, f)
-            if col and wanted(p, e, last_level(space, p, e, blocks)):
+    def corrupted(space, poly, block, prime, width):
+        cols = transfer(space, poly, block, prime, width)
+        for (k, label), (p, _, f) in named_classes(block).items():
+            col, e = cols[k][label], unpack(space, width, f)
+            if col and wanted(p, e, last_level(space, p, e, block_pairs(block))):
                 key = min(col)
                 col[key] = 2 * col[key] % prime
                 corrupted_classes.append(e)
@@ -422,6 +422,17 @@ def test_series_self_check_exit_on_the_chamber_route(capsys, tmp_path, monkeypat
     path = write_complex(tmp_path, series_complex("x00^2,x01^2,x10x11", default_field()))
     corrupted_classes = corrupt_transfer(monkeypatch, lambda p, e, last: last and last > 0)
     monkeypatch.setattr(minmodel, "bott_classes", no_classes)
+    code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "0,-2"])
+    assert corrupted_classes
+    assert code == 3 and "self-check" in err and out == ""
+
+
+def test_series_self_check_exit_on_the_per_twist_route(capsys, tmp_path, monkeypatch):
+    # The same complex and twist on the per-twist route, which hands the
+    # twist's classes to _transfer as one block: exit 3 and nothing on stdout.
+    path = write_complex(tmp_path, series_complex("x00^2,x01^2,x10x11", default_field()))
+    corrupted_classes = corrupt_transfer(monkeypatch, lambda p, e, last: last and last > 0)
+    per_twist_only(monkeypatch)
     code, out, err = run(capsys, ["cohomology", "--input", path, "--twist", "0,-2"])
     assert corrupted_classes
     assert code == 3 and "self-check" in err and out == ""
@@ -762,6 +773,10 @@ def test_tate_profile_bad_table(capsys, tmp_path):
     cell["dim"] = 1.5
     between = T.to_json()
     between["cells"][0]["i"] = 0.5
+    true_dim = T.to_json()
+    true_dim["cells"][0]["dim"] = True
+    true_index = T.to_json()
+    true_index["cells"][0]["i"] = True
     for obj, message in (
         (negative, "negative dimension"),
         (inferred, "inferred"),
@@ -769,6 +784,8 @@ def test_tate_profile_bad_table(capsys, tmp_path):
         (bogus, "status 'bogus'"),
         (fractional, "1.5 at"),
         (between, "index 0.5"),
+        (true_dim, "dimension True at"),
+        (true_index, "index True"),
     ):
         path = tmp_path / "table.json"
         path.write_text(json.dumps(obj))

@@ -310,6 +310,24 @@ def test_window_engine_matches_per_twist_on_free_sums(dims, data):
     assert cech.cohomology_table(C, window).cells == per_twist_table(C, window)
 
 
+def named_classes(block):
+    """{(total degree, label): (p, s, packed class)} over the classes of a
+    minmodel._transfer block, {(p, s): (q, packed classes)}, by its
+    labelling rule: a class's label is its position among the classes of
+    its total degree, in the block's order."""
+    named, sizes = {}, defaultdict(int)
+    for (p, s), (q, classes) in block.items():
+        for f in classes:
+            named[(p + q, sizes[p + q])] = (p, s, f)
+            sizes[p + q] += 1
+    return named
+
+
+def block_pairs(block):
+    """The (term, Cech degree) pairs of a minmodel._transfer block."""
+    return {(p, q) for (p, _), (q, _) in block.items()}
+
+
 def break_transfer(monkeypatch):
     """Double one entry of each column of D_H out of the degree -2 term,
     wherever it has one, in minmodel._transfer: the one seam through which
@@ -324,10 +342,11 @@ def break_transfer(monkeypatch):
         hits["enumerations"] += 1
         return bott_classes(*args)
 
-    def corrupted(space, poly, p, s, q, prime, blocks, where, width):
+    def corrupted(space, poly, block, prime, width):
         hits["per twist" if hits["enumerations"] else "chambers"] += 1
-        cols = transfer(space, poly, p, s, q, prime, blocks, where, width)
-        for col in cols:
+        cols = transfer(space, poly, block, prime, width)
+        for (k, label), (p, _, _) in named_classes(block).items():
+            col = cols[k][label]
             if p == -2 and col:
                 key = min(col)
                 col[key] = 2 * col[key] % prime
@@ -445,7 +464,8 @@ def engine_columns(C, a):
 
     def recording(*args):
         cols = transfer(*args)
-        calls.append((args, [dict(col) for col in cols]))
+        calls.append((args, {k: {label: dict(col) for label, col in col_k.items()}
+                             for k, col_k in cols.items()}))
         return cols
 
     minmodel._transfer = recording
@@ -463,30 +483,18 @@ def check_columns(C, a):
     section)."""
     prime = getattr(C.field, "p", 0)
     poly = minmodel.polynomial_maps(C)
-    calls = engine_columns(C, a)
-    if not calls:
-        assert not classes_and_blocks(C, a, 8)[0]
-        return {}
-    # Every call of one twist shares its where, blocks and width.
-    space, _, _, _, _, _, blocks, where, width = calls[0][0]
-    named = {}  # (total degree, position) -> (p', r, e')
-    for (p2, r), at in where.items():
-        for f, pos in at.items():
-            e = unpack(space, width, f)
-            named[(p2 + cech_degree(space, e), pos)] = (p2, r, e)
-    levels, seen = defaultdict(int), []
-    for (_, _, p, s, q, _, blocks_, where_, width_), cols in calls:
-        assert (blocks_, where_, width_) == (blocks, where, width)
-        assert len(cols) == len(where[(p, s)])
-        for f, col in zip(where[(p, s)], cols):
-            e = unpack(space, width, f)
-            assert cech_degree(space, e) == q
-            got = {named[(p + q + 1, y)]: v for y, v in col.items()}
-            assert got == uncapped_transfer(space, poly, p, s, e, prime), (a, p, s, e)
-            levels[(last_level(space, p, e, blocks), min(map(min, e)) >= 0)] += 1
-            seen.append((p, s, e))
+    [((space, _, block, _, width), cols)] = engine_columns(C, a)  # one block per twist
+    named = {key: (p, s, unpack(space, width, f))  # (total degree, label) -> (p', r, e')
+             for key, (p, s, f) in named_classes(block).items()}
+    assert named.keys() == {(k, label) for k, col_k in cols.items() for label in col_k}
+    blocks, levels = block_pairs(block), defaultdict(int)
+    for (k, label), (p, s, e) in named.items():
+        assert block[(p, s)][0] == cech_degree(space, e) == k - p
+        got = {named[(k + 1, y)]: v for y, v in cols[k][label].items()}
+        assert got == uncapped_transfer(space, poly, p, s, e, prime), (a, p, s, e)
+        levels[(last_level(space, p, e, blocks), min(map(min, e)) >= 0)] += 1
     classes, all_blocks = classes_and_blocks(C, a, width)
-    assert sorted(seen) == sorted(classes) and all_blocks == blocks
+    assert sorted(named.values()) == sorted(classes) and all_blocks == blocks
     return levels
 
 
@@ -734,9 +742,10 @@ def series_levels(C, window):
     reference_h = minmodel.per_twist(C.space, C.field, poly, terms)
     transfer, levels = minmodel._transfer, []
 
-    def recording(space, poly, p, s, q, prime, blocks, where, width):
-        levels.extend(last_level(space, p, unpack(space, width, f), blocks) for f in where[(p, s)])
-        return transfer(space, poly, p, s, q, prime, blocks, where, width)
+    def recording(space, poly, block, prime, width):
+        levels.extend(last_level(space, p, unpack(space, width, f), block_pairs(block))
+                      for p, _, f in named_classes(block).values())
+        return transfer(space, poly, block, prime, width)
 
     out = {}
     for a in window.twists():
@@ -786,6 +795,36 @@ def test_monomial_generators_fall_back_where_the_series_is_needed(field):
     for a, (h, per_twist, _) in answers.items():
         assert h is not None and h == per_twist, a
         assert cech.hypercohomology(K, a) == tuple(per_twist), a
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", ["x00x11,x01,x02,x12", "x01^2x12,x00x01x12,x01^2x10,x00x11"])
+def test_one_transfer_call_per_block(name, field, monkeypatch):
+    # The per-twist route hands _transfer each twist's classes as one block.
+    # The chamber route hands it one block per distinct chamber with two or
+    # more classes, whichever twists share that chamber, level 0 and series
+    # alike; a second pass over the window builds no block.
+    C = series_complex(name, field)
+    poly = minmodel.polynomial_maps(C)
+    _, terms = minmodel._terms(C, poly)
+    twists = list(SERIES_COMPLEXES[name][2].twists())
+    transfer, blocks = minmodel._transfer, []
+
+    def counting(space, poly, block, prime, width):
+        blocks.append(tuple((key, q, tuple(classes)) for key, (q, classes) in block.items()))
+        return transfer(space, poly, block, prime, width)
+
+    monkeypatch.setattr(minmodel, "_transfer", counting)
+    per_twist = minmodel.per_twist(C.space, C.field, poly, terms)
+    for a in twists:
+        per_twist(a)
+    assert len(blocks) == len(twists)
+    blocks.clear()
+    route = minmodel.chambers(C.space, C.field, poly, terms)
+    for a in twists + twists:
+        route(a)
+    assert len(blocks) > 1 and len(set(blocks)) == len(blocks)
+    assert all(sum(len(classes) for _, _, classes in block) >= 2 for block in blocks)
 
 
 class ClassEnumerated(AssertionError):

@@ -170,13 +170,15 @@ def test_multiplicities_negative_residual(p11):
 
 
 def test_multiplicities_vanishing_at_the_aligned_k(p11):
-    # split_check never gets here: h^0(F(kH)) = 0 under the nonzero aligned
-    # h^m(F(kH + canonical)) already fails the sections check before it.
+    # h^0(F(kH)) = 0 under the nonzero aligned h^m(F(kH + canonical)) fails
+    # the sections check, before the h^0 descent.
     T = bott_table(p11, [((0, 0), 1)], Window((-3, -3), (1, 1)))
     T.set_cell((0, 0), 0, 0)
     with pytest.raises(SplitterError) as exc:
         multiplicities(T, D11, extremal_hm(T, D11))
-    assert str(exc.value) == "h^0(F(-kH)) vanishes at the aligned k; table inconsistent"
+    assert str(exc.value) == (
+        "h^0(F(kH)) < h^m(F(kH + canonical)) at k=0; table cannot "
+        "come from a torsion-free sheaf satisfying the hypothesis")
 
 
 def test_verify_split(p11):

@@ -503,6 +503,7 @@ def test_set_h_checks_the_vector_as_set_cell_does(p11):
     for h, message in [((1, -1, 0), "negative dimension at ((0, 1), 1)"),
                        ((1, 0, 2.0), "dimension 2.0 at ((0, 1), 2) is not an integer"),
                        ((1, "1", 0), "dimension '1' at ((0, 1), 1) is not an integer"),
+                       ((True, 0, 0), "dimension True at ((0, 1), 0) is not an integer"),
                        ((1, 0), "vector (1, 0) at (0, 1) needs 3 entries")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             T.set_h((0, 1), h)
