@@ -15,7 +15,6 @@ from .lattice import (
 from .bott import line_bundle_h
 from .linalg import PrimeField, RationalField, RATIONALS, default_field, parse_field
 from .coxring import (
-    FreeSum,
     LineBundleComplex,
     MultiHomogPoly,
     free_complex,

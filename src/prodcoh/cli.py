@@ -19,7 +19,8 @@ to compute a table it reads instead; its --c without --checks corner or
 strand, and --I/--J/--K without --checks strand; cohomology's --window
 beside --twist; regions' --d outside --mode safe, and --slice on a space of
 two factors.  A --slice value outside the window's range for its
-coordinate is refused too, where it would draw an empty grid.
+coordinate is refused too, where it would draw an empty grid.  tate-profile
+checks its --checks, --c and --I/--J/--K before it builds a table.
 """
 
 import argparse
@@ -254,12 +255,39 @@ def cmd_split_check(args):
     }[verdict.kind]
 
 
+def _tate_checks(args, space):
+    """The --checks list as (name, c, {"I": set, "J": set, "K": set}), each
+    flag refused before any table is built."""
+    checks = []
+    for check in [] if args.checks is None else args.checks.split(","):
+        if check not in ("tate", "corner", "strand"):
+            raise UsageError("unknown check %r" % check)
+        c = sets = None
+        if check != "tate":
+            if args.c is None:
+                raise UsageError("--checks %s requires --c" % check)
+            c = space.degree(parse_ints(args.c, "%s degree" % check))
+        if check == "strand":
+            sets = {f: set() if v is None else set(parse_ints(v, f))
+                    for f, v in zip("IJK", (args.I, args.J, args.K))}
+            for f, js in sets.items():
+                if any(not 0 <= j < space.t for j in js):
+                    raise UsageError("--%s %s: factor indices run over 0..%d"
+                                     % (f, getattr(args, f), space.t - 1))
+            for f, g in ("IJ", "IK", "JK"):
+                if sets[f] & sets[g]:
+                    raise UsageError("--%s and --%s share factor index %d"
+                                     % (f, g, min(sets[f] & sets[g])))
+        checks.append((check, c, sets))
+    return checks
+
+
 def cmd_tate_profile(args):
-    checks = [] if args.checks is None else args.checks.split(",")
-    if args.c is not None and not {"corner", "strand"} & set(checks):
+    names = [] if args.checks is None else args.checks.split(",")
+    if args.c is not None and not {"corner", "strand"} & set(names):
         raise UsageError("--c does not apply without --checks corner or strand")
     for f in "IJK":
-        if getattr(args, f) is not None and "strand" not in checks:
+        if getattr(args, f) is not None and "strand" not in names:
             raise UsageError("--%s does not apply without --checks strand" % f)
     if args.table is not None:
         for flag in ("input", "window", "field"):
@@ -272,6 +300,7 @@ def cmd_tate_profile(args):
             raise SchemaError("table %s: %s" % (args.table, exc)) from exc
         space = table.space
         b = space.degree(parse_ints(args.b, "internal degree"))
+        checks = _tate_checks(args, space)
     else:
         if args.input is None:
             raise UsageError("tate-profile needs --input or --table")
@@ -281,6 +310,7 @@ def cmd_tate_profile(args):
         window = (
             tate.support_box(space, b) if args.window is None else parse_window(args.window)
         )
+        checks = _tate_checks(args, space)
         table = cech.cohomology_table(C, window)
 
     profile = tate.tate_term_dims(table, b)
@@ -289,32 +319,14 @@ def cmd_tate_profile(args):
         "profile": {str(d): v for d, v in sorted(profile.dims.items())},
         "checksum": profile.checksum(),
     }
-    for check in checks:
-        if check == "tate":
-            continue  # the headline checksum above
-        elif check == "corner":
-            if args.c is None:
-                raise UsageError("--checks corner requires --c")
-            c = space.degree(parse_ints(args.c, "corner degree"))
+    for check, c, sets in checks:
+        if check == "corner":
             report["corner"] = {
                 "c": list(c),
                 "value": tate.corner_checksum(table, c, b),
                 "exact_expected": True,
             }
         elif check == "strand":
-            if args.c is None:
-                raise UsageError("--checks strand requires --c")
-            c = space.degree(parse_ints(args.c, "strand degree"))
-            sets = {f: set() if v is None else set(parse_ints(v, f))
-                    for f, v in zip("IJK", (args.I, args.J, args.K))}
-            for f, js in sets.items():
-                if any(not 0 <= j < space.t for j in js):
-                    raise UsageError("--%s %s: factor indices run over 0..%d"
-                                     % (f, getattr(args, f), space.t - 1))
-            for f, g in ("IJ", "IK", "JK"):
-                if sets[f] & sets[g]:
-                    raise UsageError("--%s and --%s share factor index %d"
-                                     % (f, g, min(sets[f] & sets[g])))
             I, J, K = sets["I"], sets["J"], sets["K"]
             report["strand"] = {
                 "c": list(c),
@@ -324,8 +336,7 @@ def cmd_tate_profile(args):
                 "value": tate.strand_checksum(table, c, I, J, K, b),
                 "exact_expected": tate.strand_is_guaranteed(space, I, J, K),
             }
-        else:
-            raise UsageError("unknown check %r" % check)
+        # "tate" is the headline checksum above
     dump_json(report)
     return EXIT_OK
 

@@ -11,10 +11,13 @@ of multidegree a + b, and a map O(b) -> O(c) is multiplication by a
 polynomial of degree c - b (zero whenever c - b has a negative coordinate).
 The represented sheaf is the degree-0 cohomology sheaf of the complex;
 exactness away from degree 0 is asserted by the caller, not verified.
+
+A complex's parts are checked once, by LineBundleComplex's constructor,
+for complexes built in Python and read from JSON alike; validate_complex
+checks what needs the whole complex: shapes, entry degrees, d o d = 0.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -51,11 +54,6 @@ def _check_term(space, e, degree):
         raise CoxError("term %r has degree %r, declared %r" % (e, got, degree))
 
 
-def _check_sign(degree, terms):
-    if terms and any(dj < 0 for dj in degree):
-        raise CoxError("nonzero polynomial with negative degree %r" % (degree,))
-
-
 # The coefficient strings of the JSON format: an optional minus sign, ASCII
 # digits, and an optional denominator of ASCII digits.
 _COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -80,7 +78,6 @@ class MultiHomogPoly:
             if e in clean:
                 raise CoxError("duplicate exponent vector %r" % (e,))
             clean[e] = c
-        _check_sign(degree, clean)
         self.space = space
         self.field = field
         self.degree = degree
@@ -160,8 +157,7 @@ class MultiHomogPoly:
         are the constructor's and the format's, reported in a fixed order:
         each term's entries, repetition and coefficient, in term order; then
         the declared degree; then the first term the constructor would
-        refuse (block shape, sign, degree); then a nonzero polynomial of
-        negative degree."""
+        refuse (block shape, sign, degree)."""
         if not isinstance(obj, dict):
             raise SchemaError("%s: %r is neither 0, null nor a polynomial object" % (path, obj))
         terms = {}
@@ -197,7 +193,6 @@ class MultiHomogPoly:
             if refused is not None:
                 raise refused
             terms = {e: c for e, c in terms.items() if c}
-            _check_sign(degree, terms)
         except (CoxError, LatticeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
         f = object.__new__(cls)  # every check of __init__ is done
@@ -250,39 +245,25 @@ def _mult_into(acc, f_terms, g_terms, field):
     return acc
 
 
-@dataclass(frozen=True)
-class FreeSum:
-    """A finite direct sum of line bundles, recorded by its twists."""
-
-    twists: tuple
-
-    def __post_init__(self):
-        twists = tuple(tuple(b) for b in self.twists)
-        if any(type(x) is not int for b in twists for x in b):  # no bool, float or str
-            raise CoxError("twists must be integers, got %r" % (twists,))
-        object.__setattr__(self, "twists", twists)
-
-    def __len__(self):
-        return len(self.twists)
-
-
 class LineBundleComplex:
-    """A bounded complex of twisted free sums.
+    """A bounded complex of twisted free sums, its parts checked against
+    its space where it is built (CoxError).
 
-    terms maps homological degree p to a FreeSum; diffs maps p to the
-    matrix of the map term(p) -> term(p+1), stored as rows over target
-    summands with entries MultiHomogPoly or None (zero).  The represented
-    sheaf is the degree-0 cohomology sheaf; the caller asserts the complex
-    is exact in every other degree.
+    terms maps homological degree p to a tuple of twists, each of space.t
+    integers; diffs maps p to the matrix of the map term(p) -> term(p+1),
+    stored as rows over target summands, each entry None (zero) or a
+    MultiHomogPoly on the complex's space, one without terms stored as
+    None; entries over another field are coerced where they are read.  The
+    represented sheaf is the degree-0 cohomology sheaf; the caller asserts
+    the complex is exact in every other degree.
     """
 
     def __init__(self, space, field, terms, diffs=None):
         self.space = space
         self.field = field
-        self.terms = {_degree_key(p): FreeSum(tuple(tw)) for p, tw in terms.items()}
-        self.diffs = {}
-        for p, mat in (diffs or {}).items():
-            self.diffs[_degree_key(p)] = tuple(tuple(row) for row in mat)
+        self.terms = {_degree_key(p): _twists(space, tw) for p, tw in terms.items()}
+        self.diffs = {_degree_key(p): tuple(tuple(_entry(space, e) for e in row) for row in mat)
+                      for p, mat in (diffs or {}).items()}
         self._validated = None
 
     @property
@@ -290,26 +271,17 @@ class LineBundleComplex:
         return sorted(self.terms)
 
     def summands(self, p):
-        fs = self.terms.get(p)
-        return fs.twists if fs else ()
+        return self.terms.get(p, ())
 
     def entry(self, p, row, col):
         mat = self.diffs.get(p)
-        if mat is None:
-            return None
-        e = mat[row][col]
-        return None if (e is None or (hasattr(e, "is_zero") and e.is_zero())) else e
+        return None if mat is None else mat[row][col]
 
     def to_json(self):
-        terms = [
-            {"p": p, "twists": [list(b) for b in self.terms[p].twists]}
-            for p in self.degrees
-        ]
+        terms = [{"p": p, "twists": [list(b) for b in self.terms[p]]} for p in self.degrees]
         diffs = []
         for p in sorted(self.diffs):
-            rows = []
-            for row in self.diffs[p]:
-                rows.append([0 if e is None or e.is_zero() else e.to_json() for e in row])
+            rows = [[0 if e is None else e.to_json() for e in row] for row in self.diffs[p]]
             diffs.append({"p": p, "entries": rows})
         return {
             "space": self.space.to_json(),
@@ -319,6 +291,9 @@ class LineBundleComplex:
 
     @classmethod
     def from_json(cls, obj, field_override=None):
+        """Read a complex object, refusing anything malformed with a
+        SchemaError that names its JSON path; the constructor's checks then
+        hold by construction."""
         try:
             space = ProductSpace.from_json(obj["space"])
         except (KeyError, TypeError, LatticeError) as exc:
@@ -360,15 +335,29 @@ class LineBundleComplex:
                                 path="complex.diffs[%d].entries[%d][%d]" % (d, r, c),
                             )
                         )
-                mat.append(tuple(out))
-            diffs[p] = tuple(mat)
-        C = object.__new__(cls)  # every check of __init__ is done, and rows are tuples
-        C.space, C.field, C.diffs, C._validated = space, field, diffs, None
-        C.terms = {}
-        for p, twists in terms.items():
-            C.terms[p] = object.__new__(FreeSum)
-            object.__setattr__(C.terms[p], "twists", twists)
-        return C
+                mat.append(out)
+            diffs[p] = mat
+        return cls(space, field, terms, diffs)
+
+
+def _twists(space, twists):
+    twists = tuple(tuple(b) for b in twists)
+    if any(type(x) is not int for b in twists for x in b):  # no bool, float or str
+        raise CoxError("twists must be integers, got %r" % (twists,))
+    for b in twists:
+        if len(b) != space.t:
+            raise CoxError("twist %r has length %d, expected %d" % (b, len(b), space.t))
+    return twists
+
+
+def _entry(space, e):
+    if e is None:
+        return None
+    if not isinstance(e, MultiHomogPoly):
+        raise CoxError("matrix entry %r is neither None nor a polynomial" % (e,))
+    if e.space != space:
+        raise CoxError("matrix entry %r lives on %r, not on %r" % (e, e.space, space))
+    return e if e.terms else None
 
 
 def _degree_key(p):
@@ -409,13 +398,15 @@ def free_complex(space, twists, field=None):
 
 
 def validate_complex(C):
-    """Structural check of a line-bundle complex.
+    """Structural check of a line-bundle complex, whose parts its
+    constructor has checked.
 
-    Verifies matrix shapes, homogeneity of every entry (declared degree
-    equal to target twist minus source twist, entry zero when that has a
-    negative coordinate) and d o d = 0 symbolically.  Returns a list of
-    violation tuples (p, row, col, kind, detail); empty means ok.  Exactness
-    away from degree 0 is not checked.
+    Verifies matrix shapes, homogeneity of every nonzero entry (declared
+    degree equal to target twist minus source twist; a nonzero polynomial
+    has no negative degree, so a negative step forces a zero entry) and
+    d o d = 0 symbolically.  Returns a list of violation tuples
+    (p, row, col, kind, detail); empty means ok.  Exactness away from
+    degree 0 is not checked.
     """
     if C._validated is not None:
         return C._validated
@@ -432,15 +423,12 @@ def validate_complex(C):
             continue
         for r, row in enumerate(mat):
             for c, e in enumerate(row):
-                if e is None or e.is_zero():
+                if e is None:
                     continue
                 want = vsub(tgt[r], src[c])
                 if e.degree != want:
                     out.append((p, r, c, "degree",
                                 "entry degree %r, expected %r" % (e.degree, want)))
-                elif any(x < 0 for x in want):
-                    out.append((p, r, c, "degree",
-                                "nonzero entry where twist step %r is negative" % (want,)))
     # d o d = 0, symbolically: each composite's products summed in one
     # {exponent vector: coefficient} dict.
     for p in sorted(C.diffs):

@@ -104,17 +104,16 @@ def contraction(space, neg, idx):
     """h(idx), before the (-1)^p of the term, as (cover index, sign) pairs:
     sum_j (-1)^{sum_{j'<j}(|S_j'|-1)} (ip)_{<j} (x) h_j (x) 1, where the cone
     h_j sends S to (-1)^{pos(v0,S)} (S minus v0) if v0 is in S and |S| >= 2."""
-    out, prefixes, shift = [], [()], 0
+    out, prefix, shift = [], (), 0
     for j, (n, N, S) in enumerate(zip(space.factor_dims, neg, idx)):
         v0 = next((v for v in range(n + 1) if v not in N), None)
         if v0 in S and len(S) > 1:
             sign = -1 if (shift + S.index(v0)) % 2 else 1
-            rest = (tuple(v for v in S if v != v0),) + idx[j + 1:]
-            out.extend((pre + rest, sign) for pre in prefixes)
-        ip = [S] if len(N) == n + 1 else [ALL] if not N and S in ((0,), ALL) else []  # i p(S)
-        if not ip:
+            out.append((prefix + (tuple(v for v in S if v != v0),) + idx[j + 1:], sign))
+        ip = S if len(N) == n + 1 else ALL if not N and S in ((0,), ALL) else None  # i p(S)
+        if ip is None:
             break
-        prefixes = [pre + (T,) for pre in prefixes for T in ip]
+        prefix += (ip,)
         shift += len(S) - 1
     return out
 
@@ -122,15 +121,15 @@ def contraction(space, neg, idx):
 def polynomial_maps(C):
     """(p, s) -> [(target summand, [(exponent, field coefficient)])], target
     summands ascending, from one walk over the rows of each matrix of the
-    validated complex C.  An entry's coefficients are already elements of
-    its own field; they are coerced into C's field only when that differs,
-    and a term they make zero there is dropped, as is an entry left with
-    none."""
+    validated complex C, whose zero entries are None.  An entry's
+    coefficients are already elements of its own field; they are coerced
+    into C's field only when that differs, and a term they make zero there
+    is dropped, as is an entry left with none."""
     poly = defaultdict(list)
     for p in C.degrees:
         for r, row in enumerate(C.diffs.get(p, ())):
             for s, f in enumerate(row):
-                if f is not None and f.terms:
+                if f is not None:
                     terms = list(f.terms.items()) if f.field == C.field else [
                         (ev, x) for ev, c in f.terms.items() if (x := C.field.coerce(c))]
                     if terms:

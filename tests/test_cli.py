@@ -281,6 +281,12 @@ def test_cohomology_empty_twist_or_window_is_named(capsys, tmp_path, flag, messa
                  "error: --checks strand requires --c\n", id="tate-profile-strand-no-c"),
     pytest.param("regions --space 1,1 --window", "error: argument --window: expected one "
                  "argument\n", id="value-flag-last"),
+    pytest.param("cohomology --input {} --window 0:x,0:1", "error: bad window '0:x,0:1': "
+                 "invalid literal for int() with base 10: 'x'\n", id="cohomology-window-not-integer"),
+    pytest.param("cohomology --input {} --window 2:1,0:1",
+                 "error: empty window: lo=(2, 0) hi=(1, 1)\n", id="cohomology-window-empty"),
+    pytest.param("regions --space 1,1 --window -2:2,-2:2 --mode safe --d 1,1,1",
+                 "error: polarization length does not match space\n", id="regions-d-length"),
 ])
 def test_empty_flag_value_is_named(capsys, tmp_path, command, message):
     # A usage error is refused by name with exit 2; an empty value ('') is
@@ -717,6 +723,28 @@ def test_tate_profile_strand_bad_factor_sets(capsys, tmp_path, sets, message):
          "--c", "0,0"] + sets,
     )
     assert code == 2 and message in err and out == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param("--checks bogus", "unknown check 'bogus'", id="unknown"),
+    pytest.param("--checks tate,corner", "--checks corner requires --c", id="corner-no-c"),
+    pytest.param("--checks strand", "--checks strand requires --c", id="strand-no-c"),
+    pytest.param("--checks corner --c 0,0,0", "multidegree (0, 0, 0) has length 3, expected 2",
+                 id="c-length"),
+    pytest.param("--checks strand --c 0,0 --I 2", "--I 2: factor indices run over 0..1",
+                 id="out-of-range"),
+    pytest.param("--checks strand --c 0,0 --I 0 --K 0", "--I and --K share factor index 0",
+                 id="overlap"),
+])
+def test_tate_profile_refuses_bad_checks_before_the_table(capsys, tmp_path, monkeypatch, flags,
+                                                          message):
+    # Each was refused only after the table was built.
+    calls = []
+    monkeypatch.setattr(cech, "cohomology_table", lambda *args: calls.append(args))
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, ["tate-profile", "--input", path, "--b", "0,0",
+                                  "--window", "-60:60,-60:60"] + flags.split())
+    assert (code, out, err, calls) == (2, "", "error: %s\n" % message, [])
 
 
 @pytest.mark.parametrize("args", [["--twist", "1,1"], ["--window", "0:1,0:1"]])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +161,49 @@ def test_free_sum_accepts_only_integers(p11, twist):
     # int() read (0.5, 0) as O(0,0) and (True, 0) as O(1,0).
     with pytest.raises(CoxError, match="twists must be integers"):
         free_complex(p11, [twist])
+
+
+def _parts(case):
+    """A complex on P^1 x P^1 whose one map O(-1,0) -> O holds a part the
+    space does not have."""
+    p11, p22, F = ProductSpace((1, 1)), ProductSpace((2, 2)), default_field()
+    x00, x01 = var(p11, F, 0, 0), var(p11, F, 0, 1)
+    twist, entry = {
+        # Read as (0,0,0) at (0,0): x_{0,2} is a variable of P^2 x P^2.
+        "foreign-space": ((-1, 0), var(p22, F, 0, 2)),
+        # Read as O(-1,0), or IndexError on the chamber route.
+        "long-twist-monomial": ((-1, 0, 7), x01),
+        "long-twist-non-monomial": ((-1, 0, 7), x00 + x01),
+        # AttributeError wherever the entry was read.
+        "zero": ((-1, 0), 0),
+    }[case]
+    return p11, F, {-1: [twist], 0: [(0, 0)]}, {-1: [[entry]]}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("foreign-space", "lives on ProductSpace(factor_dims=(2, 2))"),
+    ("long-twist-monomial", "twist (-1, 0, 7) has length 3, expected 2"),
+    ("long-twist-non-monomial", "twist (-1, 0, 7) has length 3, expected 2"),
+    ("zero", "matrix entry 0 is neither None nor a polynomial"),
+], ids=["foreign-space", "long-twist-monomial", "long-twist-non-monomial", "zero"])
+def test_complex_checks_its_parts_where_it_is_built(case, message):
+    with pytest.raises(CoxError, match=re.escape(message)):
+        LineBundleComplex(*_parts(case))
+
+
+def test_free_complex_checks_twist_length(p11):
+    with pytest.raises(CoxError, match="has length 3, expected 2"):
+        free_complex(p11, [(0, 0), (1, 1, 1)])
+
+
+def test_entry_without_terms_is_stored_as_none(p11):
+    # A polynomial whose coefficients all vanish is the zero map, stored as
+    # None whichever way it was built.
+    F = default_field()
+    zero = MultiHomogPoly(p11, F, (1, 0), {((1, 0), (0, 0)): F.p})
+    C = LineBundleComplex(p11, F, {-1: [(-1, 0)], 0: [(0, 0)]}, {-1: [[zero]]})
+    assert C.diffs == {-1: ((None,),)} and C.entry(-1, 0, 0) is None
+    assert LineBundleComplex.from_json(C.to_json()).diffs == C.diffs
 
 
 @pytest.mark.parametrize("terms, diffs", [

@@ -240,7 +240,7 @@ def test_golden_usage(capsys, monkeypatch, argv, code, digest):
 # The names `import prodcoh` exports, its submodules aside.  Test-only
 # references live in tests/reference.py; one re-exported here fails.
 EXPORTS = {
-    "CohomologyTable", "ExtremalReport", "FreeSum", "LatticeError", "LineBundleComplex",
+    "CohomologyTable", "ExtremalReport", "LatticeError", "LineBundleComplex",
     "MultiHomogPoly", "Polarization", "PrimeField", "ProductSpace", "RATIONALS",
     "RationalField", "SplitVerdict", "StrandInconsistency", "TateCoverageError",
     "TateTermProfile", "Window", "canonical_twist", "cohomology_table", "corner_checksum",

@@ -181,6 +181,30 @@ def test_multiplicities_vanishing_at_the_aligned_k(p11):
         "come from a torsion-free sheaf satisfying the hypothesis")
 
 
+def test_multiplicities_unknown_h0(p11):
+    # The O(1,1) + O table with h^0(F) left out: the descent reads it at k=0.
+    window = Window((-4, -4), (3, 3))
+    full = polarized_table(p11, [(1, 1), (0, 1)], (1, 1), window)
+    T = CohomologyTable(p11, window, {c: v for c, v in full.cells.items() if c != ((0, 0), 0)})
+    with pytest.raises(SplitterError) as exc:
+        multiplicities(T, D11, extremal_hm(T, D11))
+    assert str(exc.value) == "h^0(F((0, 0))) unknown"
+
+
+def test_split_check_window_below_the_aligned_twist(p11, tmp_path, capsys):
+    # The window holds the extremal position (-2,-2) of O but not the
+    # twist 0 the h^0 descent starts from.
+    reason = "window does not cover twist -kH for k=0"
+    C = free_complex(p11, [(0, 0)])
+    v = split_check(C, D11, Window((-5, -5), (-1, -1)))
+    assert (v.kind, v.reason) == ("inconclusive", reason)
+    code = cli.main(["split-check", "--input", write_complex(tmp_path, C),
+                     "--d", "1,1", "--window", "-5:-1,-5:-1"])
+    head, body = capsys.readouterr().out.split("\n", 1)
+    assert (code, head) == (cli.EXIT_INCONCLUSIVE, "INCONCLUSIVE: " + reason)
+    assert json.loads(body)["reason"] == reason
+
+
 def test_verify_split(p11):
     window = Window((-5, -5), (5, 5))
     T = polarized_table(p11, [(1, 1), (-1, 1)], (1, 1), window)
