@@ -181,7 +181,7 @@ def _at_check_prime(args, C, compute):
         return None
     flag = "p:%d" % args.check_prime
     linalg.parse_field(flag)
-    if isinstance(C.field, linalg.RationalField):
+    if not C.field.p:
         return None
     return compute(load_complex(args.input, flag))
 

@@ -15,10 +15,15 @@ exactness away from degree 0 is asserted by the caller, not verified.
 A complex's parts are checked once, by LineBundleComplex's constructor,
 for complexes built in Python and read from JSON alike; validate_complex
 checks what needs the whole complex: shapes, entry degrees, d o d = 0.
+
+Coefficients live in one field per complex.  MultiHomogPoly's constructor
+alone coerces coefficients into its field, reduces them and drops zeros;
+its arithmetic computes on plain ints and Fractions and hands the result
+to it.  LineBundleComplex's constructor alone moves an entry over another
+field into the complex's, by the same lift a JSON round trip takes.
 """
 
 import re
-from fractions import Fraction
 
 from . import linalg
 from .lattice import LatticeError, ProductSpace, vadd, vsub
@@ -62,7 +67,8 @@ _COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 class MultiHomogPoly:
     """A multihomogeneous polynomial: a declared multidegree plus a term map
     exponent-vector -> nonzero coefficient.  The zero polynomial keeps its
-    declared degree so matrix shapes stay meaningful."""
+    declared degree so matrix shapes stay meaningful.  The arithmetic
+    refuses operands on another space or over another field (CoxError)."""
 
     __slots__ = ("space", "field", "degree", "terms")
 
@@ -104,25 +110,25 @@ class MultiHomogPoly:
         return (
             isinstance(other, MultiHomogPoly)
             and self.space == other.space
+            and self.field == other.field
+            and self.degree == other.degree
             and self.terms == other.terms
-            and (self.terms or self.degree == other.degree)
         )
 
     def __hash__(self):
         return hash((self.space, self.degree, tuple(sorted(self.terms.items()))))
 
     def __neg__(self):
-        return MultiHomogPoly(
-            self.space, self.field, self.degree,
-            {e: self.field.neg(c) for e, c in self.terms.items()},
-        )
+        return MultiHomogPoly(self.space, self.field, self.degree,
+                              {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
+        _check_operands(self, other)
         if self.degree != other.degree and self.terms and other.terms:
             raise CoxError("cannot add degrees %r and %r" % (self.degree, other.degree))
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = self.field.add(terms.get(e, self.field.coerce(0)), c)
+            terms[e] = terms.get(e, 0) + c
         deg = self.degree if self.terms or not other.terms else other.degree
         return MultiHomogPoly(self.space, self.field, deg, terms)
 
@@ -134,10 +140,8 @@ class MultiHomogPoly:
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return MultiHomogPoly(
-            self.space, self.field, self.degree,
-            {e: self.field.mul(co, c) for e, co in self.terms.items()},
-        )
+        return MultiHomogPoly(self.space, self.field, self.degree,
+                              {e: co * c for e, co in self.terms.items()})
 
     def __repr__(self):
         return _terms_repr(self.terms) if self.terms else "0[deg=%r]" % (self.degree,)
@@ -153,15 +157,14 @@ class MultiHomogPoly:
 
     @classmethod
     def from_json(cls, space, field, obj, path="poly"):
-        """Read a polynomial object in one pass over its terms.  The checks
-        are the constructor's and the format's, reported in a fixed order:
-        each term's entries, repetition and coefficient, in term order; then
-        the declared degree; then the first term the constructor would
-        refuse (block shape, sign, degree)."""
+        """Read a polynomial object.  Errors name the path and come in a
+        fixed order: the format's checks of each term's entries, repetition
+        and coefficient, in term order; then the constructor's, of the
+        declared degree and then of each term's block shape, sign and
+        degree, in term order."""
         if not isinstance(obj, dict):
             raise SchemaError("%s: %r is neither 0, null nor a polynomial object" % (path, obj))
         terms = {}
-        refused = None  # the first term's CoxError, raised once the degree is read
         try:
             degree = tuple(obj["degree"])
             for k, term in enumerate(obj.get("terms", [])):
@@ -181,23 +184,12 @@ class MultiHomogPoly:
                 except (ValueError, ZeroDivisionError) as exc:  # FieldError is a ValueError
                     raise SchemaError("%s.terms[%d].c: %r is not a coefficient in %r (%s)"
                                       % (path, k, c, field, exc)) from exc
-                if refused is None:
-                    try:
-                        _check_term(space, e, degree)
-                    except CoxError as exc:
-                        refused = exc
         except (KeyError, TypeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
         try:
-            degree = space.degree(degree)
-            if refused is not None:
-                raise refused
-            terms = {e: c for e, c in terms.items() if c}
+            return cls(space, field, degree, terms)
         except (CoxError, LatticeError) as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
-        f = object.__new__(cls)  # every check of __init__ is done
-        f.space, f.field, f.degree, f.terms = space, field, degree, terms
-        return f
 
 
 def _terms_repr(terms):
@@ -215,33 +207,36 @@ def _terms_repr(terms):
 
 
 def _coeff_to_json(c, field):
-    if isinstance(c, Fraction):
+    """The coefficient c of field as an int or a 'num/den' string."""
+    if not field.p:
         return str(c) if c.denominator != 1 else int(c)
     # Balanced lift keeps small coefficients portable across fields.
-    c = int(c)
-    if hasattr(field, "p") and c > field.p // 2:
-        c -= field.p
-    return c
+    return c - field.p if c > field.p // 2 else c
+
+
+def _check_operands(f, g):
+    if f.space != g.space:
+        raise CoxError("polynomials live on different spaces")
+    if f.field != g.field:
+        raise CoxError("polynomials live over different fields, %r and %r" % (f.field, g.field))
 
 
 def poly_mult(f, g):
     """Product of two multihomogeneous polynomials (degrees add)."""
-    if f.space != g.space:
-        raise CoxError("polynomials live on different spaces")
+    _check_operands(f, g)
     degree = vadd(f.degree, g.degree)
-    terms = _mult_into({}, f.terms, g.terms, f.field)
-    return MultiHomogPoly(f.space, f.field, degree, terms)
+    return MultiHomogPoly(f.space, f.field, degree, _mult_into({}, f.terms, g.terms))
 
 
-def _mult_into(acc, f_terms, g_terms, field):
-    """Add the product of two {exponent: coefficient} term maps into acc."""
-    add, mul = field.add, field.mul
+def _mult_into(acc, f_terms, g_terms):
+    """Add the product of two {exponent: coefficient} term maps into acc,
+    unreduced."""
     for e1, c1 in f_terms.items():
         for e2, c2 in g_terms.items():
             e = tuple(
                 tuple(x + y for x, y in zip(b1, b2)) for b1, b2 in zip(e1, e2)
             )
-            acc[e] = add(acc.get(e, 0), mul(c1, c2))
+            acc[e] = acc.get(e, 0) + c1 * c2
     return acc
 
 
@@ -252,17 +247,21 @@ class LineBundleComplex:
     terms maps homological degree p to a tuple of twists, each of space.t
     integers; diffs maps p to the matrix of the map term(p) -> term(p+1),
     stored as rows over target summands, each entry None (zero) or a
-    MultiHomogPoly on the complex's space, one without terms stored as
-    None; entries over another field are coerced where they are read.  The
-    represented sheaf is the degree-0 cohomology sheaf; the caller asserts
-    the complex is exact in every other degree.
+    MultiHomogPoly on the complex's space and over its field, one without
+    terms stored as None.  An entry over another field is converted where
+    the complex is built, by the balanced lift that to_json writes and then
+    the complex field's coerce, so the complex equals the one from_json
+    reads from its JSON with that field_override.  The represented sheaf is
+    the degree-0 cohomology sheaf; the caller asserts the complex is exact
+    in every other degree.
     """
 
     def __init__(self, space, field, terms, diffs=None):
         self.space = space
         self.field = field
         self.terms = {_degree_key(p): _twists(space, tw) for p, tw in terms.items()}
-        self.diffs = {_degree_key(p): tuple(tuple(_entry(space, e) for e in row) for row in mat)
+        self.diffs = {_degree_key(p): tuple(tuple(_entry(space, field, e) for e in row)
+                                            for row in mat)
                       for p, mat in (diffs or {}).items()}
         self._validated = None
 
@@ -293,7 +292,8 @@ class LineBundleComplex:
     def from_json(cls, obj, field_override=None):
         """Read a complex object, refusing anything malformed with a
         SchemaError that names its JSON path; the constructor's checks then
-        hold by construction."""
+        hold by construction.  field_override, when given, replaces the
+        object's field, and every coefficient is read into it."""
         try:
             space = ProductSpace.from_json(obj["space"])
         except (KeyError, TypeError, LatticeError) as exc:
@@ -350,13 +350,16 @@ def _twists(space, twists):
     return twists
 
 
-def _entry(space, e):
+def _entry(space, field, e):
     if e is None:
         return None
     if not isinstance(e, MultiHomogPoly):
         raise CoxError("matrix entry %r is neither None nor a polynomial" % (e,))
     if e.space != space:
         raise CoxError("matrix entry %r lives on %r, not on %r" % (e, e.space, space))
+    if e.field != field:  # by the lift the JSON writer uses, as --field reads it
+        e = MultiHomogPoly(space, field, e.degree,
+                           {ev: _coeff_to_json(c, e.field) for ev, c in e.terms.items()})
     return e if e.terms else None
 
 
@@ -430,7 +433,7 @@ def validate_complex(C):
                     out.append((p, r, c, "degree",
                                 "entry degree %r, expected %r" % (e.degree, want)))
     # d o d = 0, symbolically: each composite's products summed in one
-    # {exponent vector: coefficient} dict.
+    # {exponent vector: coefficient} dict, and reduced once into C's field.
     for p in sorted(C.diffs):
         if p + 1 not in C.diffs or p in misshapen or p + 1 in misshapen:
             continue
@@ -444,8 +447,8 @@ def validate_complex(C):
                 for s in range(len(mid)):
                     f2, f1 = d2[r][s], d1[s][c]
                     if f1 is not None and f2 is not None:
-                        _mult_into(acc, f2.terms, f1.terms, C.field)
-                composite = {e: x for e, x in acc.items() if x}
+                        _mult_into(acc, f2.terms, f1.terms)
+                composite = {e: x for e, v in acc.items() if (x := C.field.coerce(v))}
                 if composite:
                     out.append((p, r, c, "dd",
                                 "composite %s is nonzero" % _terms_repr(composite)))

@@ -1,5 +1,12 @@
 """Exact ranks over prime fields and the rationals.
 
+A field here has no arithmetic of its own.  It has a characteristic p (0
+for Q), inv for elimination, and coerce, which maps an int, a Fraction or
+a 'num/den' string to the field's canonical element: an int in [0, p) over
+F_p, a Fraction over Q.  Callers compute with plain ints and Fractions and
+reduce the result with coerce; for polynomial coefficients that is
+coxring.MultiHomogPoly's constructor.
+
 One sparse Gaussian elimination serves both fields.  A matrix is a list of
 rows, each a {column: value} dict holding only nonzero entries: Python ints
 in [0, p) over F_p, so no modulus the field accepts can overflow, and
@@ -64,7 +71,7 @@ def _exact(x):
 
 
 class PrimeField:
-    """Arithmetic in Z/p for an odd prime p; elements are ints in [0, p)."""
+    """The field Z/p for an odd prime p; elements are ints in [0, p)."""
 
     def __init__(self, p):
         if type(p) is not int:  # no bool, float or str
@@ -83,6 +90,8 @@ class PrimeField:
         return "p:%d" % self.p
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, str):
             x = Fraction(x)
         if isinstance(x, Fraction):
@@ -92,22 +101,13 @@ class PrimeField:
             return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
         return int(_exact(x)) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
         return pow(a, -1, self.p)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return type(other) is PrimeField and other.p == self.p
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
@@ -117,21 +117,15 @@ class PrimeField:
 
 
 class RationalField:
-    """The field Q; elements are fractions.Fraction."""
+    """The field Q, of characteristic p = 0; elements are fractions.Fraction."""
 
     name = "q"
+    p = 0
 
     def coerce(self, x):
+        if type(x) is Fraction:
+            return x
         return Fraction(_exact(x))
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -139,7 +133,7 @@ class RationalField:
         return 1 / Fraction(a)
 
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return type(other) is RationalField
 
     def __hash__(self):
         return hash("RationalField")
@@ -182,7 +176,7 @@ def rank_sparse(rows, field):
     rows, lowest index on ties.  A pivot row retires once it has cleared
     its column from the live rows.  The rows are consumed.
     """
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
     where = defaultdict(set)  # column -> rows holding it
     for i, row in enumerate(rows):
         for j in row:

@@ -121,19 +121,14 @@ def contraction(space, neg, idx):
 def polynomial_maps(C):
     """(p, s) -> [(target summand, [(exponent, field coefficient)])], target
     summands ascending, from one walk over the rows of each matrix of the
-    validated complex C, whose zero entries are None.  An entry's
-    coefficients are already elements of its own field; they are coerced
-    into C's field only when that differs, and a term they make zero there
-    is dropped, as is an entry left with none."""
+    validated complex C.  Its constructor stores every entry over C's field,
+    with nonzero coefficients only, and a zero entry as None."""
     poly = defaultdict(list)
     for p in C.degrees:
         for r, row in enumerate(C.diffs.get(p, ())):
             for s, f in enumerate(row):
                 if f is not None:
-                    terms = list(f.terms.items()) if f.field == C.field else [
-                        (ev, x) for ev, c in f.terms.items() if (x := C.field.coerce(c))]
-                    if terms:
-                        poly[(p, s)].append((r, terms))
+                    poly[(p, s)].append((r, list(f.terms.items())))
     return poly
 
 
@@ -253,7 +248,7 @@ def per_twist(space, field, poly, terms):
     """The per-twist route: a -> (h^0, ..., h^m) of the touched summands
     terms, (p, s, b), from their Bott classes at a, transferred as one
     block, and the packed maps."""
-    prime = field.p if isinstance(field, linalg.PrimeField) else 0
+    prime = field.p
     bs = zip(*[b for _, _, b in terms])  # per factor, the touched summand degrees
     ends = [(n, max(x), min(x)) for n, x in zip(space.factor_dims, bs)]
     packed = {}  # width -> packed poly
@@ -319,7 +314,7 @@ def chambers(space, field, poly, terms):
     same at every twist and differs between chambers, so it keys the block,
     at level 0 and with the series alike.  Each distinct block with two or
     more classes is built, self-checked and ranked once."""
-    prime = field.p if isinstance(field, linalg.PrimeField) else 0
+    prime = field.p
     dims = space.factor_dims
     index = {(p, s): i for i, (p, s, _) in enumerate(terms)}
     adjacent = [[] for _ in terms]  # (summand, add or sub, ev) along each entry, both ways

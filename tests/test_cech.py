@@ -175,7 +175,7 @@ def test_assembled_differential_squares_to_zero():
                 acc = {}
                 for j, x in row.items():
                     for col, y in m1[j].items():
-                        acc[col] = field.add(acc.get(col, field.coerce(0)), field.mul(x, y))
+                        acc[col] = field.coerce(acc.get(col, 0) + x * y)
                         products += 1
                 assert not any(acc.values()), (field, k, i)
         assert products, field

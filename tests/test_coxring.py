@@ -1,4 +1,6 @@
+import operator
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,9 @@ from prodcoh.coxring import (
     poly_mult,
     validate_complex,
 )
-from prodcoh.lattice import LatticeError, ProductSpace
-from prodcoh.linalg import RATIONALS, default_field
+from prodcoh import cech
+from prodcoh.lattice import LatticeError, ProductSpace, Window
+from prodcoh.linalg import RATIONALS, FieldError, PrimeField, default_field
 
 
 def var(sp, field, j, i, c=1):
@@ -156,6 +159,63 @@ def test_rational_coefficients():
     assert q.terms[((2, 0),)] == RATIONALS.coerce("1/4")
 
 
+def test_eq_is_a_bool_and_false_across_fields(p11):
+    # Over F_p against Q, == evaluated to the terms dict.
+    F = default_field()
+    f = var(p11, F, 0, 0)
+    assert (f == var(p11, F, 0, 0)) is True
+    assert (f == var(p11, RATIONALS, 0, 0)) is False
+    assert (f == var(p11, PrimeField(7), 0, 0)) is False
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, poly_mult], ids=["add", "sub", "mult"])
+def test_arithmetic_refuses_operands_on_another_space_or_field(p11, op):
+    # x_{0,0} on P^1 x P^1 plus x_{0,0} on P^2 x P^2 raised "exponent block
+    # (1, 0, 0) has wrong length"; x_{0,0} over F_p plus x_{0,0} over Q
+    # returned 2*x0_0 over F_p.
+    F = default_field()
+    x = var(p11, F, 0, 0)
+    with pytest.raises(CoxError, match="polynomials live on different spaces"):
+        op(x, var(ProductSpace((2, 2)), F, 0, 0))
+    with pytest.raises(CoxError, match="polynomials live over different fields"):
+        op(x, var(p11, RATIONALS, 0, 0))
+
+
+def test_complex_refielded_in_python_equals_the_one_read_with_field_override():
+    # The Koszul point over F_65521, built over F_7 with its entries left
+    # over F_65521.  -x_{0,1} was 65520 x_{0,1}, which is 0 mod 7, so d o d
+    # read "composite 1*x0_1*x1_1 is nonzero"; --field p:7 reads the JSON's
+    # balanced lift -1, and so does the constructor.
+    K = koszul_point_complex()
+    F7 = PrimeField(7)
+    C = LineBundleComplex(K.space, F7, {p: K.summands(p) for p in K.degrees}, K.diffs)
+    J = LineBundleComplex.from_json(K.to_json(), field_override=F7)
+    assert C.diffs == J.diffs
+    assert validate_complex(C) == []
+    window = Window((-3, -3), (3, 3))
+    assert cech.cohomology_table(C, window) == cech.cohomology_table(J, window)
+
+
+def test_entries_over_q_are_converted_into_the_complexs_field():
+    # y/2 and (p-1)x/2 over Q in the Koszul point over F_p: d o d is
+    # p/2 x_{0,1} x_{1,1}, nonzero over Q, where validate_complex computed
+    # it, and zero in F_p.
+    sp = ProductSpace((1, 1))
+    F = default_field()
+
+    def koszul(field):
+        x, y = var(sp, field, 0, 1), var(sp, field, 1, 1)
+        return {-2: [[y.scale("1/2")], [x.scale(Fraction(F.p - 1, 2))]], -1: [[x, y]]}
+
+    C = LineBundleComplex(sp, F, KOSZUL_TERMS, koszul(RATIONALS))
+    assert C.diffs == LineBundleComplex(sp, F, KOSZUL_TERMS, koszul(F)).diffs
+    assert validate_complex(C) == []
+    assert cech.hypercohomology(C, (0, 0)) == (1, 0, 0)
+    seventh = var(sp, RATIONALS, 1, 1).scale("1/7")
+    with pytest.raises(FieldError, match="denominator divisible by 7"):
+        LineBundleComplex(sp, PrimeField(7), KOSZUL_TERMS, {-2: [[seventh], [None]]})
+
+
 @pytest.mark.parametrize("twist", [(0.5, 0), (True, 0), (0, "1")])
 def test_free_sum_accepts_only_integers(p11, twist):
     # int() read (0.5, 0) as O(0,0) and (True, 0) as O(1,0).
@@ -269,3 +329,57 @@ def test_one_pass_reader_agrees_with_constructor(case):
     assert (read.terms, read.degree) == (built.terms, built.degree)
     assert len(read.terms) == sum(1 for t in obj["terms"] if field.coerce(t["c"]))
     assert MultiHomogPoly.from_json(P12, field, built.to_json()) == built
+
+
+def _raw_coefficients(field):
+    """ints and Fractions whose denominators every field here can invert,
+    multiples of its p among them."""
+    return st.one_of(
+        st.integers(-20, 20),
+        st.integers(-2, 2).map(lambda k: k * (field.p or 1)),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+    )
+
+
+@st.composite
+def raw_polys(draw):
+    """A field, a degree, two raw term maps of that degree on P^1 x P^2 (the
+    second cancels some terms of the first) and a raw scalar."""
+    field = draw(st.sampled_from([default_field(), PrimeField(7), RATIONALS]))
+    coeff = _raw_coefficients(field)
+    degree = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    basis = monomials(P12, degree)
+    f = {e: draw(coeff) for e in draw(st.lists(st.sampled_from(basis), unique=True))}
+    g = {e: draw(st.sampled_from([-f[e], -f[e] + field.p])) if e in f and draw(st.booleans())
+         else draw(coeff) for e in draw(st.lists(st.sampled_from(basis), unique=True))}
+    return field, degree, f, g, draw(coeff)
+
+
+def _coerced(field, raw):
+    return {e: x for e, c in raw.items() if (x := field.coerce(c))}
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_polys())
+def test_arithmetic_equals_termwise_reference(case):
+    # Each result is the term-wise reference on the raw ints and Fractions,
+    # coerced: coercion is a ring map, so reducing once at the end agrees
+    # with reducing every step.
+    field, degree, rf, rg, c = case
+    f, g = (MultiHomogPoly(P12, field, degree, raw) for raw in (rf, rg))
+    both = rf.keys() | rg.keys()
+    product = {}
+    for e1, c1 in rf.items():
+        for e2, c2 in rg.items():
+            e = tuple(tuple(map(operator.add, b1, b2)) for b1, b2 in zip(e1, e2))
+            product[e] = product.get(e, 0) + c1 * c2
+    for got, want in [
+        (f + g, {e: rf.get(e, 0) + rg.get(e, 0) for e in both}),
+        (f - g, {e: rf.get(e, 0) - rg.get(e, 0) for e in both}),
+        (-f, {e: -x for e, x in rf.items()}),
+        (f.scale(c), {e: x * c for e, x in rf.items()}),
+        (f * g, product),
+    ]:
+        assert got.field == field and got.terms == _coerced(field, want)
+        for x in got.terms.values():
+            assert x and (type(x) is int and 0 < x < field.p if field.p else type(x) is Fraction)

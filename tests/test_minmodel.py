@@ -138,24 +138,10 @@ def test_engine_matches_truncated_reference(case):
     assert cech.hypercohomology(K, a) == reference.assembled_hypercohomology(K, a)
 
 
-def coerce_every_entry(C):
-    """polynomial_maps as one C.entry call per (row, column), every
-    coefficient coerced into C's field, each with its type, and the terms
-    that makes zero dropped: the reference of the row walk that coerces
-    only entries over another field."""
-    poly = defaultdict(list)
-    for p in C.degrees:
-        for s in range(len(C.summands(p))):
-            for r in range(len(C.summands(p + 1))):
-                f = C.entry(p, r, s)
-                terms = [(ev, C.field.coerce(c)) for ev, c in f.terms.items()] if f else []
-                if any(c for _, c in terms):
-                    poly[(p, s)].append((r, [(ev, c) for ev, c in terms if c]))
-    return poly
-
-
 def typed(poly):
-    return {key: [(r, [(ev, c, type(c)) for ev, c in terms]) for r, terms in maps]
+    """polynomial_maps with each coefficient's type, each entry's terms in
+    exponent order: a complex read from JSON holds them sorted."""
+    return {key: [(r, sorted((ev, c, type(c).__name__) for ev, c in terms)) for r, terms in maps]
             for key, maps in poly.items()}
 
 
@@ -163,11 +149,16 @@ def typed(poly):
 @given(koszul_points(), mixed_koszul(), st.sampled_from([None, PrimeField(7), RATIONALS]))
 def test_polynomial_maps_equal_coercing_every_entry(point, dense, field):
     # field, when drawn, replaces the complex's field and leaves its entries
-    # over theirs, as a library caller can: they are then coerced as before.
+    # over theirs, as a library caller can.  The constructor converts them,
+    # as --field converts every coefficient of the complex's JSON: the two
+    # complexes have the same entries, violations and maps.
     for K in (point[0], ideal_of(point[0]), dense[0]):
-        if field is not None:
-            K = LineBundleComplex(K.space, field, {p: K.summands(p) for p in K.degrees}, K.diffs)
-        assert typed(minmodel.polynomial_maps(K)) == typed(coerce_every_entry(K))
+        F = field or K.field
+        C = LineBundleComplex(K.space, F, {p: K.summands(p) for p in K.degrees}, K.diffs)
+        J = LineBundleComplex.from_json(K.to_json(), field_override=F)
+        assert C.diffs == J.diffs
+        assert validate_complex(C) == validate_complex(J)
+        assert typed(minmodel.polynomial_maps(C)) == typed(minmodel.polynomial_maps(J))
 
 
 @pytest.mark.parametrize("coefficient", [7, 14])
