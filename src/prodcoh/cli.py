@@ -11,7 +11,9 @@ unrecognized arguments, whose error shows the top-level usage line.
 
 Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
 3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
-disagreement, 10 NonSplit, 11 Inconclusive.
+disagreement, 10 NonSplit, 11 Inconclusive.  A complex is checked where it
+is read (LineBundleComplex's constructor), so every command refuses an
+invalid one there, with exit 2.
 
 A flag the command would ignore is refused with exit 2, naming it:
 tate-profile's --input, --window and --field beside --table, which say how
@@ -20,7 +22,8 @@ strand, and --I/--J/--K without --checks strand; cohomology's --window
 beside --twist; regions' --d outside --mode safe, and --slice on a space of
 two factors.  A --slice value outside the window's range for its
 coordinate is refused too, where it would draw an empty grid.  tate-profile
-checks its --checks, --c and --I/--J/--K before it builds a table.
+checks its --checks, --c and --I/--J/--K after it reads its input and
+before it builds a table.
 """
 
 import argparse
@@ -28,7 +31,7 @@ import json
 import sys
 
 from . import bott, cech, linalg, splitter, tate
-from .coxring import LineBundleComplex, SchemaError
+from .coxring import CoxError, LineBundleComplex, SchemaError
 from .lattice import (
     LatticeError,
     Polarization,
@@ -452,9 +455,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (
-        UsageError, SchemaError, LatticeError, linalg.FieldError, cech.CechError
-    ) as exc:
+    except (UsageError, SchemaError, LatticeError, linalg.FieldError, CoxError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except cech.EngineCheckFailed as exc:

@@ -12,9 +12,11 @@ polynomial of degree c - b (zero whenever c - b has a negative coordinate).
 The represented sheaf is the degree-0 cohomology sheaf of the complex;
 exactness away from degree 0 is asserted by the caller, not verified.
 
-A complex's parts are checked once, by LineBundleComplex's constructor,
-for complexes built in Python and read from JSON alike; validate_complex
-checks what needs the whole complex: shapes, entry degrees, d o d = 0.
+A complex is checked once, where it is built, for complexes built in
+Python and read from JSON alike: LineBundleComplex's constructor checks its
+parts against the space and ends with validate_complex, the check of what
+needs the whole complex (shapes, entry degrees, d o d = 0).  An invalid
+complex raises CoxError, so every LineBundleComplex that exists is valid.
 
 Coefficients live in one field per complex.  MultiHomogPoly's constructor
 alone coerces coefficients into its field, reduces them and drops zeros;
@@ -68,7 +70,8 @@ class MultiHomogPoly:
     """A multihomogeneous polynomial: a declared multidegree plus a term map
     exponent-vector -> nonzero coefficient.  The zero polynomial keeps its
     declared degree so matrix shapes stay meaningful.  The arithmetic
-    refuses operands on another space or over another field (CoxError)."""
+    refuses operands on another space or over another field (CoxError);
+    +, - and * with an operand that is not a polynomial raise TypeError."""
 
     __slots__ = ("space", "field", "degree", "terms")
 
@@ -123,6 +126,8 @@ class MultiHomogPoly:
                               {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
+        if not isinstance(other, MultiHomogPoly):
+            return NotImplemented
         _check_operands(self, other)
         if self.degree != other.degree and self.terms and other.terms:
             raise CoxError("cannot add degrees %r and %r" % (self.degree, other.degree))
@@ -133,9 +138,13 @@ class MultiHomogPoly:
         return MultiHomogPoly(self.space, self.field, deg, terms)
 
     def __sub__(self, other):
+        if not isinstance(other, MultiHomogPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        if not isinstance(other, MultiHomogPoly):
+            return NotImplemented
         return poly_mult(self, other)
 
     def scale(self, c):
@@ -215,6 +224,9 @@ def _coeff_to_json(c, field):
 
 
 def _check_operands(f, g):
+    for h in (f, g):
+        if not isinstance(h, MultiHomogPoly):
+            raise CoxError("operand %r is not a polynomial" % (h,))
     if f.space != g.space:
         raise CoxError("polynomials live on different spaces")
     if f.field != g.field:
@@ -241,8 +253,9 @@ def _mult_into(acc, f_terms, g_terms):
 
 
 class LineBundleComplex:
-    """A bounded complex of twisted free sums, its parts checked against
-    its space where it is built (CoxError).
+    """A bounded complex of twisted free sums, checked where it is built:
+    its parts against its space, then the whole complex by validate_complex.
+    Both refuse with CoxError, so every instance is valid.
 
     terms maps homological degree p to a tuple of twists, each of space.t
     integers; diffs maps p to the matrix of the map term(p) -> term(p+1),
@@ -263,7 +276,9 @@ class LineBundleComplex:
         self.diffs = {_degree_key(p): tuple(tuple(_entry(space, field, e) for e in row)
                                             for row in mat)
                       for p, mat in (diffs or {}).items()}
-        self._validated = None
+        violations = validate_complex(self)
+        if violations:
+            raise CoxError("invalid complex: %r" % (violations[:3],))
 
     @property
     def degrees(self):
@@ -291,9 +306,11 @@ class LineBundleComplex:
     @classmethod
     def from_json(cls, obj, field_override=None):
         """Read a complex object, refusing anything malformed with a
-        SchemaError that names its JSON path; the constructor's checks then
-        hold by construction.  field_override, when given, replaces the
-        object's field, and every coefficient is read into it."""
+        SchemaError that names its JSON path; the constructor's checks of
+        the parts then hold by construction, and its whole-complex check
+        refuses an invalid complex with CoxError, unwrapped.  field_override,
+        when given, replaces the object's field, and every coefficient is
+        read into it."""
         try:
             space = ProductSpace.from_json(obj["space"])
         except (KeyError, TypeError, LatticeError) as exc:
@@ -401,18 +418,16 @@ def free_complex(space, twists, field=None):
 
 
 def validate_complex(C):
-    """Structural check of a line-bundle complex, whose parts its
-    constructor has checked.
+    """The whole-complex check that LineBundleComplex's constructor ends
+    with, once its parts are checked.
 
     Verifies matrix shapes, homogeneity of every nonzero entry (declared
     degree equal to target twist minus source twist; a nonzero polynomial
     has no negative degree, so a negative step forces a zero entry) and
     d o d = 0 symbolically.  Returns a list of violation tuples
-    (p, row, col, kind, detail); empty means ok.  Exactness away from
-    degree 0 is not checked.
+    (p, row, col, kind, detail); empty means ok, as it is on every complex
+    the constructor returns.  Exactness away from degree 0 is not checked.
     """
-    if C._validated is not None:
-        return C._validated
     out = []
     misshapen = set()
     for p, mat in sorted(C.diffs.items()):
@@ -452,6 +467,5 @@ def validate_complex(C):
                 if composite:
                     out.append((p, r, c, "dd",
                                 "composite %s is nonzero" % _terms_repr(composite)))
-    C._validated = out
     return out
 

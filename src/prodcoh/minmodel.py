@@ -121,8 +121,8 @@ def contraction(space, neg, idx):
 def polynomial_maps(C):
     """(p, s) -> [(target summand, [(exponent, field coefficient)])], target
     summands ascending, from one walk over the rows of each matrix of the
-    validated complex C.  Its constructor stores every entry over C's field,
-    with nonzero coefficients only, and a zero entry as None."""
+    complex C.  Its constructor has checked C and stores every entry over
+    C's field, with nonzero coefficients only, and a zero entry as None."""
     poly = defaultdict(list)
     for p in C.degrees:
         for r, row in enumerate(C.diffs.get(p, ())):
@@ -412,10 +412,10 @@ def chambers(space, field, poly, terms):
 
 def engine(C):
     """The function window -> (a, (h^0, ..., h^m)) pairs, in the window's
-    twist order, of the validated complex C, reading C once: untouched terms
-    come from one bott.kunneth_window call per window, touched ones from the
-    chamber route when C is a monomial complex with consistent shifts, else
-    from the per-twist route."""
+    twist order, of the complex C (valid, as its constructor checked),
+    reading C once: untouched terms come from one bott.kunneth_window call
+    per window, touched ones from the chamber route when C is a monomial
+    complex with consistent shifts, else from the per-twist route."""
     space = C.space
     poly = polynomial_maps(C)
     free, terms = _terms(C, poly)

@@ -285,7 +285,7 @@ def split_check(C, d, window, torsion_free_asserted=False):
 
     try:
         table = cech.cohomology_table(C, window)
-    except (cech.CechError, cech.EngineCheckFailed) as exc:
+    except cech.EngineCheckFailed as exc:
         return inconclusive("cohomology computation failed: %s" % exc)
 
     try:

@@ -38,19 +38,15 @@ def koszul_point_complex(field=None):
     )
 
 
-def koszul_sign_flip_complex(field=None):
-    """The Koszul point with the sign of -x_{0,1} dropped, so that
-    d o d = 2 x_{0,1} x_{1,1} is not zero: an invalid complex."""
-    sp = ProductSpace((1, 1))
-    field = field or default_field()
-    x1 = MultiHomogPoly.variable(sp, field, 0, 1)
-    y1 = MultiHomogPoly.variable(sp, field, 1, 1)
-    return LineBundleComplex(
-        sp,
-        field,
-        {-2: [(-1, -1)], -1: [(-1, 0), (0, -1)], 0: [(0, 0)]},
-        {-2: [[y1], [x1]], -1: [[x1, y1]]},
-    )
+def koszul_sign_flip_json(field=None):
+    """The JSON of the Koszul point with the sign of -x_{0,1} dropped, so
+    that d o d = 2 x_{0,1} x_{1,1} is not zero: an invalid complex, which
+    LineBundleComplex refuses to build and so is written as JSON directly."""
+    obj = koszul_point_complex(field).to_json()
+    [minus_x1] = obj["complex"]["diffs"][0]["entries"][1][0]["terms"]
+    assert minus_x1 == {"c": -1, "e": [[0, 1], [0, 0]]}
+    minus_x1["c"] = 1
+    return obj
 
 
 def ideal_sheaf_complex(field=None):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,12 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference
 from conftest import ideal_sheaf_complex, koszul_point_complex, truncated_line_bundle_h
 from prodcoh import bott, cech
-from prodcoh.coxring import (
-    LineBundleComplex,
-    MultiHomogPoly,
-    free_complex,
-    validate_complex,
-)
+from prodcoh.coxring import CoxError, LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window, vadd
 from prodcoh.linalg import RATIONALS, default_field
 
@@ -196,8 +192,6 @@ def test_euler_characteristic_of_hypercohomology():
 
 def test_point_on_p1xp2_codim3_koszul(p12):
     # Koszul complex of (x_{0,1}, x_{1,1}, x_{1,2}): a point of P^1 x P^2.
-    from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, validate_complex
-
     F = default_field()
     x1 = MultiHomogPoly.variable(p12, F, 0, 1)
     y1 = MultiHomogPoly.variable(p12, F, 1, 1)
@@ -221,7 +215,6 @@ def test_point_on_p1xp2_codim3_koszul(p12):
             -1: [[x1, y1, y2]],
         },
     )
-    assert validate_complex(C) == []
     for a in [(-1, -1), (0, 0), (1, -2), (-2, 1)]:
         assert cech.hypercohomology(C, a) == (1, 0, 0, 0), a
 
@@ -259,15 +252,12 @@ def test_serre_duality_spot_checks(p11):
 
 
 def test_invalid_complex_rejected(p11):
-    from prodcoh.coxring import LineBundleComplex, MultiHomogPoly
-
+    # Refused where it is built, before any engine call can see it.
     F = default_field()
     x1 = MultiHomogPoly.variable(p11, F, 0, 1)
-    bad = LineBundleComplex(
-        p11, F, {0: [(0, 0)], 1: [(0, 1)]}, {0: [[x1]]}
-    )
-    with pytest.raises(cech.CechError):
-        cech.hypercohomology(bad, (0, 0))
+    with pytest.raises(CoxError, match=re.escape(
+            "invalid complex: [(0, 0, 0, 'degree', 'entry degree (1, 0), expected (0, 1)')]")):
+        LineBundleComplex(p11, F, {0: [(0, 0)], 1: [(0, 1)]}, {0: [[x1]]})
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +332,6 @@ def koszul_points(draw):
 def test_koszul_point_euler_characteristic(case):
     K, a = case
     sp = K.space
-    assert validate_complex(K) == []
     h = cech.hypercohomology(K, a)
     alternating_bott = sum(
         (-1) ** (p + i) * x

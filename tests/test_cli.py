@@ -6,7 +6,7 @@ import shlex
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_json
 from prodcoh import bott, cech, cli, minmodel
 from prodcoh.coxring import LineBundleComplex, MultiHomogPoly, free_complex
 from prodcoh.lattice import ProductSpace, Window
@@ -23,8 +23,9 @@ def run(capsys, argv):
 
 
 def write_complex(tmp_path, C, name="complex.json"):
+    """Write the complex C, or a complex's JSON object, to tmp_path/name."""
     path = tmp_path / name
-    path.write_text(json.dumps(C.to_json()))
+    path.write_text(json.dumps(C if isinstance(C, dict) else C.to_json()))
     return str(path)
 
 
@@ -444,11 +445,31 @@ def test_series_self_check_exit_on_the_per_twist_route(capsys, tmp_path, monkeyp
     assert code == 3 and "self-check" in err and out == ""
 
 
+SIGN_FLIP_ERROR = ("error: invalid complex: "
+                   "[(-2, 0, 0, 'dd', 'composite 2*x0_1*x1_1 is nonzero')]\n")
+
+
 def test_cohomology_invalid_complex(capsys, tmp_path):
-    path = write_complex(tmp_path, koszul_sign_flip_complex())
+    path = write_complex(tmp_path, koszul_sign_flip_json())
     for args in (["--twist", "0,0"], ["--window", "0:1,0:1"]):
         code, out, err = run(capsys, ["cohomology", "--input", path] + args)
-        assert code == 2 and "invalid complex" in err and out == ""
+        assert (code, out, err) == (2, "", SIGN_FLIP_ERROR)
+
+
+@pytest.mark.parametrize("command", [
+    "tate-profile --b 0,0",
+    "split-check --d 1,1 --window -3:2,-3:2",
+    # The complex is refused where it is read, before tate-profile's checks.
+    "tate-profile --b 0,0 --checks bogus",
+])
+def test_every_command_refuses_an_invalid_complex_where_it_is_read(capsys, tmp_path, command):
+    # The error cohomology prints.  split-check exited 11 with an
+    # Inconclusive verdict on stdout, and --checks bogus was refused as an
+    # unknown check.
+    path = write_complex(tmp_path, koszul_sign_flip_json())
+    argv = command.split()
+    code, out, err = run(capsys, argv[:1] + ["--input", path] + argv[1:])
+    assert (code, out, err) == (2, "", SIGN_FLIP_ERROR)
 
 
 def test_cohomology_check_prime(capsys, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_json
 from reference import monomials
 from prodcoh.coxring import (
     CoxError,
@@ -13,7 +13,6 @@ from prodcoh.coxring import (
     MultiHomogPoly,
     free_complex,
     poly_mult,
-    validate_complex,
 )
 from prodcoh import cech
 from prodcoh.lattice import LatticeError, ProductSpace, Window
@@ -66,19 +65,39 @@ def test_graded_basis_dimension_formula(p11, p23):
 
 
 def test_validate_koszul_ok():
-    assert validate_complex(koszul_point_complex()) == []
+    koszul_point_complex()
+    koszul_point_complex(RATIONALS)
 
 
 KOSZUL_TERMS = {-2: [(-1, -1)], -1: [(-1, 0), (0, -1)], 0: [(0, 0)]}
 
 
-def test_validate_sign_flip():
+def invalid(violations):
+    """A pattern matching the whole CoxError message of a complex whose
+    first violations are these."""
+    return "^%s$" % re.escape("invalid complex: %r" % (violations,))
+
+
+def test_validate_sign_flip(p11):
     # The whole violation tuple, detail included, as recorded before the
-    # d o d check summed its products in a term dict.
+    # d o d check summed its products in a term dict.  The constructor
+    # returned the complex, and the engine refused it later.
     for F in (default_field(), RATIONALS):
-        assert validate_complex(koszul_sign_flip_complex(F)) == [
+        x1, y1 = var(p11, F, 0, 1), var(p11, F, 1, 1)
+        with pytest.raises(CoxError, match=invalid([
             (-2, 0, 0, "dd", "composite 2*x0_1*x1_1 is nonzero"),
-        ]
+        ])):
+            LineBundleComplex(p11, F, KOSZUL_TERMS, {-2: [[y1], [x1]], -1: [[x1, y1]]})
+
+
+@pytest.mark.parametrize("F", [default_field(), RATIONALS], ids=["fp", "q"])
+def test_sign_flip_read_from_json_is_refused_by_the_constructor(F):
+    # from_json ends in the constructor and does not wrap its error, so the
+    # command line prints the message the engine's check used to raise.
+    with pytest.raises(CoxError, match=invalid([
+        (-2, 0, 0, "dd", "composite 2*x0_1*x1_1 is nonzero"),
+    ])):
+        LineBundleComplex.from_json(koszul_sign_flip_json(F))
 
 
 @pytest.mark.parametrize("F", [default_field(), RATIONALS], ids=["fp", "q"])
@@ -87,10 +106,10 @@ def test_validate_partial_cancellation(F):
     # the x1*y0 term is left over.
     sp = ProductSpace((1, 1))
     x1, y0, y1 = var(sp, F, 0, 1), var(sp, F, 1, 0), var(sp, F, 1, 1)
-    bad = LineBundleComplex(
-        sp, F, KOSZUL_TERMS, {-2: [[y1 + y0], [x1.scale(-1)]], -1: [[x1, y1]]},
-    )
-    assert validate_complex(bad) == [(-2, 0, 0, "dd", "composite 1*x0_1*x1_0 is nonzero")]
+    with pytest.raises(CoxError, match=invalid([
+        (-2, 0, 0, "dd", "composite 1*x0_1*x1_0 is nonzero"),
+    ])):
+        LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[y1 + y0], [x1.scale(-1)]], -1: [[x1, y1]]})
 
 
 def test_validate_composite_of_mixed_degrees():
@@ -100,11 +119,11 @@ def test_validate_composite_of_mixed_degrees():
     sp = ProductSpace((1, 1))
     F = default_field()
     x0, x1, y1 = var(sp, F, 0, 0), var(sp, F, 0, 1), var(sp, F, 1, 1)
-    bad = LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[x0], [x1.scale(-1)]], -1: [[x1, y1]]})
-    assert validate_complex(bad) == [
+    with pytest.raises(CoxError, match=invalid([
         (-2, 0, 0, "degree", "entry degree (1, 0), expected (0, 1)"),
         (-2, 0, 0, "dd", "composite 65520*x0_1*x1_1 + 1*x0_0*x0_1 is nonzero"),
-    ]
+    ])):
+        LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[x0], [x1.scale(-1)]], -1: [[x1, y1]]})
 
 
 @pytest.mark.parametrize("row, shape", [
@@ -119,37 +138,35 @@ def test_validate_misshapen_row_is_a_shape_violation_only(row, shape):
     F = default_field()
     x1, y0, y1 = var(sp, F, 0, 1), var(sp, F, 1, 0), var(sp, F, 1, 1)
     d = [x1] if row == "short" else [x1, y0, x1]
-    bad = LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[y1], [x1.scale(-1)]], -1: [d]})
-    assert validate_complex(bad) == [
-        (-1, -1, -1, "shape", "matrix is %s, expected 1x2" % shape)]
+    with pytest.raises(CoxError, match=invalid([
+        (-1, -1, -1, "shape", "matrix is %s, expected 1x2" % shape),
+    ])):
+        LineBundleComplex(sp, F, KOSZUL_TERMS, {-2: [[y1], [x1.scale(-1)]], -1: [d]})
 
 
 def test_validate_degree_violation():
     sp = ProductSpace((1, 1))
     F = default_field()
     x1 = var(sp, F, 0, 1)
-    bad = LineBundleComplex(
-        sp, F, {0: [(0, 0)], 1: [(0, 1)]}, {0: [[x1]]}
-    )
-    violations = validate_complex(bad)
-    assert violations and violations[0][3] == "degree"
+    with pytest.raises(CoxError, match=invalid([
+        (0, 0, 0, "degree", "entry degree (1, 0), expected (0, 1)"),
+    ])):
+        LineBundleComplex(sp, F, {0: [(0, 0)], 1: [(0, 1)]}, {0: [[x1]]})
 
 
 def test_validate_single_term():
-    sp = ProductSpace((1, 1))
-    assert validate_complex(free_complex(sp, [(2, 2)])) == []
+    free_complex(ProductSpace((1, 1)), [(2, 2)])
 
 
 def test_complex_json_roundtrip():
-    # from_json builds the instance itself; it must be the complex the
-    # constructor builds, and validate as it does.
+    # from_json builds the instance through the constructor; it must be the
+    # complex the constructor builds.
     for K in (koszul_point_complex(), koszul_point_complex(RATIONALS), ideal_sheaf_complex(),
               free_complex(ProductSpace((1, 2)), [(1, -2), (0, 0), (1, -2)])):
         obj = K.to_json()
         K2 = LineBundleComplex.from_json(obj)
         assert K2.to_json() == obj
         assert (K2.space, K2.field, K2.terms, K2.diffs) == (K.space, K.field, K.terms, K.diffs)
-        assert validate_complex(K2) == validate_complex(K) == []
 
 
 def test_rational_coefficients():
@@ -181,6 +198,28 @@ def test_arithmetic_refuses_operands_on_another_space_or_field(p11, op):
         op(x, var(p11, RATIONALS, 0, 0))
 
 
+@pytest.mark.parametrize("expr, types", [
+    ("x00 * 2", "*: 'MultiHomogPoly' and 'int'"),
+    ("2 * x00", "*: 'int' and 'MultiHomogPoly'"),
+    ("x00 + 2", "+: 'MultiHomogPoly' and 'int'"),
+    ("x00 - 2", "-: 'MultiHomogPoly' and 'int'"),
+])
+def test_arithmetic_with_an_operand_that_is_not_a_polynomial(p11, expr, types):
+    # x00 * 2, x00 + 2 and x00 - 2 raised AttributeError: 'int' object has
+    # no attribute 'space'.
+    x00 = var(p11, default_field(), 0, 0)
+    with pytest.raises(TypeError, match=re.escape("unsupported operand type(s) for " + types)):
+        eval(expr, {"x00": x00})
+
+
+def test_poly_mult_names_an_operand_that_is_not_a_polynomial(p11):
+    x00 = var(p11, default_field(), 0, 0)
+    with pytest.raises(CoxError, match=re.escape("operand 2 is not a polynomial")):
+        poly_mult(x00, 2)
+    with pytest.raises(CoxError, match=re.escape("operand '1/2' is not a polynomial")):
+        poly_mult("1/2", x00)
+
+
 def test_complex_refielded_in_python_equals_the_one_read_with_field_override():
     # The Koszul point over F_65521, built over F_7 with its entries left
     # over F_65521.  -x_{0,1} was 65520 x_{0,1}, which is 0 mod 7, so d o d
@@ -191,7 +230,6 @@ def test_complex_refielded_in_python_equals_the_one_read_with_field_override():
     C = LineBundleComplex(K.space, F7, {p: K.summands(p) for p in K.degrees}, K.diffs)
     J = LineBundleComplex.from_json(K.to_json(), field_override=F7)
     assert C.diffs == J.diffs
-    assert validate_complex(C) == []
     window = Window((-3, -3), (3, 3))
     assert cech.cohomology_table(C, window) == cech.cohomology_table(J, window)
 
@@ -199,7 +237,7 @@ def test_complex_refielded_in_python_equals_the_one_read_with_field_override():
 def test_entries_over_q_are_converted_into_the_complexs_field():
     # y/2 and (p-1)x/2 over Q in the Koszul point over F_p: d o d is
     # p/2 x_{0,1} x_{1,1}, nonzero over Q, where validate_complex computed
-    # it, and zero in F_p.
+    # it, and zero in F_p, so the complex is built.
     sp = ProductSpace((1, 1))
     F = default_field()
 
@@ -209,7 +247,6 @@ def test_entries_over_q_are_converted_into_the_complexs_field():
 
     C = LineBundleComplex(sp, F, KOSZUL_TERMS, koszul(RATIONALS))
     assert C.diffs == LineBundleComplex(sp, F, KOSZUL_TERMS, koszul(F)).diffs
-    assert validate_complex(C) == []
     assert cech.hypercohomology(C, (0, 0)) == (1, 0, 0)
     seventh = var(sp, RATIONALS, 1, 1).scale("1/7")
     with pytest.raises(FieldError, match="denominator divisible by 7"):
@@ -296,7 +333,7 @@ def test_zero_poly_degree_is_validated(p11, degree):
     assert MultiHomogPoly(p11, default_field(), [1, 2], {}).degree == (1, 2)
 
 
-P12 = ProductSpace((1, 2))
+P11, P12 = ProductSpace((1, 1)), ProductSpace((1, 2))
 PRIME = default_field().p
 
 
@@ -383,3 +420,59 @@ def test_arithmetic_equals_termwise_reference(case):
         assert got.field == field and got.terms == _coerced(field, want)
         for x in got.terms.values():
             assert x and (type(x) is int and 0 < x < field.p if field.p else type(x) is Fraction)
+
+
+def _x(j, i):
+    """The exponent vector of x_{j,i} on P^1 x P^1."""
+    return tuple(tuple(int(jj == j and ii == i) for ii in range(2)) for jj in range(2))
+
+
+@st.composite
+def two_map_complexes(draw):
+    """The Koszul shape over F_7 or Q with raw int entries of one or two
+    terms, d_{-1} = [f1, f2] and d_{-2} = [g1, g2]^T.  Half the draws take
+    g1 = l*f2 and g2 = -l*f1, so that d o d = 0, and may then move one
+    coefficient of g1 by a multiple of 7 or by anything."""
+    field = draw(st.sampled_from([PrimeField(7), RATIONALS]))
+    coeff = st.integers(-8, 8)
+
+    def entry(j):  # one or two of x_{j,0}, x_{j,1}
+        exps = draw(st.lists(st.sampled_from([_x(j, 0), _x(j, 1)]),
+                             min_size=1, max_size=2, unique=True))
+        return {e: draw(coeff) for e in exps}
+
+    f1, f2 = entry(0), entry(1)
+    if draw(st.booleans()):
+        lam = draw(coeff)
+        g1 = {e: lam * c for e, c in f2.items()}
+        g2 = {e: -lam * c for e, c in f1.items()}
+        if draw(st.booleans()):
+            e = next(iter(g1))
+            g1[e] += draw(st.integers(-2, 2).map(lambda k: 7 * k) | coeff)
+    else:
+        g1, g2 = entry(1), entry(0)
+    return field, f1, f2, g1, g2
+
+
+@settings(max_examples=120, deadline=None)
+@given(two_map_complexes())
+def test_complex_is_built_exactly_when_its_termwise_composite_is_zero(case):
+    field, f1, f2, g1, g2 = case
+    composite = {}
+    for f, g in [(f1, g1), (f2, g2)]:
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(tuple(map(operator.add, b1, b2)) for b1, b2 in zip(e1, e2))
+                composite[e] = composite.get(e, 0) + c1 * c2
+    x, y = (1, 0), (0, 1)
+    d1 = [[MultiHomogPoly(P11, field, x, f1), MultiHomogPoly(P11, field, y, f2)]]
+    d2 = [[MultiHomogPoly(P11, field, y, g1)], [MultiHomogPoly(P11, field, x, g2)]]
+
+    def build():
+        return LineBundleComplex(P11, field, KOSZUL_TERMS, {-2: d2, -1: d1})
+
+    if _coerced(field, composite):
+        with pytest.raises(CoxError, match=re.escape("invalid complex: [(-2, 0, 0, 'dd', ")):
+            build()
+    else:
+        build()

@@ -25,7 +25,7 @@ import types
 
 import pytest
 
-from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_complex
+from conftest import ideal_sheaf_complex, koszul_point_complex, koszul_sign_flip_json
 import prodcoh
 from prodcoh import cli
 from prodcoh.coxring import free_complex
@@ -50,7 +50,8 @@ COMPLEXES = {
     "ideal": ideal_sheaf_complex,
     "koszul-p12": lambda: koszul_point(P12, default_field()),
     "ideal-p111-q": lambda: ideal_of(koszul_point(P111, RATIONALS)),
-    "koszul-sign-flip": koszul_sign_flip_complex,
+    # An invalid complex cannot be built, so this one is its JSON object.
+    "koszul-sign-flip": koszul_sign_flip_json,
 }
 
 # name, complex, command and its flags (--input is added), exit code, and the
