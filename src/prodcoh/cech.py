@@ -18,7 +18,7 @@ def hypercohomology(C, a):
     """Dimensions of H^i(F(a)), i = 0..m, for the degree-0 cohomology sheaf
     F of the line-bundle complex C: the engine on the window {a}."""
     a = C.space.degree(a)
-    [(_, h)] = minmodel.engine(C)(Window(a, a))
+    [(_, h)] = minmodel.engine(C, Window(a, a))
     return h
 
 
@@ -26,5 +26,5 @@ def cohomology_table(C, window):
     """h^i(F(a)) for every twist a in the window, every cell computed: the
     engine's vectors, set up once for the complex C, in twist order."""
     table = CohomologyTable(C.space, window)
-    table.set_vectors(minmodel.engine(C)(window))
+    table.set_vectors(minmodel.engine(C, window))
     return table

@@ -9,11 +9,11 @@ build as its subparser (prog "prodcoh <command>"), so its usage, errors and
 help, for an argv with no command or an unknown one, and to report
 unrecognized arguments, whose error shows the top-level usage line.
 
-Exit codes: 0 success / Split, 2 usage, input schema or invalid complex,
-3 engine self-check failed, 4 insufficient table coverage, 5 --check-prime
-disagreement, 10 NonSplit, 11 Inconclusive.  A complex is checked where it
-is read (LineBundleComplex's constructor), so every command refuses an
-invalid one there, with exit 2.
+Exit codes: 0 success / Split, 2 usage (an unreadable --input or --table),
+schema (a file that is not UTF-8 JSON) or invalid complex, 3 engine
+self-check failed, 4 insufficient table coverage, 5 --check-prime
+disagreement, 10 NonSplit, 11 Inconclusive.  Every command refuses an
+invalid complex where it reads it (LineBundleComplex's constructor).
 
 A flag the command would ignore is refused with exit 2, naming it:
 tate-profile's --input, --window and --field beside --table, which say how
@@ -82,17 +82,20 @@ def parse_window(text):
         raise UsageError(str(exc)) from exc
 
 
-def load_complex(path, field_flag=None):
+def read_json(path):
+    """The JSON value in the file at path, read as UTF-8: a file that cannot
+    be read is a usage error, one that is not UTF-8 JSON a schema error."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            "%s: invalid JSON at line %d column %d: %s"
-            % (path, exc.lineno, exc.colno, exc.msg)
-        ) from exc
+    except (ValueError, RecursionError) as exc:  # bad syntax or bytes, deep nesting
+        raise SchemaError("%s: invalid JSON: %s" % (path, exc)) from exc
+
+
+def load_complex(path, field_flag=None):
+    obj = read_json(path)
     override = None if field_flag is None else linalg.parse_field(field_flag)
     return LineBundleComplex.from_json(obj, field_override=override)
 
@@ -296,10 +299,10 @@ def cmd_tate_profile(args):
         for flag in ("input", "window", "field"):
             if getattr(args, flag) is not None:
                 raise UsageError("--%s does not apply to --table" % flag)
+        obj = read_json(args.table)
         try:
-            with open(args.table) as fh:
-                table = tate.CohomologyTable.from_json(json.load(fh))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+            table = tate.CohomologyTable.from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError("table %s: %s" % (args.table, exc)) from exc
         space = table.space
         b = space.degree(parse_ints(args.b, "internal degree"))

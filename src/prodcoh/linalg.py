@@ -156,8 +156,6 @@ def parse_field(spec):
     spec = spec.strip()
     if spec == "q":
         return RATIONALS
-    if spec == "p":
-        return default_field()
     if spec.startswith("p:"):
         try:
             p = int(spec[2:])

@@ -22,10 +22,10 @@ Which factor group of a term is nonzero, if any, bott.factor_group alone
 decides: bott_classes enumerates the classes of its (q, x), and chambers
 reads a term's Cech degree at a twist as the sum of its q.
 
-engine(C) sets up what depends on C once for every window.  Terms no
-differential touches, as in every free sum, come from one
-bott.kunneth_window call per window, the Kunneth products of their Bott
-values.  The touched terms take one of two routes, chosen per complex:
+engine(C, window) sets up what depends on C once, then yields the window's
+vectors.  Terms no differential touches, as in every free sum, come from
+one bott.kunneth_window call, the Kunneth products of their Bott values.
+The touched terms take one of two routes, chosen per complex:
 - a monomial complex, whose every nonzero entry has one term and whose
   summands take consistent fine shifts: chambers, which counts the fine
   degrees of each chamber in closed form and builds one small block per
@@ -410,20 +410,15 @@ def chambers(space, field, poly, terms):
     return touched_h
 
 
-def engine(C):
-    """The function window -> (a, (h^0, ..., h^m)) pairs, in the window's
-    twist order, of the complex C (valid, as its constructor checked),
-    reading C once: untouched terms come from one bott.kunneth_window call
-    per window, touched ones from the chamber route when C is a monomial
-    complex with consistent shifts, else from the per-twist route."""
+def engine(C, window):
+    """The (a, (h^0, ..., h^m)) pairs of the complex C (valid, as its
+    constructor checked) on the window, in twist order, reading C once:
+    untouched terms by one bott.kunneth_window call, touched ones by the
+    chamber route (a monomial complex, consistent shifts) or per_twist."""
     space = C.space
     poly = polynomial_maps(C)
     free, terms = _terms(C, poly)
     touched_h = terms and (chambers(space, C.field, poly, terms)
                            or per_twist(space, C.field, poly, terms))
-
-    def table(window):
-        for a, h in bott.kunneth_window(space, window, free).items():
-            yield a, tuple(map(add, h, touched_h(a)) if terms else h)
-
-    return table
+    for a, h in bott.kunneth_window(space, window, free).items():
+        yield a, tuple(map(add, h, touched_h(a)) if terms else h)

@@ -193,9 +193,13 @@ class CohomologyTable:
     def from_json(cls, obj):
         space = ProductSpace.from_json(obj["space"])
         window = Window.from_json(obj["window"])
-        table = cls(space, window)
+        table, seen = cls(space, window), set()
         for cell in obj["cells"]:
-            table.set_cell(tuple(cell["a"]), cell["i"], cell["dim"], cell["status"])
+            a, i = tuple(cell["a"]), cell["i"]
+            table.set_cell(a, i, cell["dim"], cell["status"])
+            if (a, i) in seen:  # after set_cell, so its refusals come first
+                raise ValueError("cell %r is given twice" % ((a, i),))
+            seen.add((a, i))
         return table
 
     def to_csv(self):

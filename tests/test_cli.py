@@ -265,9 +265,11 @@ def test_cohomology_empty_twist_or_window_is_named(capsys, tmp_path, flag, messa
     pytest.param("tate-profile --input {} --b 1,1 --field ''", "unrecognized field ''",
                  id="tate-profile-field"),
     pytest.param("tate-profile --b 1,1 --input ''", "cannot read :", id="tate-profile-input"),
-    pytest.param("tate-profile --b 1,1 --table ''", "table :", id="tate-profile-table"),
+    pytest.param("tate-profile --b 1,1 --table ''", "cannot read :", id="tate-profile-table"),
     pytest.param("cohomology --input {} --twist 0,0 --field ''", "unrecognized field ''",
                  id="cohomology-field"),
+    pytest.param("cohomology --input {} --twist 0,0 --field p", "unrecognized field 'p'",
+                 id="cohomology-field-p"),
     pytest.param("split-check --input {} --d 1,1 --window 0:1,0:1 --field ''",
                  "unrecognized field ''", id="split-check-field"),
     pytest.param("regions --space 1,1,1 --window -1:1,-1:1,-1:1 --slice 0,0",
@@ -286,6 +288,9 @@ def test_cohomology_empty_twist_or_window_is_named(capsys, tmp_path, flag, messa
                  "invalid literal for int() with base 10: 'x'\n", id="cohomology-window-not-integer"),
     pytest.param("cohomology --input {} --window 2:1,0:1",
                  "error: empty window: lo=(2, 0) hi=(1, 1)\n", id="cohomology-window-empty"),
+    pytest.param("cohomology --input {} --window -1:1",
+                 "error: window dimension does not match space\n",
+                 id="cohomology-window-dimension"),
     pytest.param("regions --space 1,1 --window -2:2,-2:2 --mode safe --d 1,1,1",
                  "error: polarization length does not match space\n", id="regions-d-length"),
 ])
@@ -504,6 +509,36 @@ def test_malformed_json(capsys, tmp_path):
     assert code == 2 and "line" in err
 
 
+BAD_FILES = {
+    "not-utf8": (b'\xff{"space": {}}', "{}: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte"),
+    "deep": (b"[" * 200_000, "{}: invalid JSON: maximum recursion depth exceeded"),
+    "missing": (None, "cannot read {}: "),
+    "malformed": (b'{"space": ', "{}: invalid JSON: Expecting value: line 1 column 11 (char 10)"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    "cohomology --input {} --twist 0,0",
+    "split-check --input {} --d 1,1 --window 0:1,0:1",
+    "tate-profile --input {} --b 0,0",
+    "tate-profile --table {} --b 0,0",
+], ids=["cohomology", "split-check", "tate-profile-input", "tate-profile-table"])
+@pytest.mark.parametrize("kind", list(BAD_FILES))
+def test_every_file_flag_refuses_a_bad_file_one_way(capsys, tmp_path, command, kind):
+    # The bytes that are not UTF-8 ended --input in a UnicodeDecodeError
+    # traceback, the deep nesting both flags in a RecursionError traceback,
+    # and an unreadable --table read "table PATH: ..." where --input read
+    # "cannot read PATH: ...".
+    data, message = BAD_FILES[kind]
+    path = tmp_path / "bad.json"
+    if data is not None:
+        path.write_bytes(data)
+    code, out, err = run(capsys, shlex.split(command.format(path)))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: " + message.format(path)), err
+
+
 def test_schema_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"space": {"factor_dims": [1, 1]}}))
@@ -559,13 +594,20 @@ def test_malformed_field_is_refused(capsys, tmp_path):
     _refused(capsys, tmp_path, obj, "field:")
 
 
+DROP = object()
+
+
 def _koszul_json_with(where, value):
-    """The Koszul point's JSON with the entry at the key path `where` set."""
+    """The Koszul point's JSON with the entry at the key path `where` set,
+    or removed when value is DROP."""
     obj = koszul_point_complex().to_json()
     node = obj
     for key in where[:-1]:
         node = node[key]
-    node[where[-1]] = value
+    if value is DROP:
+        del node[where[-1]]
+    else:
+        node[where[-1]] = value
     return obj
 
 
@@ -603,6 +645,22 @@ def test_non_integer_is_refused(capsys, tmp_path, where, value, path):
 def test_non_list_matrix_is_refused(capsys, tmp_path, where, path):
     # Iterating the integer 5 used to end in a TypeError traceback.
     _refused(capsys, tmp_path, _koszul_json_with(where, 5), path)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (ENTRY + ("terms", 0, "e"), [[0, 1]],
+     "complex.diffs[0].entries[0][0]: exponent vector has 1 factor blocks, expected 2"),
+    (ENTRY + ("terms", 0, "e"), [[0, 0, 0], [0, 1]],
+     "complex.diffs[0].entries[0][0]: exponent block (0, 0, 0) has wrong length"),
+    (ENTRY + ("terms", 0, "e"), [[0, 0], [-1, 2]],
+     "complex.diffs[0].entries[0][0]: negative exponent in ((0, 0), (-1, 2))"),
+    (ENTRY + ("degree",), DROP, "complex.diffs[0].entries[0][0]: 'degree'"),
+    (("complex", "terms", 0, "twists"), DROP, "complex.terms: 'twists'"),
+    (("complex", "diffs", 0, "entries"), DROP, "complex.diffs[0]: 'entries'"),
+], ids=["exponent-blocks", "exponent-block-length", "negative-exponent", "no-degree",
+        "no-twists", "no-entries"])
+def test_misshapen_part_is_refused(capsys, tmp_path, where, value, message):
+    _refused(capsys, tmp_path, _koszul_json_with(where, value), message + "\n")
 
 
 X00 = [[1, 0], [0, 0]]
@@ -667,6 +725,15 @@ def test_split_check_exit_codes(capsys, tmp_path):
     )
     assert code == 11
     assert "INCONCLUSIVE" in out
+
+    zero_path = write_complex(tmp_path, free_complex(sp, []), "z.json")
+    code, out, _ = run(
+        capsys,
+        ["split-check", "--input", zero_path, "--d", "1,1", "--window", "-2:2,-2:2"],
+    )
+    assert code == 0
+    assert out.startswith("SPLIT: F = 0  [necessary conditions only")
+    assert json.loads(out[out.index("{"):])["summands"] == []
 
 
 def test_split_check_refuses_wrong_length_d_first(capsys, tmp_path, monkeypatch):
@@ -826,6 +893,10 @@ def test_tate_profile_bad_table(capsys, tmp_path):
     true_dim["cells"][0]["dim"] = True
     true_index = T.to_json()
     true_index["cells"][0]["i"] = True
+    twice = T.to_json()
+    twice["cells"].append(dict(twice["cells"][0], dim=5))
+    corners = T.to_json()
+    corners["window"]["lo"] = [-3]
     for obj, message in (
         (negative, "negative dimension"),
         (inferred, "inferred"),
@@ -835,6 +906,8 @@ def test_tate_profile_bad_table(capsys, tmp_path):
         (between, "index 0.5"),
         (true_dim, "dimension True at"),
         (true_index, "index True"),
+        (twice, "cell ((-3, -3), 0) is given twice"),
+        (corners, "window corners have mismatched lengths"),
     ):
         path = tmp_path / "table.json"
         path.write_text(json.dumps(obj))

@@ -198,6 +198,14 @@ def test_arithmetic_refuses_operands_on_another_space_or_field(p11, op):
         op(x, var(p11, RATIONALS, 0, 0))
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_sum_refuses_polynomials_of_different_degrees(p11, op):
+    F = default_field()
+    x00 = var(p11, F, 0, 0)
+    with pytest.raises(CoxError, match=re.escape("cannot add degrees (1, 0) and (1, 1)")):
+        op(x00, poly_mult(x00, var(p11, F, 1, 0)))  # x00 + x00*x10
+
+
 @pytest.mark.parametrize("expr, types", [
     ("x00 * 2", "*: 'MultiHomogPoly' and 'int'"),
     ("2 * x00", "*: 'int' and 'MultiHomogPoly'"),

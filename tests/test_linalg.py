@@ -22,6 +22,8 @@ def test_parse_field():
         parse_field("p:65520")  # not prime
     with pytest.raises(linalg.FieldError):
         parse_field("float")
+    with pytest.raises(linalg.FieldError, match="unrecognized field 'p'"):
+        parse_field("p")  # the default prime is spelled out: p:65521
 
 
 def test_primality_is_miller_rabin():

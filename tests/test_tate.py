@@ -318,6 +318,23 @@ def test_table_json_csv_roundtrip(p11):
     assert len(csv_text.splitlines()) == 1 + 25 * 3
 
 
+@pytest.mark.parametrize("second", [
+    {"dim": 5, "status": STATUS_COMPUTED},
+    {"dim": 1, "status": STATUS_COMPUTED},
+    {"dim": 0, "status": STATUS_INFERRED},
+], ids=["other-dim", "same-dim", "inferred"])
+def test_table_from_json_refuses_a_cell_given_twice(p11, second):
+    # The last entry used to win: dim 1 and then dim 5 at ((0, 0), 0) read
+    # as h = (5, 0, 0).
+    obj = CohomologyTable(p11, Window((0, 0), (0, 0))).to_json()
+    obj["cells"] = [{"a": [0, 0], "i": 0, "dim": 1, "status": STATUS_COMPUTED},
+                    {"a": [0, 0], "i": 0, **second}]
+    with pytest.raises(ValueError, match=re.escape("cell ((0, 0), 0) is given twice")):
+        CohomologyTable.from_json(obj)
+    obj["cells"][1]["i"] = 1
+    assert CohomologyTable.from_json(obj).known_dim((0, 0), 1) == second["dim"]
+
+
 # ---------------------------------------------------------------------------
 # Property test: the one-sweep propagation equals the naive fixed point.
 
