@@ -2,12 +2,16 @@
 
 Subcommands: regions (cohomology-region grids), cohomology (tables of a
 line-bundle complex), split-check (splitting verdict), tate-profile
-(Tate term dimensions and exactness checksums).  An argv that names a
-command is parsed by that command's parser alone, the one argparse would
-build as its subparser (prog "prodcoh <command>"), so its usage, errors and
---help read the same.  The top-level parser is built only for top-level
-help, for an argv with no command or an unknown one, and to report
-unrecognized arguments, whose error shows the top-level usage line.
+(Tate term dimensions and exactness checksums).  The flags of every command
+are declared once, in _COMMANDS.  A well-formed command line, each word an
+exact flag of its command given once with a value its type and choices
+accept, and every required flag present, is read directly off that table,
+and no argparse parser is built.  Any other argv that names a command is
+parsed by that command's parser alone, the one argparse would build as its
+subparser (prog "prodcoh <command>"), so its readings, usage, errors and
+--help are argparse's own.  The top-level parser is built only for
+top-level help, for an argv with no command or an unknown one, and to
+report unrecognized arguments, whose error shows the top-level usage line.
 
 Exit codes: 0 success / Split, 2 usage (an unreadable --input or --table),
 schema (a file that is not UTF-8 JSON) or invalid complex, 3 engine
@@ -302,7 +306,7 @@ def cmd_tate_profile(args):
         obj = read_json(args.table)
         try:
             table = tate.CohomologyTable.from_json(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # a SchemaError is a ValueError
             raise SchemaError("table %s: %s" % (args.table, exc)) from exc
         space = table.space
         b = space.degree(parse_ints(args.b, "internal degree"))
@@ -436,13 +440,65 @@ def _join_values(argv):
     return out
 
 
+def _read_flags(command, words):
+    """The Namespace the command's parser would return for words, read off
+    _COMMANDS, or None unless every word is an exact flag of the command,
+    given once: a store_true flag bare, any other as --flag=value with a
+    value other than '--', or as --flag value with a value that does not
+    start with '-'; the value passes the flag's type and choices; and every
+    required flag is given."""
+    func, _, flags = _COMMANDS[command]
+    spec, got = dict(flags), {}
+    it = iter(words)
+    for word in it:
+        flag, eq, value = word.partition("=")
+        kwargs = spec.get(flag)
+        if kwargs is None or flag in got:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(it, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops it and reads an empty list
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        got[flag] = value
+    if any(kwargs.get("required") and flag not in got for flag, kwargs in flags):
+        return None
+    args = argparse.Namespace(func=func)
+    for flag, kwargs in flags:
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), got.get(flag, default))
+    return args
+
+
 def parse_args(argv):
     """The parsed flags of argv, whose first word is the command; usage
-    errors and help exit through SystemExit, as argparse does."""
+    errors and help exit through SystemExit, as argparse does.
+
+    A well-formed command line (see _read_flags) is read directly off
+    _COMMANDS, with no parser built.  Anything else, help, every error and
+    the forms argparse alone reads (an abbreviated flag, a flag given
+    twice, a value starting with '-' after a space), goes to the command's
+    argparse parser, built for this call, which writes every usage line,
+    help text and error message."""
     argv = _join_values(argv)
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
     command = argv[0]
+    args = _read_flags(command, argv[1:])
+    if args is not None:
+        return args
     parser = argparse.ArgumentParser(prog="prodcoh " + command)
     args, extras = _add_flags(parser, command).parse_known_args(argv[1:])
     if extras:

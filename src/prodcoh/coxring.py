@@ -28,15 +28,11 @@ field into the complex's, by the same lift a JSON round trip takes.
 import re
 
 from . import linalg
-from .lattice import LatticeError, ProductSpace, vadd, vsub
+from .lattice import LatticeError, ProductSpace, SchemaError, json_key, vadd, vsub
 
 
 class CoxError(ValueError):
     pass
-
-
-class SchemaError(ValueError):
-    """Raised on malformed JSON input; the message carries the path."""
 
 
 def expvec_degree(space, e):
@@ -175,25 +171,24 @@ class MultiHomogPoly:
             raise SchemaError("%s: %r is neither 0, null nor a polynomial object" % (path, obj))
         terms = {}
         try:
-            degree = tuple(obj["degree"])
+            degree = tuple(json_key(obj, "degree", path))
             for k, term in enumerate(obj.get("terms", [])):
-                e = tuple(tuple(block) for block in term["e"])
+                where = "%s.terms[%d]" % (path, k)
+                e = tuple(tuple(block) for block in json_key(term, "e", where))
                 if any(type(x) is not int for block in e for x in block):
-                    raise SchemaError("%s.terms[%d].e: %r has an entry that is not an integer"
-                                      % (path, k, e))
+                    raise SchemaError("%s.e: %r has an entry that is not an integer" % (where, e))
                 if e in terms:
-                    raise SchemaError("%s.terms[%d].e: exponent vector %r is given twice"
-                                      % (path, k, e))
-                c = term["c"]
+                    raise SchemaError("%s.e: exponent vector %r is given twice" % (where, e))
+                c = json_key(term, "c", where)
                 if type(c) is not int and not (type(c) is str and _COEFF.fullmatch(c)):
-                    raise SchemaError("%s.terms[%d].c: %r is neither an integer nor a "
-                                      "'num/den' string" % (path, k, c))
+                    raise SchemaError("%s.c: %r is neither an integer nor a 'num/den' string"
+                                      % (where, c))
                 try:
                     terms[e] = field.coerce(c)
                 except (ValueError, ZeroDivisionError) as exc:  # FieldError is a ValueError
-                    raise SchemaError("%s.terms[%d].c: %r is not a coefficient in %r (%s)"
-                                      % (path, k, c, field, exc)) from exc
-        except (KeyError, TypeError) as exc:
+                    raise SchemaError("%s.c: %r is not a coefficient in %r (%s)"
+                                      % (where, c, field, exc)) from exc
+        except TypeError as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
         try:
             return cls(space, field, degree, terms)
@@ -312,8 +307,8 @@ class LineBundleComplex:
         when given, replaces the object's field, and every coefficient is
         read into it."""
         try:
-            space = ProductSpace.from_json(obj["space"])
-        except (KeyError, TypeError, LatticeError) as exc:
+            space = ProductSpace.from_json(json_key(obj, "space"))
+        except (TypeError, LatticeError) as exc:
             raise SchemaError("space: %s" % exc) from exc
         try:
             field = field_override or linalg.parse_field(obj.get("field", "p:%d" % linalg.DEFAULT_PRIME))
@@ -324,20 +319,20 @@ class LineBundleComplex:
             raise SchemaError("complex: missing or not an object")
         terms = {}
         try:
-            for k, entry in enumerate(body["terms"]):
+            for k, entry in enumerate(json_key(body, "terms", "complex")):
                 path = "complex.terms[%d]" % k
-                p = _once(_integer(entry["p"], path + ".p"), terms, path)
+                p = _once(_integer(json_key(entry, "p", path), path + ".p"), terms, path)
                 terms[p] = tuple(_degree(space, b, "%s.twists[%d]" % (path, t))
-                                 for t, b in enumerate(entry["twists"]))
-        except (KeyError, TypeError) as exc:
+                                 for t, b in enumerate(json_key(entry, "twists", path)))
+        except TypeError as exc:
             raise SchemaError("complex.terms: %s" % exc) from exc
         diffs = {}
         for d, dent in enumerate(_list(body.get("diffs", []), "complex.diffs")):
             path = "complex.diffs[%d]" % d
             try:
-                p = _once(_integer(dent["p"], path + ".p"), diffs, path)
-                rows = _list(dent["entries"], path + ".entries")
-            except (KeyError, TypeError) as exc:
+                p = _once(_integer(json_key(dent, "p", path), path + ".p"), diffs, path)
+                rows = _list(json_key(dent, "entries", path), path + ".entries")
+            except TypeError as exc:
                 raise SchemaError("%s: %s" % (path, exc)) from exc
             mat = []
             for r, row in enumerate(rows):

@@ -7,7 +7,8 @@ such that O(k*d_1, ..., k*d_t)(a) has no intermediate cohomology for any
 integer k, decided for a whole window at once by interval arithmetic on k.
 Safe twists form the test region of the splitting criterion in
 ``splitter``; the per-twist scan over k that the tests compare it with is in
-tests/reference.py.
+tests/reference.py.  SchemaError and json_key live here, beneath every JSON
+reader of the package, so a missing key is refused one way in all of them.
 """
 
 import itertools
@@ -16,6 +17,19 @@ from dataclasses import dataclass
 
 class LatticeError(ValueError):
     pass
+
+
+class SchemaError(ValueError):
+    """Raised on malformed JSON input; the message carries the path."""
+
+
+def json_key(obj, key, path=""):
+    """obj[key] of the JSON object read at path; a missing key is refused
+    as SchemaError("<path>: missing key '<key>'")."""
+    try:
+        return obj[key]
+    except KeyError as exc:
+        raise SchemaError("%smissing key %r" % (path and path + ": ", key)) from exc
 
 
 def vadd(a, b):
@@ -66,7 +80,7 @@ class ProductSpace:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple(obj["factor_dims"]))
+        return cls(tuple(json_key(obj, "factor_dims", "space")))
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,7 @@ class Window:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple(obj["lo"]), tuple(obj["hi"]))
+        return cls(tuple(json_key(obj, "lo", "window")), tuple(json_key(obj, "hi", "window")))
 
 
 def leq(a, b):

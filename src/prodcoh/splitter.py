@@ -307,6 +307,8 @@ def split_check(C, d, window, torsion_free_asserted=False):
         return SplitVerdict(kind="nonsplit", witness=violations[0], **found)
 
     if not any(map(any, table.rows().values())):
+        if any(C.terms.values()):  # a sheaf whose cohomology lies outside the window
+            return inconclusive("no cohomology in the window")
         return SplitVerdict(kind="split", summands=(), **found)
 
     report = extremal_hm(table, d)

@@ -32,7 +32,7 @@ import math
 import operator
 import types
 
-from .lattice import LatticeError, ProductSpace, Window
+from .lattice import LatticeError, ProductSpace, Window, json_key
 
 STATUS_COMPUTED = "computed"
 STATUS_INFERRED = "inferred_zero"
@@ -191,12 +191,13 @@ class CohomologyTable:
 
     @classmethod
     def from_json(cls, obj):
-        space = ProductSpace.from_json(obj["space"])
-        window = Window.from_json(obj["window"])
+        space = ProductSpace.from_json(json_key(obj, "space"))
+        window = Window.from_json(json_key(obj, "window"))
         table, seen = cls(space, window), set()
-        for cell in obj["cells"]:
-            a, i = tuple(cell["a"]), cell["i"]
-            table.set_cell(a, i, cell["dim"], cell["status"])
+        for k, cell in enumerate(json_key(obj, "cells")):
+            path = "cells[%d]" % k
+            a, i = tuple(json_key(cell, "a", path)), json_key(cell, "i", path)
+            table.set_cell(a, i, json_key(cell, "dim", path), json_key(cell, "status", path))
             if (a, i) in seen:  # after set_cell, so its refusals come first
                 raise ValueError("cell %r is given twice" % ((a, i),))
             seen.add((a, i))

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import random
 import shlex
 
 import pytest
@@ -654,11 +656,16 @@ def test_non_list_matrix_is_refused(capsys, tmp_path, where, path):
      "complex.diffs[0].entries[0][0]: exponent block (0, 0, 0) has wrong length"),
     (ENTRY + ("terms", 0, "e"), [[0, 0], [-1, 2]],
      "complex.diffs[0].entries[0][0]: negative exponent in ((0, 0), (-1, 2))"),
-    (ENTRY + ("degree",), DROP, "complex.diffs[0].entries[0][0]: 'degree'"),
-    (("complex", "terms", 0, "twists"), DROP, "complex.terms: 'twists'"),
-    (("complex", "diffs", 0, "entries"), DROP, "complex.diffs[0]: 'entries'"),
+    (ENTRY + ("degree",), DROP, "complex.diffs[0].entries[0][0]: missing key 'degree'"),
+    (("complex", "terms", 0, "twists"), DROP, "complex.terms[0]: missing key 'twists'"),
+    (("complex", "diffs", 0, "entries"), DROP, "complex.diffs[0]: missing key 'entries'"),
+    (ENTRY + ("terms", 0, "c"), DROP,
+     "complex.diffs[0].entries[0][0].terms[0]: missing key 'c'"),
+    (("complex", "terms"), DROP, "complex: missing key 'terms'"),
+    (("space", "factor_dims"), DROP, "space: missing key 'factor_dims'"),
+    (("space",), DROP, "missing key 'space'"),
 ], ids=["exponent-blocks", "exponent-block-length", "negative-exponent", "no-degree",
-        "no-twists", "no-entries"])
+        "no-twists", "no-entries", "no-coefficient", "no-terms", "no-factor-dims", "no-space"])
 def test_misshapen_part_is_refused(capsys, tmp_path, where, value, message):
     _refused(capsys, tmp_path, _koszul_json_with(where, value), message + "\n")
 
@@ -734,6 +741,20 @@ def test_split_check_exit_codes(capsys, tmp_path):
     assert code == 0
     assert out.startswith("SPLIT: F = 0  [necessary conditions only")
     assert json.loads(out[out.index("{"):])["summands"] == []
+
+
+@pytest.mark.parametrize("C", [
+    free_complex(ProductSpace((1, 1)), [(-1, -1)]), ideal_sheaf_complex()],
+    ids=["line-bundle", "ideal-sheaf"])
+def test_split_check_window_without_cohomology_is_inconclusive(capsys, tmp_path, C):
+    # Neither sheaf has a group at (0,0); the window cannot tell either from
+    # the zero sheaf, which split-check answered with SPLIT: F = 0.
+    path = write_complex(tmp_path, C)
+    code, out, err = run(
+        capsys, ["split-check", "--input", path, "--d", "1,1", "--window", "0:0,0:0"])
+    assert (code, err) == (11, "")
+    assert out.startswith("INCONCLUSIVE: no cohomology in the window\n")
+    assert json.loads(out[out.index("{"):])["reason"] == "no cohomology in the window"
 
 
 def test_split_check_refuses_wrong_length_d_first(capsys, tmp_path, monkeypatch):
@@ -897,6 +918,8 @@ def test_tate_profile_bad_table(capsys, tmp_path):
     twice["cells"].append(dict(twice["cells"][0], dim=5))
     corners = T.to_json()
     corners["window"]["lo"] = [-3]
+    unplaced = T.to_json()
+    del unplaced["cells"][2]["a"]
     for obj, message in (
         (negative, "negative dimension"),
         (inferred, "inferred"),
@@ -908,6 +931,7 @@ def test_tate_profile_bad_table(capsys, tmp_path):
         (true_index, "index True"),
         (twice, "cell ((-3, -3), 0) is given twice"),
         (corners, "window corners have mismatched lengths"),
+        (unplaced, "table %s: cells[2]: missing key 'a'\n" % (tmp_path / "table.json")),
     ):
         path = tmp_path / "table.json"
         path.write_text(json.dumps(obj))
@@ -955,6 +979,111 @@ def test_bad_flags(capsys):
         capsys, ["cohomology", "--input", "x.json", "--twist", "0,0", "--depth", "1,1"]
     )
     assert code == 2 and "--depth" in err
+
+
+def _reference_parser(command):
+    """The command's argparse parser, as parse_args builds it."""
+    return cli._add_flags(argparse.ArgumentParser(prog="prodcoh " + command), command)
+
+
+# Words drawn besides each command's own flags: help, the end of options, a
+# stray positional and flags of no command; and values of every kind
+# argparse reads its own way: empty, starting with '-', holding '=', a bad
+# choice, or an integer that is signed, spaced or not one at all.
+_STRAY_WORDS = ["-h", "--help", "--", "stray", "--depth", "-x"]
+_VALUES = ["", "x.json", "1,1", "-1,2", "0:1,-1:1", "a=b", "=", "q", "p:7", "json", "ascii",
+           "full", "safe", "bogus", "3", "-3", "+3", " 3", "1_0", "3.0", "x", "--twist", "-h"]
+
+
+def _draw_command_line(rng):
+    """A command and the words after it: its required flags usually, its
+    others sometimes, and now and then a flag repeated, abbreviated or of
+    another command, or a stray word; a flag's value follows after '=',
+    after a space or not at all."""
+    command = rng.choice(sorted(cli._COMMANDS))
+    flags = dict(cli._COMMANDS[command][2])
+    others = sorted({f for _, _, fl in cli._COMMANDS.values() for f, _ in fl} - set(flags))
+    picks = [f for f, kw in flags.items() if rng.random() < (0.9 if kw.get("required") else 0.3)]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        flag, kind = rng.choice(sorted(flags)), rng.random()
+        if kind < 0.3:
+            picks.append(flag)
+        elif kind < 0.55 and len(flag) > 3:
+            picks.append(flag[:rng.randint(3, len(flag) - 1)])
+        else:
+            picks.append(rng.choice(others if kind < 0.8 else _STRAY_WORDS))
+    rng.shuffle(picks)
+    words = []
+    for word in picks:
+        kwargs = flags.get(word, {})
+        bare = 0.8 if kwargs.get("action") == "store_true" else 0.1
+        form = rng.choices(["", "=", " "], [bare, (1 - bare) / 2, (1 - bare) / 2])[0]
+        if word in _STRAY_WORDS or not form:
+            words.append(word)
+            continue
+        value = (rng.choice(kwargs["choices"]) if "choices" in kwargs else
+                 "3" if "type" in kwargs else "x") if rng.random() < 0.6 else rng.choice(_VALUES)
+        words += [word + "=" + value] if form == "=" else [word, value]
+    return command, words
+
+
+def _table_path_mismatches(rng, draws):
+    """How many of the drawn command lines the table path reads, and each
+    that the command's argparse parser reads otherwise."""
+    parsers = {command: _reference_parser(command) for command in cli._COMMANDS}
+    read, mismatches = 0, []
+    for _ in range(draws):
+        command, raw = _draw_command_line(rng)
+        words = cli._join_values([command] + raw)[1:]
+        args = cli._read_flags(command, words)
+        if args is None:
+            continue
+        read += 1
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want = parsers[command].parse_known_args(words)
+        except SystemExit:
+            want = "SystemExit"
+        if want != (args, []):
+            mismatches.append((command, raw, args, want))
+    return read, mismatches
+
+
+def test_table_path_reads_as_argparse():
+    read, mismatches = _table_path_mismatches(random.Random(0), 20000)
+    assert mismatches == []
+    assert read > 2000  # the draws reach the table path, not argparse alone
+
+
+# The command lines README.md shows, and one of each shape the benchmark sends.
+WELL_FORMED = [
+    "regions --space 2,3 --window -5:1,-5:2 --mode full",
+    "regions --space 2,3 --window -5:1,-5:2 --mode intermediate",
+    "regions --space 1,1 --d 1,1 --window -4:4,-4:4 --mode safe",
+    "regions --space 1,1 --window -2:2,-2:2 --mode full",
+    "cohomology --input complex.json --twist -2,-2 --format json",
+    "cohomology --input complex.json --window -3:3,-3:3 --format csv",
+    "split-check --input complex.json --d 1,1 --window -5:5,-5:5 --assert-torsion-free",
+    "tate-profile --input complex.json --b 0,0 --checks corner --c 0,0",
+    "cohomology --input c.json --twist -1,0 --field q --format json --check-prime 7",
+    "cohomology --input c.json --window -6:6,-6:6",
+    "split-check --input c.json --d 1,2 --window -3:2,-3:2",
+    "tate-profile --input c.json --b 0,0,0 --checks strand --c 0,0,0 --I 0 --J 1 --K 2",
+    "regions --space 1,1 --window -4:4,-4:4 --mode safe --d 1,1",
+]
+
+
+@pytest.mark.parametrize("line", WELL_FORMED)
+def test_well_formed_command_line_builds_no_parser(monkeypatch, line):
+    argv = shlex.split(line)
+    want = _reference_parser(argv[0]).parse_args(cli._join_values(argv)[1:])
+
+    def no_parser(*args, **kwargs):
+        raise AssertionError("an argparse parser was built for " + line)
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    assert cli.parse_args(argv) == want
 
 
 @pytest.mark.parametrize("command, message", [
