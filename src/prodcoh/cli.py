@@ -12,6 +12,9 @@ subparser (prog "prodcoh <command>"), so its readings, usage, errors and
 --help are argparse's own.  The top-level parser is built only for
 top-level help, for an argv with no command or an unknown one, and to
 report unrecognized arguments, whose error shows the top-level usage line.
+A flag followed by '--' is refused as given no value, with argparse's
+"expected one argument"; so is --flag=--, which argparse before Python 3.13
+reads as an empty list.
 
 Exit codes: 0 success / Split, 2 usage (an unreadable --input or --table),
 schema (a file that is not UTF-8 JSON) or invalid complex, 3 engine
@@ -418,7 +421,8 @@ def build_parser():
 
 
 # Flags whose values routinely start with '-' (negative degrees); join them
-# with '=' so argparse does not mistake the value for an option.
+# with '=' so argparse does not mistake the value for an option.  A '--' is
+# left apart, so that argparse reads the flag as given no value.
 _VALUE_FLAGS = {
     "--space", "--window", "--twist", "--b", "--c", "--d", "--slice",
     "--I", "--J", "--K",
@@ -433,6 +437,8 @@ def _join_values(argv):
             val = next(it, None)
             if val is None:
                 out.append(tok)
+            elif val == "--":
+                out += [tok, val]
             else:
                 out.append("%s=%s" % (tok, val))
         else:
@@ -503,6 +509,9 @@ def parse_args(argv):
     args, extras = _add_flags(parser, command).parse_known_args(argv[1:])
     if extras:
         build_parser().error("unrecognized arguments: %s" % " ".join(extras))
+    for flag, _ in _COMMANDS[command][2]:
+        if getattr(args, flag[2:].replace("-", "_")) == []:  # --flag=--: argparse drops the '--'
+            parser.error("argument %s: expected one argument" % flag)
     return args
 
 

@@ -4,7 +4,9 @@ Twists of line bundles on P^{n_1} x ... x P^{n_t} are indexed by integer
 vectors of length t.  This module provides the componentwise partial order,
 the canonical twist, and the combinatorics of "safe" twists: the twists a
 such that O(k*d_1, ..., k*d_t)(a) has no intermediate cohomology for any
-integer k, decided for a whole window at once by interval arithmetic on k.
+integer k.  The safe region of a window is decided a row along the last
+factor at a time, in closed form: the other factors' ranges in k cut the
+row's safe twists to one interval, with no scan over twists or over k.
 Safe twists form the test region of the splitting criterion in
 ``splitter``; the per-twist scan over k that the tests compare it with is in
 tests/reference.py.  SchemaError and json_key live here, beneath every JSON
@@ -167,27 +169,51 @@ def safe_region(space, d, window):
     """Twists a in the window for which no O(kH)(a) has intermediate
     cohomology -- the region the splitting hypothesis quantifies over.
 
-    Interval arithmetic on k, (L_j, U_j) tabulated per window coordinate:
-    factor j is in the h^0 range for k >= L_j, in the top range for k <= U_j
-    and in neither in the gap U_j < k < L_j.  The twist is unsafe iff some k
-    in [min L, max U] is in no gap; the least one is min L or follows a gap,
-    so only the L_j are tried.  These are bott.factor_group's ranges, a >= 0
-    and a <= -n-1, solved for k in a = k*d_j + x: the one inverse of that
-    rule, which answers for every k at once where factor_group answers for
-    one twist.
+    Factor j of O(kH)(a) is in its h^0 range for k >= L_j, in its top range
+    for k <= U_j and in neither, its gap, for U_j < k < L_j: these are
+    bott.factor_group's ranges, k*d_j + a_j >= 0 and <= -n_j-1, solved for
+    k.  O(kH)(a) has intermediate cohomology iff no factor is in its gap and
+    some factor is in each range.  The window is decided a row at a time: a
+    row fixes every coordinate but the last, x, and its prefix pairs
+    (L_j, U_j), j < t, cut the safe x to one interval, where n = n_t and
+    d = d_t.  At each k the prefix is in a gap, all top, all h^0 or mixed:
+    1. for k <= min U it is all top, so x is unsafe if the last factor
+       reaches its h^0 range there: x >= -(min U)*d;
+    2. for k >= max L it is all h^0, so x is unsafe if the last factor
+       reaches its top range there: x <= -(max L)*d - n - 1;
+    3. at the k of [min L, max U] in no prefix gap it is mixed, so x is safe
+       only if the last factor is in its gap at each, that is at the least,
+       k_min, and the greatest, k_max: -k_min*d - n - 1 < x < -k_max*d.
+       k_min is min L or follows a gap, so it is an L_j; k_max is a U_j.
+    Each row costs O(t^2), and only the safe twists are built.  A single
+    factor never has intermediate cohomology.
     """
     space.degree(window.lo)  # a window of the wrong length is refused, not truncated
     dd = d.d if isinstance(d, Polarization) else Polarization(d).d
     if len(dd) != space.t:
         raise LatticeError("polarization length does not match space")
-    ends = [[(-(x // dj), (-x - nj - 1) // dj) for x in range(lo, hi + 1)]
-            for nj, dj, lo, hi in zip(space.factor_dims, dd, window.lo, window.hi)]
-
-    def safe(pairs):
-        top = max(u for _, u in pairs)
-        return not any(k <= top and all(k <= u or l <= k for l, u in pairs) for k, _ in pairs)
-
-    return frozenset(a for a, e in zip(window.twists(), itertools.product(*ends)) if safe(e))
+    if space.t == 1:
+        return frozenset(window.twists())
+    *dims, n = space.factor_dims
+    *dd, dt = dd
+    lo, hi = window.lo, window.hi
+    ends = [[(-(x // dj), (-x - nj - 1) // dj) for x in range(l, h + 1)]
+            for nj, dj, l, h in zip(dims, dd, lo, hi)]
+    rows = itertools.product(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1])))
+    safe = []
+    for row, pairs in zip(rows, itertools.product(*ends)):
+        ls, us = zip(*pairs)
+        bottom, top = min(ls), max(us)
+        first = max(lo[-1], -max(ls) * dt - n)  # cut 2
+        last = min(hi[-1], -min(us) * dt - 1)  # cut 1
+        if bottom <= top:  # the prefix can be mixed; it never is with one factor
+            mixed = [k for k in ls + us if bottom <= k <= top
+                     and all(k <= u or l <= k for l, u in pairs)]
+            if mixed:  # cut 3
+                first = max(first, -min(mixed) * dt - n)
+                last = min(last, -max(mixed) * dt - 1)
+        safe.extend([row + (x,) for x in range(first, last + 1)])
+    return frozenset(safe)
 
 
 def render_region(cells, window):

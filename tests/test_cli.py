@@ -304,6 +304,47 @@ def test_empty_flag_value_is_named(capsys, tmp_path, command, message):
     assert code == 2 and out == "" and message in err
 
 
+# A command line per flag of cli._VALUE_FLAGS that gives the flag '--' as its value.
+DOUBLE_DASH_LINES = {
+    "--space": "regions --window 0:1,0:1 --space --",
+    "--window": "regions --space 1,1 --window --",
+    "--slice": "regions --space 1,1,1 --window 0:1,0:1,0:1 --slice --",
+    "--d": "split-check --input {} --window 0:1,0:1 --d --",
+    "--twist": "cohomology --input {} --twist --",
+    "--b": "tate-profile --input {} --b --",
+    "--c": "tate-profile --input {} --b 1,1 --checks corner --c --",
+    "--I": "tate-profile --input {} --b 1,1 --checks strand --c 0,0 --I --",
+    "--J": "tate-profile --input {} --b 1,1 --checks strand --c 0,0 --J --",
+    "--K": "tate-profile --input {} --b 1,1 --checks strand --c 0,0 --K --",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(cli._VALUE_FLAGS))
+def test_value_flag_given_double_dash_is_named(capsys, tmp_path, flag):
+    # '--' was joined to the flag as --flag=--, which argparse read as an
+    # empty list, and the command ended in an AttributeError traceback.
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, shlex.split(DOUBLE_DASH_LINES[flag].format(path)))
+    assert code == 2 and out == ""
+    assert err.endswith(": error: argument %s: expected one argument\n" % flag)
+
+
+@pytest.mark.parametrize("command", [
+    "cohomology --input=-- --twist 0,0",
+    "cohomology --input {} --twist=--",
+    "cohomology --input {} --twist 0,0 --field=--",
+    "cohomology --input {} --twist 0,0 --format=--",
+    "cohomology --input {} --twist 0,0 --check-prime=--",
+    "regions --space=-- --window 0:1,0:1",
+])
+def test_flag_equals_double_dash_is_refused(capsys, tmp_path, command):
+    # argparse up to Python 3.12 reads --flag=-- as an empty list, which is
+    # refused by name; 3.13 reads the value '--', which the flag refuses.
+    path = write_complex(tmp_path, koszul_point_complex())
+    code, out, err = run(capsys, shlex.split(command.format(path)))
+    assert code == 2 and out == "" and "error: " in err
+
+
 def test_cohomology_json_roundtrip(capsys, tmp_path):
     from prodcoh.tate import CohomologyTable
 

@@ -124,6 +124,54 @@ def test_safe_region_equals_k_range_scan(case):
     }
 
 
+@st.composite
+def wide_polarized_windows(draw):
+    """As polarized_windows, with windows up to 12 wide for t <= 2, 8 for
+    t = 3 and 4 for t = 4, so that rows are long and, for t >= 3, prefixes
+    are mixed at several k."""
+    t = draw(st.integers(1, 4))
+    width = {1: 12, 2: 12, 3: 8, 4: 4}[t]
+    space = ProductSpace(tuple(draw(st.integers(1, 4)) for _ in range(t)))
+    d = Polarization(tuple(draw(st.integers(1, 4)) for _ in range(t)))
+    lo = tuple(draw(st.integers(-15, 15)) for _ in range(t))
+    hi = tuple(x + draw(st.integers(0, width - 1)) for x in lo)
+    return space, d, Window(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_polarized_windows())
+def test_safe_region_equals_k_range_scan_on_wide_windows(case):
+    space, d, window = case
+    assert safe_region(space, d, window) == {
+        a for a in window.twists() if not intermediate_k_range(space, d, a)
+    }
+
+
+def test_safe_region_rows_with_a_prefix_mixed_at_several_k():
+    # On P^1 x P^1 x P^4 the prefix (a_1, a_2) is mixed at every k of
+    # intermediate_k_range on P^1 x P^1; with n_3 = 4 and d_3 = 1 the last
+    # factor's gap can hold up to four such k, so the mixed-prefix cut alone
+    # decides these rows.
+    space, d = ProductSpace((1, 1, 4)), Polarization((1, 1, 1))
+    window = Window((-6, -6, -9), (6, 6, 3))
+    prefix_space, prefix_d = ProductSpace((1, 1)), Polarization((1, 1))
+    region = safe_region(space, d, window)
+    assert region == {a for a in window.twists() if not intermediate_k_range(space, d, a)}
+    decided = {len(intermediate_k_range(prefix_space, prefix_d, a[:2])) for a in region}
+    assert {2, 3, 4} <= decided
+    # (0, -4): the prefix is mixed at k = 0, 1, 2, so x is safe iff -5 < x < -2.
+    assert [x for x in range(-9, 4) if (0, -4, x) in region] == [-4, -3]
+
+
+def test_safe_region_band_at_500(p11):
+    # The band's closed form holds at any size: with |a_1 - a_2| >= 2 the
+    # twist is mixed at k = -max(a), and with |a_1 - a_2| <= 1 at no k.
+    window = Window((-500, -500), (500, 500))
+    expected = {(x, x + e) for x in range(-500, 501) for e in (-1, 0, 1)
+                if -500 <= x + e <= 500}
+    assert safe_region(p11, Polarization((1, 1)), window) == expected
+
+
 def test_intermediate_k_range_examples(p11):
     d = Polarization((1, 1))
     assert intermediate_k_range(p11, d, (0, 0)) == ()
